@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, io
 from .core import CoinParams
@@ -36,7 +35,9 @@ from .symmetry import reports_json, run_symmetry_suite
 from .topology import (
     BZ_IMAGE_CSV_HEADER,
     FrameVariant,
+    SweepResult,
     bz_image_table,
+    classify_sweep,
     invariant_json_dict,
     predicted_edge_states,
     rel_homotopic,
@@ -146,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-step", type=float, required=True)
     _family_flags(p)
     p.add_argument("--grid", type=int, default=512)
-    p.add_argument("--workers", type=int, default=4)
     _common_flags(p)
     p.set_defaults(func=cmd_sweep)
     return parser
@@ -304,23 +304,22 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _sweep_row(p: CoinParams, grid: int) -> list:
-    b = band_structure(p, grid)
-    g = gap_report(b)
-    if not p.is_gapped:
-        return [p.theta, g.gap_at_delta, g.gap_at_delta_plus_pi, "", "", "", "Gapless"]
-    inv = rel_homotopy_invariant(p, grid)
+def _sweep_row(sweep: SweepResult, i: int) -> list:
+    row = [float(sweep.theta[i]), float(sweep.gap_at_delta[i]),
+           float(sweep.gap_at_delta_plus_pi[i])]
+    inv = sweep.invariant(i)
+    if inv is None:
+        return row + ["", "", "", "Gapless"]
     d = invariant_json_dict(inv)
-    return [p.theta, g.gap_at_delta, g.gap_at_delta_plus_pi,
-            d["winding_mt"], d["pole_k0"], d["pole_k1"], d["phase_label"]]
+    return row + [d["winding_mt"], d["pole_k0"], d["pole_k1"], d["phase_label"]]
 
 
 def cmd_sweep(args) -> int:
     count = int(math.floor((args.theta_max - args.theta_min) / args.theta_step + 1e-9)) + 1
     thetas = [args.theta_min + i * args.theta_step for i in range(count)]
-    params = [CoinParams(args.delta, args.alpha, args.beta, t) for t in thetas]
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-        rows = list(pool.map(lambda p: _sweep_row(p, args.grid), params))
+    family = CoinParams(args.delta, args.alpha, args.beta, 0.0)
+    sweep = classify_sweep(family, thetas, args.grid)
+    rows = [_sweep_row(sweep, i) for i in range(count)]
     _write_table(args, "sweep", SWEEP_CSV_HEADER, rows)
     print(f"swept {len(rows)} points")
     return 0

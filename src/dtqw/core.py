@@ -29,6 +29,12 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 ALGEBRA_TOL = 1e-14
 OPERATOR_TOL = 1e-12
 
+# The one gap threshold.  A coin is gapped iff |sin theta| exceeds it.  Since
+# sin(omega_k) = hypot(sin theta, cos theta sin(k - alpha)) >= |sin theta|, the
+# same value marks degenerate momenta (sin omega_k at or below it): no momentum
+# of a gapped coin is degenerate.
+GAP_EPS = 1e-12
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -44,6 +50,11 @@ def wrap_angles(x: np.ndarray) -> np.ndarray:
     """Vectorized :func:`wrap_angle`."""
     y = np.mod(np.asarray(x, dtype=float) + np.pi, _TWO_PI) - np.pi
     return np.where(y == -np.pi, np.pi, y)
+
+
+def gapped(theta):
+    """Whether coins at theta (scalar or array) are gapped: |sin theta| > GAP_EPS."""
+    return np.abs(np.sin(theta)) > GAP_EPS
 
 
 def circle_distance(a: float, b: float) -> float:
@@ -71,7 +82,7 @@ class CoinParams:
     @property
     def is_gapped(self) -> bool:
         """True iff theta is neither 0 nor pi (both quasienergy gaps open)."""
-        return abs(self.theta) > 1e-12 and abs(self.theta - math.pi) > 1e-12
+        return bool(gapped(self.theta))
 
     @property
     def alpha_prime(self) -> float:

@@ -13,6 +13,12 @@ with the quasienergy dispersion ``cos(omega_k) = cos(theta) cos(k - alpha)``
 
 where a = alpha and a' = alpha + beta.  The quasienergy bands are
 delta +/- omega_k, each defined modulo 2*pi.
+
+The normalization uses the exact identity
+sin(omega_k) = hypot(sin(theta), cos(theta) sin(k - a)), which keeps every digit
+near omega_k in {0, pi}, where arccos loses half of them.  The Bloch routine
+takes a block of theta values at once, so a whole theta-sweep of one family
+shares the k-grid trig.
 """
 
 from __future__ import annotations
@@ -23,37 +29,83 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .core import PAULI, ID2, CoinParams, coin_matrix, wrap_angle, wrap_angles
+from .core import GAP_EPS, PAULI, ID2, CoinParams, coin_matrix, wrap_angle, wrap_angles
 from .errors import DegeneratePoint
-
-# Below this value of sin(omega_k) a grid point counts as degenerate
-# (gap closing); the Bloch vector is undefined there.
-DEGENERACY_EPS = 1e-9
 
 DEFAULT_GRID = 512
 
 
+@dataclass(frozen=True)
+class KTrig:
+    """Trig of a k-array relative to one (alpha, beta) family: the part of the
+    Bloch vectors that does not depend on theta."""
+
+    cos_a: np.ndarray  # cos(k - alpha)
+    sin_a: np.ndarray  # sin(k - alpha)
+    cos_ab: np.ndarray  # cos(k - alpha - beta)
+    sin_ab: np.ndarray  # sin(k - alpha - beta)
+
+
+def k_trig(alpha: float, beta: float, k) -> KTrig:
+    """Family trig on a 1-D k-array."""
+    k = np.asarray(k, dtype=float)
+    ka = k - alpha
+    kab = k - (alpha + beta)
+    return KTrig(np.cos(ka), np.sin(ka), np.cos(kab), np.sin(kab))
+
+
+def special_trig(alpha: float, beta: float) -> KTrig:
+    """Family trig at the special momenta alpha and alpha + pi, taken exactly
+    (k - alpha is 0 and pi there) rather than from the rounded momenta."""
+    sb, cb = math.sin(beta), math.cos(beta)
+    return KTrig(np.array([1.0, -1.0]), np.zeros(2), np.array([cb, -cb]), np.array([-sb, sb]))
+
+
+def _omega(theta, cos_a):
+    """omega in [0, pi] from cos(omega) = cos(theta) cos(k - alpha); broadcasts."""
+    return np.arccos(np.clip(np.cos(theta) * cos_a, -1.0, 1.0))
+
+
 def dispersion(p: CoinParams, k) -> float | np.ndarray:
     """Quasienergy omega_k in [0, pi]; accepts scalar or array k."""
-    c = np.cos(p.theta) * np.cos(np.asarray(k, dtype=float) - p.alpha)
-    w = np.arccos(np.clip(c, -1.0, 1.0))
+    w = _omega(p.theta, np.cos(np.asarray(k, dtype=float) - p.alpha))
     return float(w) if np.isscalar(k) or np.ndim(k) == 0 else w
 
 
-def _bloch_vectors(p: CoinParams, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bloch vectors on a k-array: (vectors, sin_omega, degenerate mask)."""
-    k = np.asarray(k, dtype=float)
-    omega = dispersion(p, k)
-    sin_w = np.sin(omega)
-    degenerate = sin_w < DEGENERACY_EPS
-    st, ct = math.sin(p.theta), math.cos(p.theta)
-    ka = k - p.alpha
-    kap = k - (p.alpha + p.beta)
-    raw = np.stack([st * np.sin(kap), -st * np.cos(kap), ct * np.sin(ka)], axis=-1)
+def bloch_block(trig: KTrig, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bloch vectors of the coins theta (rows) at the trig's momenta (columns).
+
+    Returns (n, sin_omega, degenerate): n has shape (T, K, 3) and NaN rows at
+    degenerate points, where sin omega <= GAP_EPS.
+    """
+    thetas = np.asarray(thetas, dtype=float)[:, None]
+    st, ct = np.sin(thetas), np.cos(thetas)
+    n_z = ct * trig.sin_a
+    sin_w = np.sqrt(st * st + n_z * n_z)  # hypot(st, n_z), >= |st|
+    degenerate = sin_w <= GAP_EPS
+    n = np.empty(sin_w.shape + (3,))
+    n[..., 0] = st * trig.sin_ab
+    n[..., 1] = -st * trig.cos_ab
+    n[..., 2] = n_z
     with np.errstate(divide="ignore", invalid="ignore"):
-        n = raw / sin_w[..., None]
-    n[degenerate] = np.nan
+        n /= sin_w[..., None]
+    if degenerate.any():
+        n[degenerate] = np.nan
     return n, sin_w, degenerate
+
+
+def _bloch_vectors(p: CoinParams, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bloch vectors of one coin on a 1-D k-array: (vectors, sin_omega, degenerate mask)."""
+    n, sin_w, degenerate = bloch_block(k_trig(p.alpha, p.beta, k), [p.theta])
+    return n[0], sin_w[0], degenerate[0]
+
+
+def _bloch_point(p: CoinParams, k: float) -> tuple[np.ndarray, float]:
+    """(n_k, sin omega_k); raises DegeneratePoint where the gap closes."""
+    n, sin_w, degenerate = _bloch_vectors(p, [float(k)])
+    if degenerate[0]:
+        raise DegeneratePoint(f"Bloch vector undefined at k = {k} (omega in {{0, pi}})")
+    return n[0], float(sin_w[0])
 
 
 def bloch_vector(p: CoinParams, k: float) -> np.ndarray:
@@ -61,16 +113,16 @@ def bloch_vector(p: CoinParams, k: float) -> np.ndarray:
 
     Raises DegeneratePoint at momenta where the gap closes (sin omega_k ~ 0).
     """
-    n, _, degenerate = _bloch_vectors(p, np.array([float(k)]))
-    if degenerate[0]:
-        raise DegeneratePoint(f"Bloch vector undefined at k = {k} (omega in {{0, pi}})")
-    return n[0]
+    return _bloch_point(p, k)[0]
 
 
 def bloch_hamiltonian(p: CoinParams, k: float) -> np.ndarray:
-    """H_k = delta*I + omega_k n_k . sigma (Hermitian, eigenvalues delta +/- omega_k)."""
-    omega = dispersion(p, k)
-    n = bloch_vector(p, k)
+    """H_k = delta*I + omega_k n_k . sigma (Hermitian, eigenvalues delta +/- omega_k).
+
+    omega_k is atan2(sin omega_k, cos omega_k) here, exact near 0 and pi.
+    """
+    n, sin_w = _bloch_point(p, k)
+    omega = math.atan2(sin_w, math.cos(p.theta) * math.cos(k - p.alpha))
     return p.delta * ID2 + omega * np.einsum("i,ijk->jk", n.astype(complex), PAULI)
 
 
@@ -128,7 +180,11 @@ class BandStructure:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Sizes of the two quasienergy gaps (around delta and around delta + pi)."""
+    """Sizes of the two quasienergy gaps (around delta and around delta + pi).
+
+    ``is_gapped`` is the coin's own ``CoinParams.is_gapped`` (the one threshold
+    GAP_EPS), not a test on the sampled sizes, which arccos floors near 1e-8.
+    """
 
     gap_at_delta: float
     gap_at_delta_plus_pi: float
@@ -149,11 +205,15 @@ def band_structure(p: CoinParams, grid_size: int = DEFAULT_GRID) -> BandStructur
     return BandStructure(p, ks, omega, n, degenerate, grid_size)
 
 
-def gap_report(b: BandStructure, tol: float = DEGENERACY_EPS) -> GapReport:
-    """Gap sizes from the sampled band: 2*min(omega) and 2*(pi - max(omega))."""
-    g0 = 2.0 * float(np.min(b.omega))
-    g1 = 2.0 * float(np.pi - np.max(b.omega))
-    return GapReport(g0, g1, g0 > tol and g1 > tol)
+def _gaps(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gap sizes 2*min(omega) and 2*(pi - max(omega)) over the last axis."""
+    return 2.0 * np.min(omega, axis=-1), 2.0 * (np.pi - np.max(omega, axis=-1))
+
+
+def gap_report(b: BandStructure) -> GapReport:
+    """Gap sizes from the sampled band."""
+    g0, g1 = _gaps(b.omega)
+    return GapReport(float(g0), float(g1), b.params.is_gapped)
 
 
 def special_points(alpha: float) -> tuple[float, float]:

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ID2, PAULI, SIGMA_Y, CoinParams, phs_operator, wrap_angle
-from .errors import BetaNonzero, DegeneratePoint, OddRing, UnsupportedParams
+from .errors import BetaNonzero, OddRing, UnsupportedParams
 from .lattice import ThetaProfile, WalkOperator, build_walk, ring_sites
-from .momentum import DEGENERACY_EPS, bloch_hamiltonian, dispersion
+from .momentum import _bloch_vectors, bloch_hamiltonian
 from .topology import FrameVariant, frame_rotation
 
 # Spectral norm up to this matrix dimension, max-entry norm beyond.
@@ -100,11 +100,9 @@ def parity_residual_bloch(p: CoinParams, k: float) -> float:
     """|| P H_k P^-1 - H_{2 alpha - k} || with P = i n_beta . sigma.
 
     At the special momenta k = alpha + j*pi this reduces to a commutator.
+    Raises DegeneratePoint if the gap closes at either momentum.
     """
     k_mirror = wrap_angle(2.0 * p.alpha - k)
-    for kk in (k, k_mirror):
-        if math.sin(dispersion(p, kk)) < DEGENERACY_EPS:
-            raise DegeneratePoint(f"gap closes at k = {kk}")
     n_beta = np.array([math.sin(p.beta), math.cos(p.beta), 0.0])
     par = 1j * _pauli_dot(n_beta)
     h_k = bloch_hamiltonian(p, k)
@@ -132,8 +130,6 @@ def chiral_residual(p: CoinParams, k: float) -> float:
     """
     if abs(p.beta) > 1e-12:
         raise BetaNonzero("chiral relation holds only for beta = 0 coins")
-    if math.sin(dispersion(p, k)) < DEGENERACY_EPS:
-        raise DegeneratePoint(f"gap closes at k = {k}")
     gamma = chiral_operator(p.theta)
     h0 = bloch_hamiltonian(p, k) - p.delta * ID2
     return float(np.linalg.norm(gamma @ h0 @ gamma.conj().T + h0, 2))
@@ -219,8 +215,7 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
                  involution_residual=involution, seed=seed)))
 
     ks = [k for k in k_samples
-          if math.sin(dispersion(p, k)) >= DEGENERACY_EPS
-          and math.sin(dispersion(p, wrap_angle(2 * p.alpha - k))) >= DEGENERACY_EPS]
+          if not _bloch_vectors(p, [k, wrap_angle(2 * p.alpha - k)])[2].any()]
     res = max(parity_residual_bloch(p, k) for k in ks)
     reports.append(SymmetryReport("PS", res, RESIDUAL_TOL, res < RESIDUAL_TOL,
                                   "spectral", _context(p, k_samples=list(ks))))

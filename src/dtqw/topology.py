@@ -16,6 +16,10 @@ same family are deformable into each other with the special-momentum values
 held fixed iff they agree on both the winding and the pole assignment, which
 yields a two-phase classification and predicts two interface-localized states
 (one per gap) between distinct phases.
+
+``classify_sweep`` evaluates gaps, winding and poles for a whole theta-array
+of one family in one broadcast pass over (theta, k), block by block; the
+single-coin functions run the same routines with one theta.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from . import io
-from .core import ID2, SIGMA_Y, PAULI, CoinParams, wrap_angle
+from .core import GAP_EPS, ID2, SIGMA_Y, PAULI, CoinParams, gapped, wrap_angle, wrap_angles
 from .errors import (
     CurveHitsAxis,
     GaplessParameters,
@@ -37,12 +41,29 @@ from .errors import (
     PoleMismatch,
     UndefinedSign,
 )
-from .momentum import DEFAULT_GRID, _bloch_vectors, bloch_vector, k_grid, special_points
+from .momentum import (
+    DEFAULT_GRID,
+    KTrig,
+    _bloch_vectors,
+    _gaps,
+    _omega,
+    bloch_block,
+    k_grid,
+    k_trig,
+    special_points,
+    special_trig,
+)
 
-# Projections shorter than this count as "on the excluded circle" / "on the axis".
+# Vectors shorter than this count as zero (retraction, winding axis); images
+# this close to a pole count as hitting it.
 PROJECTION_EPS = 1e-9
 
+# Thetas per block of classify_sweep: bounds its temporaries at a few
+# (SWEEP_BLOCK, grid, 3) arrays, whatever the length of the sweep.
+SWEEP_BLOCK = 32
+
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
+_TWO_PI = 2.0 * math.pi
 
 
 class FrameVariant(Enum):
@@ -142,18 +163,47 @@ def _require_gapped(p: CoinParams) -> None:
         raise GaplessParameters(f"theta = {p.theta} closes both gaps")
 
 
-def _accumulate_winding(phis: np.ndarray) -> int:
-    """Total signed turns of a closed angle sequence, from wrapped increments."""
-    closed = np.append(phis, phis[0])
-    diffs = np.diff(closed)
-    diffs = np.mod(diffs + np.pi, 2.0 * np.pi) - np.pi
-    if np.max(np.abs(diffs)) > np.pi - 0.1:
-        raise GridTooCoarse("phase step close to pi; refine the momentum grid")
-    total = float(np.sum(diffs))
-    turns = total / (2.0 * np.pi)
-    if abs(turns - round(turns)) > 1e-6:
-        raise GridTooCoarse(f"winding accumulated to non-integer {turns}")
-    return int(round(turns))
+def _winding(curve: np.ndarray, degenerate: np.ndarray, e_u: np.ndarray, e_w: np.ndarray,
+             thetas: np.ndarray, hits_axis: type[Exception]) -> np.ndarray:
+    """Windings of closed curves about the axis e_u x e_w, one per theta.
+
+    ``curve`` has shape (T, K, 3) and is closed along k.  Each row is
+    projected onto the (e_u, e_w) plane and its angle accumulated from
+    wrapped increments, all rows at once.  Raises GaplessParameters at a
+    degenerate point, ``hits_axis`` where a projection vanishes and
+    GridTooCoarse where the grid cannot resolve the angle, naming the first
+    offending theta.
+    """
+    bad = degenerate.any(axis=-1)
+    if bad.any():
+        raise GaplessParameters(f"theta = {thetas[bad][0]}: grid hit a degenerate point")
+    pu = curve @ e_u
+    pw = curve @ e_w
+    # the winding_mt curve projects to length |sin theta| / sin omega >= |sin theta|
+    bad = np.min(pu * pu + pw * pw, axis=-1) <= GAP_EPS**2
+    if bad.any():
+        raise hits_axis(f"theta = {thetas[bad][0]}: image curve passes through the winding axis")
+    phis = np.arctan2(pw, pu)
+    steps = np.diff(phis, axis=-1, append=phis[..., :1])
+    steps -= _TWO_PI * np.rint(steps / _TWO_PI)  # wrapped into [-pi, pi]
+    bad = np.max(np.abs(steps), axis=-1) > np.pi - 0.1
+    if bad.any():
+        raise GridTooCoarse(f"theta = {thetas[bad][0]}: phase step close to pi; "
+                            "refine the momentum grid")
+    turns = np.sum(steps, axis=-1) / _TWO_PI
+    bad = np.abs(turns - np.round(turns)) > 1e-6
+    if bad.any():
+        raise GridTooCoarse(f"theta = {thetas[bad][0]}: winding accumulated to "
+                            f"non-integer {turns[bad][0]}")
+    return np.round(turns).astype(int)
+
+
+def _mt_windings(trig: KTrig, thetas: np.ndarray, frame: ManifoldFrame, band: int = +1) -> np.ndarray:
+    """winding_mt of every theta of one family on the trig's k-grid."""
+    n, _, degenerate = bloch_block(trig, thetas)
+    # the band -1 curve is -n: project n onto the negated axes instead
+    return _winding(n, degenerate, band * frame.n_beta, band * frame.e_w, thetas,
+                    OnExcludedCircle)
 
 
 def winding_mt(p: CoinParams, band: int = +1, grid_size: int = DEFAULT_GRID) -> int:
@@ -166,16 +216,8 @@ def winding_mt(p: CoinParams, band: int = +1, grid_size: int = DEFAULT_GRID) -> 
     _require_gapped(p)
     if band not in (+1, -1):
         raise ValueError("band must be +1 or -1")
-    frame = manifold_frame(p.beta)
-    n, _, degenerate = _bloch_vectors(p, k_grid(grid_size))
-    if degenerate.any():
-        raise GaplessParameters("grid hit a degenerate point for nominally gapped theta")
-    curve = band * n
-    u = curve @ frame.n_beta
-    w = curve @ frame.e_w
-    if np.min(np.hypot(u, w)) <= PROJECTION_EPS:
-        raise OnExcludedCircle("image curve touched the excluded circle off the poles")
-    return _accumulate_winding(np.arctan2(w, u))
+    trig = k_trig(p.alpha, p.beta, k_grid(grid_size))
+    return int(_mt_windings(trig, np.array([p.theta]), manifold_frame(p.beta), band)[0])
 
 
 def frame_rotation(variant: FrameVariant, theta: float) -> np.ndarray:
@@ -226,45 +268,98 @@ def rotated_winding(
     axis = axis / norm
 
     rot = su2_to_rotation(frame_rotation(variant, p.theta))
-    n, _, degenerate = _bloch_vectors(p, k_grid(grid_size))
-    if degenerate.any():
-        raise GaplessParameters("grid hit a degenerate point for nominally gapped theta")
-    curve = n @ rot.T
+    thetas = np.array([p.theta])
+    n, _, degenerate = bloch_block(k_trig(p.alpha, p.beta, k_grid(grid_size)), thetas)
 
     ref = _Z_AXIS if abs(axis @ _Z_AXIS) < 0.9 else np.array([1.0, 0.0, 0.0])
     u = np.cross(axis, ref)
     u /= np.linalg.norm(u)
     w = np.cross(axis, u)  # (u, w, axis) right-handed
+    return int(_winding(n @ rot.T, degenerate, u, w, thetas, CurveHitsAxis)[0])
 
-    pu = curve @ u
-    pw = curve @ w
-    if np.min(np.hypot(pu, pw)) <= PROJECTION_EPS:
-        raise CurveHitsAxis("rotated image curve passes through the winding axis")
-    return _accumulate_winding(np.arctan2(pw, pu))
+
+def _poles(thetas: np.ndarray, alpha: float, beta: float,
+           tol: float = PROJECTION_EPS) -> np.ndarray:
+    """Pole hit by the upper-band image at (k0, k1) for every theta, shape (T, 2).
+
+    +1 is the north pole, -1 the south pole.  The image is evaluated at the
+    exact special momenta, so the match holds to rounding for any gapped theta.
+    """
+    n, _, _ = bloch_block(special_trig(alpha, beta), thetas)
+    n_beta = manifold_frame(beta).n_beta
+    north = np.linalg.norm(n - n_beta, axis=-1) < tol
+    south = np.linalg.norm(n + n_beta, axis=-1) < tol
+    miss = ~(north | south)
+    if miss.any():
+        i, j = np.argwhere(miss)[0]
+        raise PoleMismatch(f"theta = {thetas[i]}: image at k = {special_points(alpha)[j]} "
+                           f"is not on a pole: {n[i, j]}")
+    return np.where(north, 1, -1)
 
 
 def pole_assignment(p: CoinParams, tol: float = PROJECTION_EPS) -> PoleAssignment:
     """Match the upper-band image at the special momenta against the poles."""
     _require_gapped(p)
-    frame = manifold_frame(p.beta)
-    k0, k1 = special_points(p.alpha)
-    signs = []
-    for k in (k0, k1):
-        v = bloch_vector(p, k)
-        if np.linalg.norm(v - frame.n_beta) < tol:
-            signs.append(+1)
-        elif np.linalg.norm(v + frame.n_beta) < tol:
-            signs.append(-1)
-        else:
-            raise PoleMismatch(f"image at k = {k} is not on a pole: {v}")
-    return PoleAssignment(signs[0], signs[1])
+    (at_k0, at_k1), = _poles(np.array([p.theta]), p.alpha, p.beta, tol)
+    return PoleAssignment(int(at_k0), int(at_k1))
+
+
+def _invariant(winding: int, poles: PoleAssignment) -> RelHomotopyInvariant:
+    label = PhaseLabel.THETA_POSITIVE if poles.at_k1 > 0 else PhaseLabel.THETA_NEGATIVE
+    return RelHomotopyInvariant(winding, poles, label)
 
 
 def rel_homotopy_invariant(p: CoinParams, grid_size: int = DEFAULT_GRID) -> RelHomotopyInvariant:
     """The full invariant: winding plus pole assignment plus the phase label."""
-    poles = pole_assignment(p)
-    label = PhaseLabel.THETA_POSITIVE if poles.at_k1 > 0 else PhaseLabel.THETA_NEGATIVE
-    return RelHomotopyInvariant(winding_mt(p, +1, grid_size), poles, label)
+    return _invariant(winding_mt(p, +1, grid_size), pole_assignment(p))
+
+
+@dataclass(eq=False)
+class SweepResult:
+    """Gaps and invariants of one family over an array of theta (index i).
+
+    ``winding`` and ``poles`` (pole at k0, k1) are 0 where the coin is gapless.
+    """
+
+    theta: np.ndarray
+    gap_at_delta: np.ndarray
+    gap_at_delta_plus_pi: np.ndarray
+    gapped: np.ndarray
+    winding: np.ndarray
+    poles: np.ndarray  # (T, 2)
+
+    def invariant(self, i: int) -> RelHomotopyInvariant | None:
+        """The invariant of the i-th coin, None if it is gapless."""
+        if not self.gapped[i]:
+            return None
+        at_k0, at_k1 = self.poles[i]
+        return _invariant(int(self.winding[i]), PoleAssignment(int(at_k0), int(at_k1)))
+
+
+def classify_sweep(p: CoinParams, thetas, grid_size: int = DEFAULT_GRID) -> SweepResult:
+    """Gaps and invariants of the coins ``p.with_theta(t)`` for every t in thetas.
+
+    One broadcast pass over (theta, k) per block of SWEEP_BLOCK thetas, with
+    the k-grid trig computed once for the family.  The gaps equal
+    gap_report(band_structure(...)) bit for bit; winding and poles come from
+    the routines behind winding_mt and pole_assignment, with the same checks.
+    """
+    thetas = wrap_angles(np.atleast_1d(thetas))
+    count = len(thetas)
+    trig = k_trig(p.alpha, p.beta, k_grid(grid_size))
+    frame = manifold_frame(p.beta)
+    live = gapped(thetas)
+    gaps = np.empty((2, count))
+    winding = np.zeros(count, dtype=int)
+    poles = np.zeros((count, 2), dtype=int)
+    poles[live] = _poles(thetas[live], p.alpha, p.beta)  # two momenta: no k-grid
+    for start in range(0, count, SWEEP_BLOCK):
+        rows = slice(start, start + SWEEP_BLOCK)
+        gaps[:, rows] = _gaps(_omega(thetas[rows, None], trig.cos_a))
+        idx = start + np.flatnonzero(live[rows])
+        if idx.size:
+            winding[idx] = _mt_windings(trig, thetas[idx], frame)
+    return SweepResult(thetas, gaps[0], gaps[1], live, winding, poles)
 
 
 def _same_family(p1: CoinParams, p2: CoinParams, tol: float = 1e-12) -> bool:
@@ -280,11 +375,8 @@ def rel_homotopic(p1: CoinParams, p2: CoinParams, grid_size: int = DEFAULT_GRID)
     """
     if not _same_family(p1, p2):
         raise MixedFamilies("coins do not share (delta, alpha, beta)")
-    _require_gapped(p1)
-    _require_gapped(p2)
-    if winding_mt(p1, +1, grid_size) != winding_mt(p2, +1, grid_size):
-        return False
-    return pole_assignment(p1) == pole_assignment(p2)
+    i1, i2 = rel_homotopy_invariant(p1, grid_size), rel_homotopy_invariant(p2, grid_size)
+    return (i1.winding_mt, i1.poles) == (i2.winding_mt, i2.poles)
 
 
 def predicted_edge_states(p1: CoinParams, p2: CoinParams, grid_size: int = DEFAULT_GRID) -> int:

@@ -167,3 +167,37 @@ def test_symmetry_deterministic_with_seed(tmp_path):
     ja = (tmp_path / "a" / "symmetry.json").read_bytes()
     jb = (tmp_path / "b" / "symmetry.json").read_bytes()
     assert ja == jb
+
+
+def test_sweep_near_gap_closing(tmp_path, capsys):
+    code = run(["sweep", "--theta-min", "-0.0003", "--theta-max", "0.0003",
+                "--theta-step", "0.0001", "--out", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        labels = [row["phase_label"] for row in csv.DictReader(fh)]
+    assert labels == ["ThetaNegative"] * 3 + ["Gapless"] + ["ThetaPositive"] * 3
+
+
+def test_sweep_classifies_every_gapped_theta(tmp_path, capsys):
+    # |sin theta| > GAP_EPS is gapped, and a gapped theta classifies
+    assert run(["sweep", "--theta-min", "1e-11", "--theta-max", "1e-11",
+                "--theta-step", "1", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["phase_label"] == "ThetaPositive" and row["pole_k1"] == "N"
+
+
+def test_sweep_has_no_workers_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--theta-min", "0.1", "--theta-max", "0.2", "--theta-step", "0.1",
+             "--workers", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert run(["sweep", "--theta-min", "0.1", "--theta-max", "0.2", "--theta-step", "0.1",
+                "--out", str(tmp_path)]) == 0
+    assert "workers" not in read_json(tmp_path / "sweep.csv.meta.json")["config"]
+
+
+def test_invariant_near_gap_closing(tmp_path, capsys):
+    assert run(["invariant", "--theta", "1e-4", "--out", str(tmp_path)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["phase_label"] == "ThetaPositive"

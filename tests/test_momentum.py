@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dtqw.core import CoinParams, wrap_angle, wrap_angles
+from dtqw.core import GAP_EPS, CoinParams, wrap_angle, wrap_angles
 from dtqw.errors import DegeneratePoint
 from dtqw.momentum import (
     BAND_CSV_HEADER,
+    _bloch_vectors,
     band_structure,
     bloch_hamiltonian,
     bloch_vector,
@@ -191,3 +192,18 @@ def test_band_csv_round_trip(tmp_path):
     ks = [float(r[0]) for r in rows[1:]]
     assert ks == sorted(ks)
     assert ks[-1] == pytest.approx(math.pi)
+
+
+def test_one_gap_threshold():
+    # sin(omega) at k = alpha is |sin theta|: the coin's own gap test and the
+    # degenerate-point test use the same GAP_EPS and always agree.
+    for theta in (1e-11, -1e-11, 1e-6, 0.5, -2.0, math.pi - 1e-11, 0.0, 5e-13, math.pi):
+        p = CoinParams(0.2, 0.4, -0.7, theta)
+        assert p.is_gapped == (abs(math.sin(p.theta)) > GAP_EPS)
+        b = band_structure(p, 64)
+        assert gap_report(b).is_gapped == p.is_gapped
+        _, sin_w, degenerate = _bloch_vectors(p, [p.alpha, p.alpha + 0.3])
+        assert sin_w[0] == pytest.approx(abs(math.sin(p.theta)), rel=1e-15, abs=0)
+        assert degenerate[0] == (not p.is_gapped)
+        if p.is_gapped:
+            assert not b.degenerate.any()
