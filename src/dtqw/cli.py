@@ -35,10 +35,12 @@ from .symmetry import reports_json, run_symmetry_suite
 from .topology import (
     BZ_IMAGE_CSV_HEADER,
     FrameVariant,
+    PhaseLabel,
     SweepResult,
     bz_image_table,
     classify_sweep,
     invariant_json_dict,
+    pole_letter,
     predicted_edge_states,
     rel_homotopic,
     rel_homotopy_invariant,
@@ -307,17 +309,17 @@ def cmd_evolve(args) -> int:
 def _sweep_row(sweep: SweepResult, i: int) -> list:
     row = [float(sweep.theta[i]), float(sweep.gap_at_delta[i]),
            float(sweep.gap_at_delta_plus_pi[i])]
-    inv = sweep.invariant(i)
-    if inv is None:
+    if not sweep.gapped[i]:
         return row + ["", "", "", "Gapless"]
-    d = invariant_json_dict(inv)
-    return row + [d["winding_mt"], d["pole_k0"], d["pole_k1"], d["phase_label"]]
+    at_k0, at_k1 = sweep.poles[i]
+    return row + [int(sweep.winding[i]), pole_letter(at_k0), pole_letter(at_k1),
+                  PhaseLabel.from_pole(at_k1).value]
 
 
 def cmd_sweep(args) -> int:
     count = int(math.floor((args.theta_max - args.theta_min) / args.theta_step + 1e-9)) + 1
     thetas = [args.theta_min + i * args.theta_step for i in range(count)]
-    family = CoinParams(args.delta, args.alpha, args.beta, 0.0)
+    family = CoinParams(args.delta, args.alpha, args.beta, 0.0)  # its theta is not used
     sweep = classify_sweep(family, thetas, args.grid)
     rows = [_sweep_row(sweep, i) for i in range(count)]
     _write_table(args, "sweep", SWEEP_CSV_HEADER, rows)

@@ -17,19 +17,21 @@ delta +/- omega_k, each defined modulo 2*pi.
 The normalization uses the exact identity
 sin(omega_k) = hypot(sin(theta), cos(theta) sin(k - a)), which keeps every digit
 near omega_k in {0, pi}, where arccos loses half of them.  The Bloch routine
-takes a block of theta values at once, so a whole theta-sweep of one family
-shares the k-grid trig.
+takes a block of theta values at once, and ``band_structure`` samples either
+one coin or such a block; the k-grid trig of a family is computed once and
+shared by every band of that family.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import io
-from .core import GAP_EPS, PAULI, ID2, CoinParams, coin_matrix, wrap_angle, wrap_angles
+from .core import GAP_EPS, PAULI, ID2, CoinParams, coin_matrix, gapped, wrap_angle, wrap_angles
 from .errors import DegeneratePoint
 
 DEFAULT_GRID = 512
@@ -94,15 +96,18 @@ def bloch_block(trig: KTrig, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return n, sin_w, degenerate
 
 
-def _bloch_vectors(p: CoinParams, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bloch vectors of one coin on a 1-D k-array: (vectors, sin_omega, degenerate mask)."""
+def bloch_vectors(p: CoinParams, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bloch vectors of one coin on a 1-D k-array: (vectors, sin_omega, degenerate mask).
+
+    Unlike ``bloch_vector`` this flags degenerate momenta instead of raising.
+    """
     n, sin_w, degenerate = bloch_block(k_trig(p.alpha, p.beta, k), [p.theta])
     return n[0], sin_w[0], degenerate[0]
 
 
 def _bloch_point(p: CoinParams, k: float) -> tuple[np.ndarray, float]:
     """(n_k, sin omega_k); raises DegeneratePoint where the gap closes."""
-    n, sin_w, degenerate = _bloch_vectors(p, [float(k)])
+    n, sin_w, degenerate = bloch_vectors(p, [float(k)])
     if degenerate[0]:
         raise DegeneratePoint(f"Bloch vector undefined at k = {k} (omega in {{0, pi}})")
     return n[0], float(sin_w[0])
@@ -155,14 +160,20 @@ class BlochPoint:
 
 @dataclass(eq=False)
 class BandStructure:
-    """Dispersion and Bloch vectors sampled on a uniform closed k-grid."""
+    """Dispersion and Bloch vectors sampled on a uniform closed k-grid.
+
+    The band of one coin has arrays over k.  The band of a theta-block
+    (``thetas`` set) has a leading theta axis on ``omega``, ``n`` and
+    ``degenerate``; ``points`` and ``band_table`` are for one coin only.
+    """
 
     params: CoinParams
     k: np.ndarray
     omega: np.ndarray
-    n: np.ndarray  # (grid_size, 3); NaN rows at degenerate points
+    n: np.ndarray  # (..., grid_size, 3); NaN rows at degenerate points
     degenerate: np.ndarray  # bool mask
     grid_size: int
+    thetas: np.ndarray | None = None
 
     def points(self) -> list[BlochPoint]:
         return [
@@ -184,6 +195,7 @@ class GapReport:
 
     ``is_gapped`` is the coin's own ``CoinParams.is_gapped`` (the one threshold
     GAP_EPS), not a test on the sampled sizes, which arccos floors near 1e-8.
+    For a theta-block band every field is an array over the block.
     """
 
     gap_at_delta: float
@@ -191,29 +203,46 @@ class GapReport:
     is_gapped: bool
 
 
-def band_structure(p: CoinParams, grid_size: int = DEFAULT_GRID) -> BandStructure:
+@functools.lru_cache(maxsize=8)
+def _family_grid(alpha: float, beta: float, grid_size: int) -> tuple[np.ndarray, KTrig]:
+    """The k-grid and its family trig, computed once per (alpha, beta, grid).
+
+    Every band of the family shares these arrays, so they are read-only.
+    """
+    ks = k_grid(grid_size)
+    trig = k_trig(alpha, beta, ks)
+    for a in (ks, trig.cos_a, trig.sin_a, trig.cos_ab, trig.sin_ab):
+        a.flags.writeable = False
+    return ks, trig
+
+
+def band_structure(p: CoinParams, grid_size: int = DEFAULT_GRID, thetas=None) -> BandStructure:
     """Sample dispersion and Bloch vectors over the Brillouin zone.
 
+    With ``thetas`` the band is that of the block of coins p.with_theta(t),
+    t in thetas, sampled in one broadcast pass; p.theta is then not used, and
+    the thetas are taken as given, not wrapped as CoinParams wraps them.
     Degenerate grid points (gap closings) are flagged, not fatal, so gapless
     parameters can still be tabulated.
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
-    ks = k_grid(grid_size)
-    omega = dispersion(p, ks)
-    n, _, degenerate = _bloch_vectors(p, ks)
-    return BandStructure(p, ks, omega, n, degenerate, grid_size)
-
-
-def _gaps(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gap sizes 2*min(omega) and 2*(pi - max(omega)) over the last axis."""
-    return 2.0 * np.min(omega, axis=-1), 2.0 * (np.pi - np.max(omega, axis=-1))
+    ks, trig = _family_grid(p.alpha, p.beta, grid_size)
+    block = np.atleast_1d(np.asarray(p.theta if thetas is None else thetas, dtype=float))
+    omega = _omega(block[:, None], trig.cos_a)
+    n, _, degenerate = bloch_block(trig, block)
+    if thetas is None:
+        return BandStructure(p, ks, omega[0], n[0], degenerate[0], grid_size)
+    return BandStructure(p, ks, omega, n, degenerate, grid_size, block)
 
 
 def gap_report(b: BandStructure) -> GapReport:
-    """Gap sizes from the sampled band."""
-    g0, g1 = _gaps(b.omega)
-    return GapReport(float(g0), float(g1), b.params.is_gapped)
+    """Gap sizes 2*min(omega) and 2*(pi - max(omega)) from the sampled band."""
+    g0 = 2.0 * np.min(b.omega, axis=-1)
+    g1 = 2.0 * (np.pi - np.max(b.omega, axis=-1))
+    if b.thetas is None:
+        return GapReport(float(g0), float(g1), b.params.is_gapped)
+    return GapReport(g0, g1, gapped(b.thetas))
 
 
 def special_points(alpha: float) -> tuple[float, float]:

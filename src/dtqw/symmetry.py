@@ -28,7 +28,7 @@ import numpy as np
 from .core import ID2, PAULI, SIGMA_Y, CoinParams, phs_operator, wrap_angle
 from .errors import BetaNonzero, OddRing, UnsupportedParams
 from .lattice import ThetaProfile, WalkOperator, build_walk, ring_sites
-from .momentum import _bloch_vectors, bloch_hamiltonian
+from .momentum import bloch_hamiltonian, bloch_vectors
 from .topology import FrameVariant, frame_rotation
 
 # Spectral norm up to this matrix dimension, max-entry norm beyond.
@@ -215,7 +215,7 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
                  involution_residual=involution, seed=seed)))
 
     ks = [k for k in k_samples
-          if not _bloch_vectors(p, [k, wrap_angle(2 * p.alpha - k)])[2].any()]
+          if not bloch_vectors(p, [k, wrap_angle(2 * p.alpha - k)])[2].any()]
     res = max(parity_residual_bloch(p, k) for k in ks)
     reports.append(SymmetryReport("PS", res, RESIDUAL_TOL, res < RESIDUAL_TOL,
                                   "spectral", _context(p, k_samples=list(ks))))

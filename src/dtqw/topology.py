@@ -18,8 +18,8 @@ yields a two-phase classification and predicts two interface-localized states
 (one per gap) between distinct phases.
 
 ``classify_sweep`` evaluates gaps, winding and poles for a whole theta-array
-of one family in one broadcast pass over (theta, k), block by block; the
-single-coin functions run the same routines with one theta.
+of one family block by block, one ``band_structure`` pass over (theta, k) per
+block; the single-coin functions run the same routines with one theta.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from . import io
-from .core import GAP_EPS, ID2, SIGMA_Y, PAULI, CoinParams, gapped, wrap_angle, wrap_angles
+from .core import GAP_EPS, ID2, SIGMA_Y, PAULI, CoinParams, wrap_angle, wrap_angles
 from .errors import (
     CurveHitsAxis,
     GaplessParameters,
@@ -43,19 +43,17 @@ from .errors import (
 )
 from .momentum import (
     DEFAULT_GRID,
-    KTrig,
-    _bloch_vectors,
-    _gaps,
-    _omega,
+    band_structure,
     bloch_block,
+    bloch_vectors,
+    gap_report,
     k_grid,
-    k_trig,
     special_points,
     special_trig,
 )
 
-# Vectors shorter than this count as zero (retraction, winding axis); images
-# this close to a pole count as hitting it.
+# Vectors shorter than this count as zero (retraction, rotated_winding's
+# projection); images this close to a pole count as hitting it.
 PROJECTION_EPS = 1e-9
 
 # Thetas per block of classify_sweep: bounds its temporaries at a few
@@ -94,6 +92,11 @@ class FrameVariant(Enum):
 class PhaseLabel(Enum):
     THETA_POSITIVE = "ThetaPositive"
     THETA_NEGATIVE = "ThetaNegative"
+
+    @classmethod
+    def from_pole(cls, at_k1: int) -> "PhaseLabel":
+        """The phase of a coin whose image hits pole ``at_k1`` (+1 north) at k_1."""
+        return cls.THETA_POSITIVE if at_k1 > 0 else cls.THETA_NEGATIVE
 
 
 @dataclass(frozen=True)
@@ -164,23 +167,22 @@ def _require_gapped(p: CoinParams) -> None:
 
 
 def _winding(curve: np.ndarray, degenerate: np.ndarray, e_u: np.ndarray, e_w: np.ndarray,
-             thetas: np.ndarray, hits_axis: type[Exception]) -> np.ndarray:
+             thetas: np.ndarray, hits_axis: type[Exception], eps: float) -> np.ndarray:
     """Windings of closed curves about the axis e_u x e_w, one per theta.
 
-    ``curve`` has shape (T, K, 3) and is closed along k.  Each row is
-    projected onto the (e_u, e_w) plane and its angle accumulated from
-    wrapped increments, all rows at once.  Raises GaplessParameters at a
-    degenerate point, ``hits_axis`` where a projection vanishes and
-    GridTooCoarse where the grid cannot resolve the angle, naming the first
-    offending theta.
+    ``curve`` has shape (..., K, 3) and is closed along k; ``thetas`` has its
+    leading shape.  Each curve is projected onto the (e_u, e_w) plane and its
+    angle accumulated from wrapped increments, all curves at once.  Raises
+    GaplessParameters at a degenerate point, ``hits_axis`` where a projection
+    is no longer than ``eps`` and GridTooCoarse where the grid cannot resolve
+    the angle, naming the first offending theta.
     """
     bad = degenerate.any(axis=-1)
     if bad.any():
         raise GaplessParameters(f"theta = {thetas[bad][0]}: grid hit a degenerate point")
     pu = curve @ e_u
     pw = curve @ e_w
-    # the winding_mt curve projects to length |sin theta| / sin omega >= |sin theta|
-    bad = np.min(pu * pu + pw * pw, axis=-1) <= GAP_EPS**2
+    bad = np.min(pu * pu + pw * pw, axis=-1) <= eps * eps
     if bad.any():
         raise hits_axis(f"theta = {thetas[bad][0]}: image curve passes through the winding axis")
     phis = np.arctan2(pw, pu)
@@ -198,12 +200,14 @@ def _winding(curve: np.ndarray, degenerate: np.ndarray, e_u: np.ndarray, e_w: np
     return np.round(turns).astype(int)
 
 
-def _mt_windings(trig: KTrig, thetas: np.ndarray, frame: ManifoldFrame, band: int = +1) -> np.ndarray:
-    """winding_mt of every theta of one family on the trig's k-grid."""
-    n, _, degenerate = bloch_block(trig, thetas)
-    # the band -1 curve is -n: project n onto the negated axes instead
+def _mt_windings(n: np.ndarray, degenerate: np.ndarray, thetas: np.ndarray,
+                 frame: ManifoldFrame, band: int = +1) -> np.ndarray:
+    """winding_mt of the upper-band Bloch vectors n (..., K, 3) of one family."""
+    # The band -1 curve is -n: project n onto the negated axes instead.  The
+    # projection has length |sin theta| / sin omega >= |sin theta| > GAP_EPS
+    # for every gapped theta, so GAP_EPS, not PROJECTION_EPS, marks a miss.
     return _winding(n, degenerate, band * frame.n_beta, band * frame.e_w, thetas,
-                    OnExcludedCircle)
+                    OnExcludedCircle, GAP_EPS)
 
 
 def winding_mt(p: CoinParams, band: int = +1, grid_size: int = DEFAULT_GRID) -> int:
@@ -216,8 +220,8 @@ def winding_mt(p: CoinParams, band: int = +1, grid_size: int = DEFAULT_GRID) -> 
     _require_gapped(p)
     if band not in (+1, -1):
         raise ValueError("band must be +1 or -1")
-    trig = k_trig(p.alpha, p.beta, k_grid(grid_size))
-    return int(_mt_windings(trig, np.array([p.theta]), manifold_frame(p.beta), band)[0])
+    n, _, degenerate = bloch_vectors(p, k_grid(grid_size))
+    return int(_mt_windings(n, degenerate, np.asarray(p.theta), manifold_frame(p.beta), band))
 
 
 def frame_rotation(variant: FrameVariant, theta: float) -> np.ndarray:
@@ -268,14 +272,14 @@ def rotated_winding(
     axis = axis / norm
 
     rot = su2_to_rotation(frame_rotation(variant, p.theta))
-    thetas = np.array([p.theta])
-    n, _, degenerate = bloch_block(k_trig(p.alpha, p.beta, k_grid(grid_size)), thetas)
+    n, _, degenerate = bloch_vectors(p, k_grid(grid_size))
 
     ref = _Z_AXIS if abs(axis @ _Z_AXIS) < 0.9 else np.array([1.0, 0.0, 0.0])
     u = np.cross(axis, ref)
     u /= np.linalg.norm(u)
     w = np.cross(axis, u)  # (u, w, axis) right-handed
-    return int(_winding(n @ rot.T, degenerate, u, w, thetas, CurveHitsAxis)[0])
+    return int(_winding(n @ rot.T, degenerate, u, w, np.asarray(p.theta), CurveHitsAxis,
+                        PROJECTION_EPS))
 
 
 def _poles(thetas: np.ndarray, alpha: float, beta: float,
@@ -304,21 +308,19 @@ def pole_assignment(p: CoinParams, tol: float = PROJECTION_EPS) -> PoleAssignmen
     return PoleAssignment(int(at_k0), int(at_k1))
 
 
-def _invariant(winding: int, poles: PoleAssignment) -> RelHomotopyInvariant:
-    label = PhaseLabel.THETA_POSITIVE if poles.at_k1 > 0 else PhaseLabel.THETA_NEGATIVE
-    return RelHomotopyInvariant(winding, poles, label)
-
-
 def rel_homotopy_invariant(p: CoinParams, grid_size: int = DEFAULT_GRID) -> RelHomotopyInvariant:
     """The full invariant: winding plus pole assignment plus the phase label."""
-    return _invariant(winding_mt(p, +1, grid_size), pole_assignment(p))
+    poles = pole_assignment(p)
+    return RelHomotopyInvariant(winding_mt(p, +1, grid_size), poles,
+                                PhaseLabel.from_pole(poles.at_k1))
 
 
 @dataclass(eq=False)
 class SweepResult:
-    """Gaps and invariants of one family over an array of theta (index i).
+    """Gaps and invariants of one family over an array of theta.
 
-    ``winding`` and ``poles`` (pole at k0, k1) are 0 where the coin is gapless.
+    ``winding`` and ``poles`` (pole at k0, k1; +1 north) are 0 where the coin
+    is gapless.
     """
 
     theta: np.ndarray
@@ -328,37 +330,34 @@ class SweepResult:
     winding: np.ndarray
     poles: np.ndarray  # (T, 2)
 
-    def invariant(self, i: int) -> RelHomotopyInvariant | None:
-        """The invariant of the i-th coin, None if it is gapless."""
-        if not self.gapped[i]:
-            return None
-        at_k0, at_k1 = self.poles[i]
-        return _invariant(int(self.winding[i]), PoleAssignment(int(at_k0), int(at_k1)))
-
 
 def classify_sweep(p: CoinParams, thetas, grid_size: int = DEFAULT_GRID) -> SweepResult:
     """Gaps and invariants of the coins ``p.with_theta(t)`` for every t in thetas.
 
-    One broadcast pass over (theta, k) per block of SWEEP_BLOCK thetas, with
-    the k-grid trig computed once for the family.  The gaps equal
-    gap_report(band_structure(...)) bit for bit; winding and poles come from
-    the routines behind winding_mt and pole_assignment, with the same checks.
+    Only p's family is used, not p.theta.  Each block of SWEEP_BLOCK thetas
+    is sampled by one ``band_structure`` pass over (theta, k) on the family's
+    k-grid trig, computed once per sweep.  The gap columns are that band's
+    ``gap_report``; winding and poles come from the routines behind
+    winding_mt and pole_assignment, with the same checks.
     """
     thetas = wrap_angles(np.atleast_1d(thetas))
     count = len(thetas)
-    trig = k_trig(p.alpha, p.beta, k_grid(grid_size))
     frame = manifold_frame(p.beta)
-    live = gapped(thetas)
     gaps = np.empty((2, count))
+    live = np.zeros(count, dtype=bool)
     winding = np.zeros(count, dtype=int)
     poles = np.zeros((count, 2), dtype=int)
-    poles[live] = _poles(thetas[live], p.alpha, p.beta)  # two momenta: no k-grid
     for start in range(0, count, SWEEP_BLOCK):
         rows = slice(start, start + SWEEP_BLOCK)
-        gaps[:, rows] = _gaps(_omega(thetas[rows, None], trig.cos_a))
-        idx = start + np.flatnonzero(live[rows])
+        b = band_structure(p, grid_size, thetas[rows])
+        g = gap_report(b)
+        gaps[:, rows] = g.gap_at_delta, g.gap_at_delta_plus_pi
+        live[rows] = on = g.is_gapped
+        idx = start + np.flatnonzero(on)
         if idx.size:
-            winding[idx] = _mt_windings(trig, thetas[idx], frame)
+            keep = slice(None) if idx.size == on.size else on  # a view unless some row is gapless
+            winding[idx] = _mt_windings(b.n[keep], b.degenerate[keep], thetas[idx], frame)
+    poles[live] = _poles(thetas[live], p.alpha, p.beta)  # two momenta: no k-grid
     return SweepResult(thetas, gaps[0], gaps[1], live, winding, poles)
 
 
@@ -385,15 +384,16 @@ def predicted_edge_states(p1: CoinParams, p2: CoinParams, grid_size: int = DEFAU
     return 0 if rel_homotopic(p1, p2, grid_size) else 2
 
 
-def _pole_letter(sign: int) -> str:
+def pole_letter(sign: int) -> str:
+    """Letter of a pole: N for +1 (north), S for -1 (south)."""
     return "N" if sign > 0 else "S"
 
 
 def invariant_json_dict(inv: RelHomotopyInvariant) -> dict:
     return {
         "winding_mt": inv.winding_mt,
-        "pole_k0": _pole_letter(inv.poles.at_k0),
-        "pole_k1": _pole_letter(inv.poles.at_k1),
+        "pole_k0": pole_letter(inv.poles.at_k0),
+        "pole_k1": pole_letter(inv.poles.at_k1),
         "phase_label": inv.phase_label.value,
     }
 
@@ -408,7 +408,7 @@ def bz_image_table(
     _require_gapped(p)
     rot = su2_to_rotation(frame_rotation(variant, p.theta))
     ks = k_grid(grid_size)
-    n, _, _ = _bloch_vectors(p, ks)
+    n, _, _ = bloch_vectors(p, ks)
     curve = n @ rot.T
     return [
         [float(k), float(v[0]), float(v[1]), float(v[2]), variant.value]

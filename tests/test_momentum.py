@@ -9,10 +9,10 @@ from dtqw.core import GAP_EPS, CoinParams, wrap_angle, wrap_angles
 from dtqw.errors import DegeneratePoint
 from dtqw.momentum import (
     BAND_CSV_HEADER,
-    _bloch_vectors,
     band_structure,
     bloch_hamiltonian,
     bloch_vector,
+    bloch_vectors,
     dispersion,
     gap_report,
     momentum_step_matrix,
@@ -202,8 +202,26 @@ def test_one_gap_threshold():
         assert p.is_gapped == (abs(math.sin(p.theta)) > GAP_EPS)
         b = band_structure(p, 64)
         assert gap_report(b).is_gapped == p.is_gapped
-        _, sin_w, degenerate = _bloch_vectors(p, [p.alpha, p.alpha + 0.3])
+        _, sin_w, degenerate = bloch_vectors(p, [p.alpha, p.alpha + 0.3])
         assert sin_w[0] == pytest.approx(abs(math.sin(p.theta)), rel=1e-15, abs=0)
         assert degenerate[0] == (not p.is_gapped)
         if p.is_gapped:
             assert not b.degenerate.any()
+
+
+def test_theta_block_band_is_the_stack_of_single_coin_bands():
+    # the sweep's one pass per block gives every coin's band and gaps bit for bit
+    p = CoinParams(0.3, 1.1, -2.2, 0.4)
+    thetas = wrap_angles([-math.pi, -1.0, -1e-4, 0.0, 1e-11, 0.7, math.pi - 1e-12])
+    block = band_structure(p, 64, thetas)
+    g = gap_report(block)
+    assert block.omega.shape == (7, 64) and block.n.shape == (7, 64, 3)
+    for i, theta in enumerate(thetas):
+        one = band_structure(p.with_theta(theta), 64)
+        assert np.array_equal(block.k, one.k)
+        assert np.array_equal(block.omega[i], one.omega)
+        assert np.array_equal(block.n[i], one.n, equal_nan=True)
+        assert np.array_equal(block.degenerate[i], one.degenerate)
+        gi = gap_report(one)
+        assert (g.gap_at_delta[i], g.gap_at_delta_plus_pi[i], g.is_gapped[i]) == (
+            gi.gap_at_delta, gi.gap_at_delta_plus_pi, gi.is_gapped)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtqw.core import CoinParams, wrap_angle
-from dtqw.momentum import _bloch_vectors, bloch_hamiltonian, bloch_vector, momentum_step_matrix
+from dtqw.momentum import bloch_hamiltonian, bloch_vector, bloch_vectors, momentum_step_matrix
 from dtqw.topology import invariant_json_dict, rel_homotopy_invariant
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -34,7 +34,7 @@ def test_bloch_vector_is_odd_under_k_plus_pi(delta, alpha, beta, theta, k):
     n_anti = bloch_vector(p, wrap_angle(k + math.pi))
     # Rounding k + pi moves the momentum by a few 1e-16, and n turns at a rate
     # of up to 1/sin(omega_k) per unit k (fast near k = alpha at tiny theta).
-    sin_w = _bloch_vectors(p, [k])[1][0]
+    sin_w = bloch_vectors(p, [k])[1][0]
     assert np.max(np.abs(n_anti + n)) < 1e-12 + 1e-14 / sin_w
 
 

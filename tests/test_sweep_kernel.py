@@ -17,7 +17,7 @@ from dtqw.cli import SWEEP_CSV_HEADER, _sweep_row, main
 from dtqw.core import CoinParams, pauli_decompose
 from dtqw.errors import CurveHitsAxis, GaplessParameters, GridTooCoarse
 from dtqw.momentum import band_structure, gap_report, k_grid, momentum_step_matrix, special_points
-from dtqw.topology import SWEEP_BLOCK, _winding, classify_sweep, manifold_frame
+from dtqw.topology import PROJECTION_EPS, SWEEP_BLOCK, _winding, classify_sweep, manifold_frame
 
 GRID = 64
 
@@ -98,7 +98,7 @@ def test_winding_helper_counts_every_row():
     thetas = np.array([0.1, 0.2, 0.3])
     ok = np.zeros(curves.shape[:2], dtype=bool)
     x, y = np.eye(3)[0], np.eye(3)[1]
-    assert list(_winding(curves, ok, x, y, thetas, CurveHitsAxis)) == [1, -2, -1]
+    assert list(_winding(curves, ok, x, y, thetas, CurveHitsAxis, PROJECTION_EPS)) == [1, -2, -1]
 
 
 def test_winding_helper_errors_name_the_theta():
@@ -109,13 +109,13 @@ def test_winding_helper_errors_name_the_theta():
     on_axis = np.stack([_circle(32), _circle(32)])
     on_axis[1, 5] = [0.0, 0.0, 1.0]
     with pytest.raises(CurveHitsAxis, match="theta = 0.2"):
-        _winding(on_axis, ok, x, y, thetas, CurveHitsAxis)
+        _winding(on_axis, ok, x, y, thetas, CurveHitsAxis, PROJECTION_EPS)
 
     coarse = np.stack([_circle(32), _circle(4)[[0, 2, 0, 2] * 8]])
     with pytest.raises(GridTooCoarse, match="theta = 0.2"):
-        _winding(coarse, ok, x, y, thetas, CurveHitsAxis)
+        _winding(coarse, ok, x, y, thetas, CurveHitsAxis, PROJECTION_EPS)
 
     degenerate = ok.copy()
     degenerate[0, 3] = True
     with pytest.raises(GaplessParameters, match="theta = 0.1"):
-        _winding(np.stack([_circle(32)] * 2), degenerate, x, y, thetas, CurveHitsAxis)
+        _winding(np.stack([_circle(32)] * 2), degenerate, x, y, thetas, CurveHitsAxis, PROJECTION_EPS)

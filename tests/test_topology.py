@@ -101,7 +101,7 @@ def test_image_curve_stays_on_the_punctured_sphere():
     # The in-plane projection has length |sin theta| / sin omega_k, which stays
     # in [|sin theta|, 1]: the curve meets the excluded circle only at poles,
     # where the projection is full length.
-    from dtqw.momentum import _bloch_vectors
+    from dtqw.momentum import bloch_vectors
 
     rng = np.random.default_rng(13)
     for _ in range(10):
@@ -109,7 +109,7 @@ def test_image_curve_stays_on_the_punctured_sphere():
         t = rng.uniform(0.1, math.pi - 0.1) * rng.choice([-1, 1])
         p = CoinParams(d, a, b, t)
         f = manifold_frame(p.beta)
-        n, _, _ = _bloch_vectors(p, k_grid(256))
+        n, _, _ = bloch_vectors(p, k_grid(256))
         proj = np.hypot(n @ f.n_beta, n @ f.e_w)
         assert np.min(proj) > abs(math.sin(t)) - 1e-12
         assert np.max(proj) < 1.0 + 1e-12
