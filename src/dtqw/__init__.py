@@ -34,11 +34,9 @@ from .lattice import (
     diagonalize,
     evolve,
     localization_report,
-    step,
 )
 from .momentum import (
     BandStructure,
-    BlochPoint,
     GapReport,
     band_structure,
     bloch_hamiltonian,

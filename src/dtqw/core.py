@@ -84,10 +84,6 @@ class CoinParams:
         """True iff theta is neither 0 nor pi (both quasienergy gaps open)."""
         return bool(gapped(self.theta))
 
-    @property
-    def alpha_prime(self) -> float:
-        return wrap_angle(self.alpha + self.beta)
-
     def family(self) -> tuple[float, float, float]:
         """The (delta, alpha, beta) triple shared by a one-parameter theta family."""
         return (self.delta, self.alpha, self.beta)
@@ -96,13 +92,27 @@ class CoinParams:
         return CoinParams(self.delta, self.alpha, self.beta, theta)
 
 
+def coin_matrices(delta: float, alpha: float, beta: float, thetas) -> np.ndarray:
+    """Coins of one (delta, alpha, beta) family, shape thetas.shape + (2, 2).
+
+    The one coin formula of the package; thetas are taken as given (wrap them
+    first, as CoinParams does).
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    ct, st = np.cos(thetas), np.sin(thetas)
+    ea = np.exp(1j * alpha)
+    eab = np.exp(1j * (alpha + beta))
+    m = np.empty(thetas.shape + (2, 2), dtype=complex)
+    m[..., 0, 0] = ct * ea
+    m[..., 0, 1] = st * eab
+    m[..., 1, 0] = -st / eab
+    m[..., 1, 1] = ct / ea
+    return np.exp(-1j * delta) * m
+
+
 def coin_matrix(p: CoinParams) -> np.ndarray:
     """The 2x2 coin unitary for the given angles."""
-    ct, st = math.cos(p.theta), math.sin(p.theta)
-    ea = np.exp(1j * p.alpha)
-    eab = np.exp(1j * (p.alpha + p.beta))
-    m = np.array([[ct * ea, st * eab], [-st / eab, ct / ea]], dtype=complex)
-    return np.exp(-1j * p.delta) * m
+    return coin_matrices(p.delta, p.alpha, p.beta, p.theta)
 
 
 def is_unitary(m: np.ndarray, tol: float = OPERATOR_TOL) -> bool:
@@ -162,10 +172,6 @@ class PhsOperator:
 
     def site_phase(self, x) -> np.ndarray:
         return np.exp(2j * self.alpha * np.asarray(x))
-
-    @property
-    def coin_factor(self) -> np.ndarray:
-        return np.array([[1.0, 0.0], [0.0, np.exp(-2j * self.beta)]], dtype=complex)
 
     def apply(self, amps: np.ndarray, sites: np.ndarray) -> np.ndarray:
         """Apply to per-site spinor amplitudes of shape (n_sites, 2)."""

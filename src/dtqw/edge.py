@@ -102,11 +102,6 @@ class EdgeState:
     norm_constant: float
     spec: InterfaceSpec
 
-    @property
-    def quasienergy_gap_center(self) -> float:
-        """delta + eta: the gap this state sits in, known in closed form."""
-        return wrap_angle(self.spec.delta + self.eta)
-
 
 def analytic_edge_state(spec: InterfaceSpec, eta: float) -> EdgeState:
     """Closed-form interface eigenstate on the ring.
@@ -160,7 +155,7 @@ def eigen_residual(u: WalkOperator, e: EdgeState) -> tuple[float, float]:
     ):
         raise SpecMismatch("walk operator was not built from this interface")
     psi = e.state.amps
-    upsi = u.apply_array(psi)
+    upsi = u.apply(e.state).amps
     z = complex(np.vdot(psi, upsi))
     omega = wrap_angle(-np.angle(z))
     residual = float(np.linalg.norm(upsi - np.exp(-1j * omega) * psi))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import CoinParams, coin_matrix, wrap_angles
+from .core import CoinParams, coin_matrices, wrap_angles
 from .errors import DimensionMismatch, OddRing, TooLarge
 
 # Dense materialization / eigensolve cap (2N x 2N matrices).
@@ -112,22 +112,24 @@ class WalkerState:
         return self.amps.reshape(-1)
 
 
+# The coin-conditioned shift layer of a walk; every other layer is a
+# (n_sites, 2, 2) array of per-site coins.
+SHIFT = object()
+
+
 def _shift(amps: np.ndarray) -> np.ndarray:
     out = np.empty_like(amps)
-    out[:, 0] = np.roll(amps[:, 0], 1)
-    out[:, 1] = np.roll(amps[:, 1], -1)
+    out[:, 0] = np.roll(amps[:, 0], 1, axis=0)
+    out[:, 1] = np.roll(amps[:, 1], -1, axis=0)
     return out
-
-
-def _coin_layer(coins: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    return np.einsum("nij,nj->ni", coins, amps)
 
 
 @dataclass(eq=False)
 class WalkOperator:
-    """Unitary one-step operator on the ring, a product of coin and shift layers.
+    """Unitary one-step operator on the ring: its layers, in application order.
 
-    ``form`` distinguishes the plain coin-then-shift walk from rearranged
+    ``layers`` holds per-site coin arrays and the SHIFT marker.  ``form``
+    distinguishes the plain coin-then-shift walk from rearranged
     (time-shifted) products that share its spectrum.
     """
 
@@ -135,23 +137,20 @@ class WalkOperator:
     alpha: float
     beta: float
     profile: ThetaProfile
-    layers: list = field(repr=False)
+    layers: tuple = field(repr=False)
     form: str = "walk"
 
     @property
     def n_sites(self) -> int:
         return self.profile.n_sites
 
-    def coin_params_at(self, x: int) -> CoinParams:
-        return CoinParams(self.delta, self.alpha, self.beta,
-                          float(self.profile.thetas[x + self.n_sites // 2]))
-
     def apply_array(self, amps: np.ndarray) -> np.ndarray:
-        for kind, payload in self.layers:
-            if kind == "coin":
-                amps = _coin_layer(payload, amps)
-            else:
+        """One step on amplitudes of shape (n_sites, 2, ...); trailing axes are a batch."""
+        for layer in self.layers:
+            if layer is SHIFT:
                 amps = _shift(amps)
+            else:
+                amps = np.einsum("nij,nj...->ni...", layer, amps)
         return amps
 
     def apply(self, s: WalkerState) -> WalkerState:
@@ -160,32 +159,18 @@ class WalkOperator:
         return WalkerState(self.apply_array(s.amps))
 
     def dense(self) -> np.ndarray:
-        """Materialize the 2N x 2N matrix (site-major index 2*i + coin)."""
+        """Materialize the 2N x 2N matrix (site-major index 2*i + coin): the
+        step applied to each basis vector, O(N^2)."""
         if self.n_sites > DENSE_CAP:
             raise TooLarge(f"dense() capped at {DENSE_CAP} sites")
         n = self.n_sites
-        mat = np.eye(2 * n, dtype=complex)
-        for kind, payload in self.layers:
-            if kind == "coin":
-                layer = np.zeros((2 * n, 2 * n), dtype=complex)
-                idx = 2 * np.arange(n)
-                for a in (0, 1):
-                    for b in (0, 1):
-                        layer[idx + a, idx + b] = payload[:, a, b]
-            else:
-                layer = np.zeros((2 * n, 2 * n), dtype=complex)
-                i = np.arange(n)
-                layer[2 * ((i + 1) % n), 2 * i] = 1.0
-                layer[2 * ((i - 1) % n) + 1, 2 * i + 1] = 1.0
-            mat = layer @ mat
-        return mat
+        basis = np.eye(2 * n, dtype=complex).reshape(n, 2, 2 * n)
+        return self.apply_array(basis).reshape(2 * n, 2 * n)
 
 
 def site_coins(delta: float, alpha: float, beta: float, profile: ThetaProfile) -> np.ndarray:
     """Per-site coin matrices, shape (n_sites, 2, 2)."""
-    return np.stack([
-        coin_matrix(CoinParams(delta, alpha, beta, t)) for t in profile.thetas
-    ])
+    return coin_matrices(delta, alpha, beta, wrap_angles(profile.thetas))
 
 
 def build_walk(p: CoinParams, profile: ThetaProfile | None = None,
@@ -207,13 +192,7 @@ def build_walk(p: CoinParams, profile: ThetaProfile | None = None,
     if n < 4:
         raise ValueError("ring size must be at least 4")
     coins = site_coins(p.delta, p.alpha, p.beta, profile)
-    return WalkOperator(p.delta, p.alpha, p.beta, profile,
-                        layers=[("coin", coins), ("shift", None)])
-
-
-def step(u: WalkOperator, s: WalkerState) -> WalkerState:
-    """One time step; norm-preserving to round-off."""
-    return u.apply(s)
+    return WalkOperator(p.delta, p.alpha, p.beta, profile, layers=(coins, SHIFT))
 
 
 @dataclass(eq=False)
@@ -242,10 +221,9 @@ def window_sites(center: int, halfwidth: int, n_sites: int) -> np.ndarray:
     return np.unique(labels) - n_sites // 2
 
 
-def _observables(s: WalkerState, window_idx: np.ndarray,
+def _observables(amps: np.ndarray, sites: np.ndarray, window_idx: np.ndarray,
                  window_signs: np.ndarray) -> tuple[float, float, float, float]:
-    probs = s.site_probabilities()
-    sites = s.sites
+    probs = np.sum(np.abs(amps) ** 2, axis=1)
     mean = float(probs @ sites)
     var = float(probs @ (sites - mean) ** 2)
     in_win = probs[window_idx]
@@ -264,6 +242,7 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
     labels = window_sites(window_center, window_halfwidth, u.n_sites)
     win = labels + u.n_sites // 2
     signs = 1.0 - 2.0 * (labels & 1)
+    sites = ring_sites(u.n_sites)
 
     times = np.arange(steps + 1)
     iprob = np.empty(steps + 1)
@@ -273,15 +252,14 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
     snapshot_times = [0]
     snapshots = [s0]
 
-    state = s0
-    iprob[0], stag[0], mean_x[0], sigma_x[0] = _observables(state, win, signs)
+    amps = s0.amps
+    iprob[0], stag[0], mean_x[0], sigma_x[0] = _observables(amps, sites, win, signs)
     for t in range(1, steps + 1):
-        state = u.apply(state)
-        iprob[t], stag[t], mean_x[t], sigma_x[t] = _observables(state, win, signs)
-        if t % record_every == 0 or t == steps:
-            if snapshot_times[-1] != t:
-                snapshot_times.append(t)
-                snapshots.append(state)
+        amps = u.apply_array(amps)
+        iprob[t], stag[t], mean_x[t], sigma_x[t] = _observables(amps, sites, win, signs)
+        if (t % record_every == 0 or t == steps) and snapshot_times[-1] != t:
+            snapshot_times.append(t)
+            snapshots.append(WalkerState(amps))
     return Trajectory(times, iprob, stag, mean_x, sigma_x, snapshot_times, snapshots,
                       window_center, window_halfwidth)
 
@@ -356,7 +334,6 @@ def localization_report(spectral: SpectralData, window) -> list[tuple[float, flo
 
 STATE_CSV_HEADER = ["x", "re_a", "im_a", "re_b", "im_b", "prob"]
 TRAJECTORY_CSV_HEADER = ["t", "interface_prob", "mean_x", "sigma_x"]
-SPECTRUM_CSV_HEADER = ["index", "eigenphase", "window_weight", "ipr"]
 
 
 def state_table(s: WalkerState) -> list[list[float]]:
@@ -371,16 +348,4 @@ def trajectory_table(traj: Trajectory) -> list[list[float]]:
     return [
         [int(t), float(p), float(m), float(s)]
         for t, p, m, s in zip(traj.times, traj.interface_prob, traj.mean_x, traj.sigma_x)
-    ]
-
-
-def spectrum_table(spectral: SpectralData, window) -> list[list[float]]:
-    n = spectral.n_sites
-    idx = np.asarray([(int(x) + n // 2) % n for x in window], dtype=int)
-    weights = np.sum(spectral.site_probabilities()[:, idx], axis=1)
-    return [
-        [i, float(w), float(wt), float(ipr)]
-        for i, (w, wt, ipr) in enumerate(
-            zip(spectral.eigenphases, weights, spectral.participation_ratios)
-        )
     ]

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import io
 from .core import GAP_EPS, PAULI, ID2, CoinParams, coin_matrix, gapped, wrap_angle, wrap_angles
 from .errors import DegeneratePoint
 
@@ -145,26 +144,13 @@ def k_grid(grid_size: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(1, grid_size + 1) / grid_size
 
 
-@dataclass(frozen=True)
-class BlochPoint:
-    """One momentum sample: quasienergy omega and Bloch vector n (None if degenerate)."""
-
-    k: float
-    omega: float
-    n: np.ndarray | None
-
-    @property
-    def degenerate(self) -> bool:
-        return self.n is None
-
-
 @dataclass(eq=False)
 class BandStructure:
     """Dispersion and Bloch vectors sampled on a uniform closed k-grid.
 
     The band of one coin has arrays over k.  The band of a theta-block
     (``thetas`` set) has a leading theta axis on ``omega``, ``n`` and
-    ``degenerate``; ``points`` and ``band_table`` are for one coin only.
+    ``degenerate``; ``band_table`` is for one coin only.
     """
 
     params: CoinParams
@@ -174,12 +160,6 @@ class BandStructure:
     degenerate: np.ndarray  # bool mask
     grid_size: int
     thetas: np.ndarray | None = None
-
-    def points(self) -> list[BlochPoint]:
-        return [
-            BlochPoint(float(k), float(w), None if d else v)
-            for k, w, v, d in zip(self.k, self.omega, self.n, self.degenerate)
-        ]
 
     def quasienergies(self) -> tuple[np.ndarray, np.ndarray]:
         """Both bands delta +/- omega_k, wrapped to the first Floquet zone."""
@@ -263,7 +243,3 @@ def band_table(b: BandStructure) -> list[list[float]]:
         [float(k), float(p_), float(m_), float(v[0]), float(v[1]), float(v[2])]
         for k, p_, m_, v in zip(b.k, wp, wm, b.n)
     ]
-
-
-def write_band_csv(b: BandStructure, path) -> None:
-    io.write_csv(path, BAND_CSV_HEADER, band_table(b))

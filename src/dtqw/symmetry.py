@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import ID2, PAULI, SIGMA_Y, CoinParams, phs_operator, wrap_angle
 from .errors import BetaNonzero, OddRing, UnsupportedParams
-from .lattice import ThetaProfile, WalkOperator, build_walk, ring_sites
+from .lattice import SHIFT, ThetaProfile, WalkOperator, build_walk, ring_sites
 from .momentum import bloch_hamiltonian, bloch_vectors
 from .topology import FrameVariant, frame_rotation
 
@@ -135,19 +135,20 @@ def chiral_residual(p: CoinParams, k: float) -> float:
     return float(np.linalg.norm(gamma @ h0 @ gamma.conj().T + h0, 2))
 
 
-def _homogeneous_coin_layers(p: CoinParams, n_sites: int, variant) -> list:
-    """Layers of the requested time-shifted product (application order)."""
+def _homogeneous_coin_layers(p: CoinParams, n_sites: int, variant) -> tuple:
+    """Layers of the requested time-shifted product (application order); each
+    coin layer is a read-only broadcast view of one 2x2 coin."""
     half = np.exp(-0.5j * p.delta) * (
         math.cos(p.theta / 2.0) * ID2 + 1j * math.sin(p.theta / 2.0) * SIGMA_Y
     )
-    broadcast = lambda m: np.broadcast_to(m, (n_sites, 2, 2)).copy()
-    if variant is FrameVariant.V1:
-        return [("coin", broadcast(half)), ("shift", None), ("coin", broadcast(half))]
-    sgn = math.copysign(1.0, p.theta)
-    c_s = math.cos(math.pi / 4.0) * ID2 + 1j * math.sin(math.pi / 4.0) * sgn * SIGMA_Y
-    first = half @ c_s
-    second = c_s.conj().T @ half
-    return [("coin", broadcast(first)), ("shift", None), ("coin", broadcast(second))]
+    first = second = half
+    if variant is FrameVariant.V2:
+        sgn = math.copysign(1.0, p.theta)
+        c_s = math.cos(math.pi / 4.0) * ID2 + 1j * math.sin(math.pi / 4.0) * sgn * SIGMA_Y
+        first = half @ c_s
+        second = c_s.conj().T @ half
+    return (np.broadcast_to(first, (n_sites, 2, 2)), SHIFT,
+            np.broadcast_to(second, (n_sites, 2, 2)))
 
 
 def timeshift_walk(p: CoinParams, variant, n_sites: int) -> WalkOperator:

@@ -30,7 +30,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import io
 from .core import GAP_EPS, ID2, SIGMA_Y, PAULI, CoinParams, wrap_angle, wrap_angles
 from .errors import (
     CurveHitsAxis,
@@ -414,8 +413,3 @@ def bz_image_table(
         [float(k), float(v[0]), float(v[1]), float(v[2]), variant.value]
         for k, v in zip(ks, curve)
     ]
-
-
-def write_bz_image_csv(p: CoinParams, path, variant: FrameVariant = FrameVariant.IDENTITY,
-                       grid_size: int = DEFAULT_GRID) -> None:
-    io.write_csv(path, BZ_IMAGE_CSV_HEADER, bz_image_table(p, variant, grid_size))

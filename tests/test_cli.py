@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +203,22 @@ def test_invariant_near_gap_closing(tmp_path, capsys):
     assert run(["invariant", "--theta", "1e-4", "--out", str(tmp_path)]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["phase_label"] == "ThetaPositive"
+
+
+def _readme_outputs_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "readme_outputs.py"
+    spec = importlib.util.spec_from_file_location("readme_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_readme_examples_all_exit_0(tmp_path):
+    tool = _readme_outputs_tool()
+    results = tool.run_examples(str(tmp_path))
+    commands = [argv[0] for argv, _ in results]
+    assert {"band", "map", "winding", "invariant", "symmetry", "edge", "evolve",
+            "sweep"} <= set(commands)
+    assert [code for _, code in results] == [0] * len(results)
+    written = {Path(path).parts[0] for _, path in tool.digests(str(tmp_path))}
+    assert written == {f"{i:02d}" for i in range(1, len(results) + 1)}

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dtqw.core import CoinParams, wrap_angles
+from dtqw.core import CoinParams, coin_matrix, wrap_angles
 from dtqw.errors import DimensionMismatch, OddRing, TooLarge
 from dtqw.lattice import (
-    SPECTRUM_CSV_HEADER,
+    SHIFT,
     STATE_CSV_HEADER,
     TRAJECTORY_CSV_HEADER,
     ThetaProfile,
@@ -15,13 +15,14 @@ from dtqw.lattice import (
     diagonalize,
     evolve,
     localization_report,
-    spectrum_table,
+    site_coins,
     state_table,
-    step,
     trajectory_table,
     window_sites,
 )
 from dtqw.momentum import dispersion
+from dtqw.symmetry import timeshift_walk
+from dtqw.topology import FrameVariant
 
 
 def test_profile_constructors():
@@ -45,7 +46,7 @@ def test_zero_coin_is_pure_conditional_shift():
     u = build_walk(CoinParams(0, 0, 0, 0), n_sites=4)
     s = WalkerState.localized(4, 0, (1.0, 0.0))
     for expected_x in (1, -2, -1):  # 0 -> 1 -> 2 == -2 -> -1 on a 4-ring
-        s = step(u, s)
+        s = u.apply(s)
         probs = s.site_probabilities()
         assert probs[expected_x + 2] == pytest.approx(1.0)
 
@@ -70,11 +71,84 @@ def test_sparse_step_matches_dense_matrix():
         assert np.max(np.abs(via_apply - via_dense)) < 1e-12
 
 
+def _coin_then_shift_oracle(coins: np.ndarray) -> np.ndarray:
+    """U = S C from index formulas: coin at site i, then a-amplitudes move to
+    i + 1 and b-amplitudes to i - 1 (site-major index 2*i + coin)."""
+    n = len(coins)
+    u = np.zeros((2 * n, 2 * n), dtype=complex)
+    i = np.arange(n)
+    for b in (0, 1):
+        u[2 * ((i + 1) % n), 2 * i + b] = coins[:, 0, b]
+        u[2 * ((i - 1) % n) + 1, 2 * i + b] = coins[:, 1, b]
+    return u
+
+
+def test_dense_matches_index_formula_oracle():
+    rng = np.random.default_rng(11)
+    for n in (4, 8, 64, 96):
+        for prof in (ThetaProfile(rng.uniform(-7, 7, n)),
+                     ThetaProfile.sharp_interface(*rng.uniform(-math.pi, math.pi, 2), n)):
+            d, a, b = rng.uniform(-math.pi, math.pi, 3)
+            u = build_walk(CoinParams(d, a, b, 0), prof)
+            assert len(u.layers) == 2 and u.layers[1] is SHIFT
+            assert np.array_equal(u.dense(), _coin_then_shift_oracle(u.layers[0]))
+
+
+def _coin_layer_matrix(coins: np.ndarray) -> np.ndarray:
+    n = len(coins)
+    m = np.zeros((2 * n, 2 * n), dtype=complex)
+    idx = 2 * np.arange(n)
+    for a in (0, 1):
+        for b in (0, 1):
+            m[idx + a, idx + b] = coins[:, a, b]
+    return m
+
+
+def test_timeshift_dense_matches_layer_matrix_product():
+    n = 8
+    i = np.arange(n)
+    shift = np.zeros((2 * n, 2 * n), dtype=complex)
+    shift[2 * ((i + 1) % n), 2 * i] = 1.0
+    shift[2 * ((i - 1) % n) + 1, 2 * i + 1] = 1.0
+    for p in (CoinParams(0.0, 0, 0, 0.7854), CoinParams(0.4, 0, 0, -1.2),
+              CoinParams(-2.0, 0, 0, 3.0)):
+        for variant in (FrameVariant.V1, FrameVariant.V2):
+            u = timeshift_walk(p, variant, n)
+            first, mid, second = u.layers
+            assert mid is SHIFT
+            expected = _coin_layer_matrix(second) @ shift @ _coin_layer_matrix(first)
+            assert np.max(np.abs(u.dense() - expected)) < 1e-15
+
+
+def test_apply_array_steps_trailing_batch_axes():
+    rng = np.random.default_rng(12)
+    u = build_walk(CoinParams(0.3, -0.2, 1.1, 0), ThetaProfile(rng.uniform(-3, 3, 16)))
+    batch = rng.standard_normal((16, 2, 3, 2)) + 1j * rng.standard_normal((16, 2, 3, 2))
+    out = u.apply_array(batch)
+    assert out.shape == batch.shape
+    for j in range(3):
+        for m in range(2):
+            assert np.array_equal(out[:, :, j, m], u.apply_array(batch[:, :, j, m]))
+
+
+def test_site_coins_match_per_site_coin_matrix():
+    rng = np.random.default_rng(13)
+    # angles well outside (-pi, pi] exercise the wrapping of both paths
+    thetas = np.concatenate([rng.uniform(-20, 20, 58),
+                             [math.pi, -math.pi, 3 * math.pi, 0.0, -1e-300, 1e-17]])
+    prof = ThetaProfile(thetas)
+    for d, a, b in ((0.0, 0.0, 0.0), (0.3, -2.2, 1.7), (7.0, -9.0, 4.0)):
+        expected = np.stack([coin_matrix(CoinParams(d, a, b, t)) for t in thetas])
+        p = CoinParams(d, a, b, 0)
+        got = site_coins(p.delta, p.alpha, p.beta, prof)
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_step_preserves_norm_over_long_runs():
     u = build_walk(CoinParams(0.1, 0.2, 0.3, 0.9), n_sites=32)
     s = WalkerState.localized(32, 0)
     for _ in range(1000):
-        s = step(u, s)
+        s = u.apply(s)
     assert abs(s.norm() - 1.0) < 1e-9
 
 
@@ -86,7 +160,7 @@ def test_swap_coin_recurrence_against_dense_powers():
     s = WalkerState.localized(8, 1, (0.6, 0.8j))
     vec = s.flat().copy()
     for _ in range(12):
-        s = step(u, s)
+        s = u.apply(s)
         vec = dense @ vec
         assert np.max(np.abs(s.flat() - vec)) < 1e-12
 
@@ -95,22 +169,22 @@ def test_step_is_linear_in_global_phase():
     u = build_walk(CoinParams(0.4, 0.1, 0.7, 1.2), n_sites=8)
     s = WalkerState.localized(8, -2, (0.3, 0.95))
     phase = np.exp(0.713j)
-    left = step(u, WalkerState(phase * s.amps)).amps
-    right = phase * step(u, s).amps
+    left = u.apply(WalkerState(phase * s.amps)).amps
+    right = phase * u.apply(s).amps
     assert np.max(np.abs(left - right)) < 1e-14
 
 
 def test_step_dimension_mismatch():
     u = build_walk(CoinParams(0, 0, 0, 0.5), n_sites=8)
     with pytest.raises(DimensionMismatch):
-        step(u, WalkerState.localized(10, 0))
+        u.apply(WalkerState.localized(10, 0))
 
 
 def test_translation_commutes_with_homogeneous_walk():
     u = build_walk(CoinParams(0.3, 0.8, -0.5, 1.0), n_sites=16)
     s = WalkerState.localized(16, 2, (0.8, 0.6j))
-    evolved_then_shifted = step(u, s).translated(3).amps
-    shifted_then_evolved = step(u, s.translated(3)).amps
+    evolved_then_shifted = u.apply(s).translated(3).amps
+    shifted_then_evolved = u.apply(s.translated(3)).amps
     assert np.max(np.abs(evolved_then_shifted - shifted_then_evolved)) < 1e-13
 
 
@@ -207,5 +281,5 @@ def test_tables_have_contracted_shapes():
     rows = trajectory_table(traj)
     assert len(rows) == 6 and len(rows[0]) == len(TRAJECTORY_CSV_HEADER)
     sd = diagonalize(u)
-    rows = spectrum_table(sd, window_sites(0, 2, 8))
-    assert len(rows) == 16 and len(rows[0]) == len(SPECTRUM_CSV_HEADER)
+    rows = localization_report(sd, window_sites(0, 2, 8))
+    assert len(rows) == 16 and all(len(r) == 3 for r in rows)

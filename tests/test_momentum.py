@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from dtqw import io
 from dtqw.core import GAP_EPS, CoinParams, wrap_angle, wrap_angles
 from dtqw.errors import DegeneratePoint
 from dtqw.momentum import (
     BAND_CSV_HEADER,
     band_structure,
+    band_table,
     bloch_hamiltonian,
     bloch_vector,
     bloch_vectors,
@@ -17,7 +19,6 @@ from dtqw.momentum import (
     gap_report,
     momentum_step_matrix,
     special_points,
-    write_band_csv,
 )
 
 
@@ -184,7 +185,7 @@ def test_quasienergy_bands_wrap_and_sublattice_shift():
 def test_band_csv_round_trip(tmp_path):
     b = band_structure(CoinParams(0.3, 0.2, 0.1, 0.7), 64)
     path = tmp_path / "band.csv"
-    write_band_csv(b, path)
+    io.write_csv(path, BAND_CSV_HEADER, band_table(b))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == BAND_CSV_HEADER
