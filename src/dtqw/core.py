@@ -39,17 +39,25 @@ _TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(x: float) -> float:
-    """Reduce an angle to the interval (-pi, pi]."""
-    y = (x + math.pi) % _TWO_PI - math.pi
-    if y == -math.pi:
-        return math.pi
-    return y
+    """Reduce an angle to the interval (-pi, pi]; angles already in it are
+    returned unchanged (-0.0 as 0.0), and -pi maps to pi.
+
+    fmod is exact, and so is the one correction by 2*pi (both operands lie
+    within a factor of two of each other).
+    """
+    y = math.fmod(x, _TWO_PI)
+    if y > math.pi:
+        return y - _TWO_PI
+    if y <= -math.pi:
+        return y + _TWO_PI
+    return y + 0.0
 
 
 def wrap_angles(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`wrap_angle`."""
-    y = np.mod(np.asarray(x, dtype=float) + np.pi, _TWO_PI) - np.pi
-    return np.where(y == -np.pi, np.pi, y)
+    """Vectorized :func:`wrap_angle`, equal to it bit for bit."""
+    y = np.fmod(np.asarray(x, dtype=float), _TWO_PI)
+    y = np.where(y > np.pi, y - _TWO_PI, y)
+    return np.where(y <= -np.pi, y + _TWO_PI, y + 0.0)
 
 
 def gapped(theta):

@@ -180,6 +180,23 @@ def test_sweep_near_gap_closing(tmp_path, capsys):
     assert labels == ["ThetaNegative"] * 3 + ["Gapless"] + ["ThetaPositive"] * 3
 
 
+def _sweep_theta_column(tmp_path, lo: str, hi: str, step: str) -> list[str]:
+    assert run(["sweep", "--theta-min", lo, "--theta-max", hi, "--theta-step", step,
+                "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        return [row["theta"] for row in csv.DictReader(fh)]
+
+
+def test_sweep_writes_the_grid_thetas_unchanged(tmp_path, capsys):
+    assert _sweep_theta_column(tmp_path, "0.0003", "0.0003", "1") == ["0.0003"]
+    # the middle point of the near-closing probe is -3e-4 + 3 * 1e-4 in floats
+    column = _sweep_theta_column(tmp_path, "-0.0003", "0.0003", "0.0001")
+    assert column[3] == "5.421010862427522e-20"
+    assert column == [repr(-0.0003 + i * 0.0001) for i in range(7)]
+    column = _sweep_theta_column(tmp_path, "-3", "3", "0.1")
+    assert column == [repr(-3 + i * 0.1) for i in range(61)]
+
+
 def test_sweep_classifies_every_gapped_theta(tmp_path, capsys):
     # |sin theta| > GAP_EPS is gapped, and a gapped theta classifies
     assert run(["sweep", "--theta-min", "1e-11", "--theta-max", "1e-11",

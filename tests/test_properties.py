@@ -1,5 +1,6 @@
 """Property tests of the Bloch map and the invariant over the whole gapped
-domain, down to |theta| = 1e-10 from either gap closing."""
+domain, down to |theta| = 1e-10 from either gap closing, and of angle
+wrapping."""
 
 import math
 
@@ -8,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtqw.core import CoinParams, wrap_angle
+from dtqw.core import CoinParams, wrap_angle, wrap_angles
 from dtqw.momentum import bloch_hamiltonian, bloch_vector, bloch_vectors, momentum_step_matrix
 from dtqw.topology import invariant_json_dict, rel_homotopy_invariant
 
@@ -54,3 +55,23 @@ def test_phase_label_and_k1_pole_follow_the_sign_of_theta(delta, alpha, beta, th
     assert d["phase_label"] == ("ThetaPositive" if positive else "ThetaNegative")
     assert d["pole_k1"] == ("N" if positive else "S")
     assert d["pole_k0"] == ("S" if positive else "N")
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(-math.pi, math.pi, exclude_min=True))
+def test_wrap_angle_is_the_identity_on_its_interval(x):
+    assert wrap_angle(x) == x
+
+
+def test_wrap_angle_maps_minus_pi_to_pi():
+    assert wrap_angle(-math.pi) == math.pi
+    assert wrap_angles(np.array([-math.pi]))[0] == math.pi
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+def test_wrap_angles_equals_wrap_angle_bit_for_bit(xs):
+    scalar = np.array([wrap_angle(x) for x in xs])
+    array = wrap_angles(np.array(xs))
+    assert array.tobytes() == scalar.tobytes()
+    assert np.all((array > -math.pi) & (array <= math.pi))
