@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ID2, PAULI, SIGMA_Y, CoinParams, phs_operator, wrap_angle
+from .core import ID2, PAULI, CoinParams, coin_matrix, phs_operator, wrap_angle
 from .errors import BetaNonzero, OddRing, UnsupportedParams
 from .lattice import SHIFT, ThetaProfile, WalkOperator, build_walk, ring_sites
 from .momentum import bloch_hamiltonian, bloch_vectors
@@ -137,16 +137,17 @@ def chiral_residual(p: CoinParams, k: float) -> float:
 
 def _homogeneous_coin_layers(p: CoinParams, n_sites: int, variant) -> tuple:
     """Layers of the requested time-shifted product (application order); each
-    coin layer is a read-only broadcast view of one 2x2 coin."""
-    half = np.exp(-0.5j * p.delta) * (
-        math.cos(p.theta / 2.0) * ID2 + 1j * math.sin(p.theta / 2.0) * SIGMA_Y
-    )
+    coin layer is a read-only broadcast view of one 2x2 coin.
+
+    The half coin is the coin at half the angles, C(delta/2, 0, 0, theta/2);
+    V2 offsets it by the quarter rotation C(0, 0, 0, sgn(theta) pi/4).
+    """
+    half = coin_matrix(CoinParams(p.delta / 2.0, 0.0, 0.0, p.theta / 2.0))
     first = second = half
     if variant is FrameVariant.V2:
-        sgn = math.copysign(1.0, p.theta)
-        c_s = math.cos(math.pi / 4.0) * ID2 + 1j * math.sin(math.pi / 4.0) * sgn * SIGMA_Y
-        first = half @ c_s
-        second = c_s.conj().T @ half
+        quarter = coin_matrix(CoinParams(0.0, 0.0, 0.0, math.copysign(math.pi / 4.0, p.theta)))
+        first = half @ quarter
+        second = quarter.conj().T @ half
     return (np.broadcast_to(first, (n_sites, 2, 2)), SHIFT,
             np.broadcast_to(second, (n_sites, 2, 2)))
 
