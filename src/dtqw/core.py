@@ -43,8 +43,10 @@ def wrap_angle(x: float) -> float:
     returned unchanged (-0.0 as 0.0), and -pi maps to pi.
 
     fmod is exact, and so is the one correction by 2*pi (both operands lie
-    within a factor of two of each other).
+    within a factor of two of each other).  Raises ValueError for inf and nan.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"angle {x} is not finite")
     y = math.fmod(x, _TWO_PI)
     if y > math.pi:
         return y - _TWO_PI

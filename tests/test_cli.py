@@ -59,6 +59,12 @@ def test_invariant_pair(tmp_path, capsys):
     assert result["predicted_edge_states"] == 2
 
 
+def test_non_finite_angle_exits_2(tmp_path, capsys):
+    for value in ("inf", "-inf", "nan"):
+        assert run(["band", f"--theta={value}", "--out", str(tmp_path)]) == 2
+        assert "is not finite" in capsys.readouterr().err
+
+
 def test_invariant_gapless_exits_2(tmp_path, capsys):
     assert run(["invariant", "--theta", "0", "--out", str(tmp_path)]) == 2
     assert "GaplessParameters" in capsys.readouterr().err
