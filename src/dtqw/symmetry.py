@@ -12,10 +12,9 @@ Certified relations, each on its stated domain:
 * chiral (beta = 0 only): exp(-i pi/2 m . sigma) with m = (cos theta, 0,
   -sin theta) anticommutes with the traceless Bloch Hamiltonian.
 
-Time-shifted products of the same walk (half-coin on both sides of the shift,
-or an asymmetric split offset by a sgn(theta) rotation) are built here as
-well; they share the walk's spectrum while their image curves wind
-differently.
+Time-shifted products V U V^dagger of the same walk, V the rotation of the V1
+or V2 frame, are built here as well; they share the walk's spectrum while
+their image curves wind differently.
 """
 
 from __future__ import annotations
@@ -25,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ID2, PAULI, CoinParams, coin_matrix, phs_operator, wrap_angle
+from .core import ID2, PAULI, CoinParams, coin_matrices, phs_operator, wrap_angle
 from .errors import BetaNonzero, OddRing, UnsupportedParams
 from .lattice import SHIFT, ThetaProfile, WalkOperator, build_walk, ring_sites
 from .momentum import bloch_hamiltonian, bloch_vectors
-from .topology import FrameVariant, frame_rotation
+from .topology import FrameVariant, frame_angle, frame_rotation, frame_so3
 
 # Spectral norm up to this matrix dimension, max-entry norm beyond.
 SPECTRAL_NORM_CAP = 64
@@ -112,8 +111,9 @@ def parity_residual_bloch(p: CoinParams, k: float) -> float:
 
 def chiral_vector(theta: float) -> np.ndarray:
     """Unit vector m = (cos theta, 0, -sin theta), orthogonal to every Bloch
-    vector of the beta = 0 coin."""
-    return np.array([math.cos(theta), 0.0, -math.sin(theta)])
+    vector of the beta = 0 coin: the V1 frame's chiral axis X in the lab frame,
+    R^T X with R the frame's SO(3) action."""
+    return frame_so3(FrameVariant.V1, theta)[0]
 
 
 def chiral_operator(theta: float) -> np.ndarray:
@@ -135,28 +135,12 @@ def chiral_residual(p: CoinParams, k: float) -> float:
     return float(np.linalg.norm(gamma @ h0 @ gamma.conj().T + h0, 2))
 
 
-def _homogeneous_coin_layers(p: CoinParams, n_sites: int, variant) -> tuple:
-    """Layers of the requested time-shifted product (application order); each
-    coin layer is a read-only broadcast view of one 2x2 coin.
-
-    The half coin is the coin at half the angles, C(delta/2, 0, 0, theta/2);
-    V2 offsets it by the quarter rotation C(0, 0, 0, sgn(theta) pi/4).
-    """
-    half = coin_matrix(CoinParams(p.delta / 2.0, 0.0, 0.0, p.theta / 2.0))
-    first = second = half
-    if variant is FrameVariant.V2:
-        quarter = coin_matrix(CoinParams(0.0, 0.0, 0.0, math.copysign(math.pi / 4.0, p.theta)))
-        first = half @ quarter
-        second = quarter.conj().T @ half
-    return (np.broadcast_to(first, (n_sites, 2, 2)), SHIFT,
-            np.broadcast_to(second, (n_sites, 2, 2)))
-
-
 def timeshift_walk(p: CoinParams, variant, n_sites: int) -> WalkOperator:
     """Rearranged one-step operator for a homogeneous alpha = beta = 0 walk.
 
-    V1 splits the coin in half around the shift; V2 uses the asymmetric split
-    offset by a quarter rotation of sign sgn(theta).  Both share the plain
+    With V = exp(i phi sigma_y) the frame rotation, the coin C(delta/2, theta - phi)
+    before the shift and C(delta/2, phi) after it make V U V^dagger: V1 splits
+    the coin in half around the shift, V2 asymmetrically.  Both share the plain
     walk's spectrum.
     """
     if abs(p.alpha) > 1e-12 or abs(p.beta) > 1e-12:
@@ -167,10 +151,11 @@ def timeshift_walk(p: CoinParams, variant, n_sites: int) -> WalkOperator:
         raise OddRing("ring size must be even")
     if variant is FrameVariant.IDENTITY:
         return build_walk(p, n_sites=n_sites)
-    profile = ThetaProfile.homogeneous(p.theta, n_sites)
-    layers = _homogeneous_coin_layers(p, n_sites, variant)
-    return WalkOperator(p.delta, p.alpha, p.beta, profile, layers=layers,
-                        form=f"timeshift-{variant.value.lower()}")
+    phi = frame_angle(variant, p.theta)
+    coins = coin_matrices(p.delta / 2.0, 0.0, 0.0, [p.theta - phi, phi])
+    first, second = np.broadcast_to(coins[:, None], (2, n_sites, 2, 2))
+    return WalkOperator(p.delta, p.alpha, p.beta, ThetaProfile.homogeneous(p.theta, n_sites),
+                        layers=(first, SHIFT, second), form=f"timeshift-{variant.value.lower()}")
 
 
 def spectrum_match_residual(u1: WalkOperator, u2: WalkOperator) -> float:
@@ -244,11 +229,13 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
 
 
 def frame_conjugated_walk(p: CoinParams, variant, n_sites: int) -> np.ndarray:
-    """Dense V U V^-1 for a homogeneous walk and a frame rotation V."""
-    v2 = frame_rotation(variant, p.theta)
-    u = build_walk(p, n_sites=n_sites).dense()
-    big_v = np.kron(np.eye(n_sites), v2)
-    return big_v @ u @ big_v.conj().T
+    """Dense V U V^-1 for a homogeneous walk and the frame rotation V on every
+    site, O(N^2): V mixes the coin index of each row pair, V^dagger that of
+    each column pair."""
+    v = frame_rotation(variant, p.theta)
+    n = n_sites
+    rows = v @ build_walk(p, n_sites=n).dense().reshape(n, 2, 2 * n)
+    return (rows.reshape(-1, 2) @ v.conj().T).reshape(2 * n, 2 * n)
 
 
 def reports_json(reports: list[SymmetryReport]) -> list[dict]:

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import GAP_EPS, ID2, SIGMA_Y, PAULI, CoinParams, wrap_angle, wrap_angles
+from .core import GAP_EPS, CoinParams, coin_matrix, wrap_angle, wrap_angles
 from .errors import (
     CurveHitsAxis,
     GaplessParameters,
@@ -59,33 +59,20 @@ PROJECTION_EPS = 1e-9
 # (SWEEP_BLOCK, grid, 3) arrays, whatever the length of the sweep.
 SWEEP_BLOCK = 32
 
-_Z_AXIS = np.array([0.0, 0.0, 1.0])
 _TWO_PI = 2.0 * math.pi
 
 
 class FrameVariant(Enum):
-    """Rotating frames that trade the theta-dependence of the chiral operator
-    for a theta-dependent change of basis.
-
-    V1 is the half-coin rotation exp(i*(theta/2)*sigma_y); it moves every image
-    curve into the YZ-plane (fixed chiral axis X).  V2 additionally offsets the
-    half angle by sgn(theta)*pi/4, landing the curves in the XY-plane (fixed
-    chiral axis Z).  Both frames are unitarily equivalent to the lab frame, yet
-    their image curves wind differently.
+    """Rotating frames V = exp(i*phi*sigma_y), phi = ``frame_angle``, that trade
+    the theta-dependence of the chiral operator for a theta-dependent change of
+    basis.  V1 moves every image curve into the YZ-plane (fixed chiral axis X),
+    V2 into the XY-plane (fixed chiral axis Z).  Both frames are unitarily
+    equivalent to the lab frame, yet their image curves wind differently.
     """
 
     IDENTITY = "Identity"
     V1 = "V1"
     V2 = "V2"
-
-    @property
-    def gamma_axis(self) -> np.ndarray | None:
-        """Fixed axis of the frame's theta-independent chiral operator."""
-        if self is FrameVariant.V1:
-            return np.array([1.0, 0.0, 0.0])
-        if self is FrameVariant.V2:
-            return np.array([0.0, 0.0, 1.0])
-        return None
 
 
 class PhaseLabel(Enum):
@@ -115,7 +102,7 @@ class ManifoldFrame:
 def manifold_frame(beta: float) -> ManifoldFrame:
     beta = wrap_angle(beta)
     n_beta = np.array([math.sin(beta), math.cos(beta), 0.0])
-    e_w = np.cross(_Z_AXIS, n_beta)
+    e_w = np.cross([0.0, 0.0, 1.0], n_beta)
     return ManifoldFrame(beta, n_beta, e_w)
 
 
@@ -223,61 +210,48 @@ def winding_mt(p: CoinParams, band: int = +1, grid_size: int = DEFAULT_GRID) -> 
     return int(_mt_windings(n, degenerate, np.asarray(p.theta), manifold_frame(p.beta), band))
 
 
-def frame_rotation(variant: FrameVariant, theta: float) -> np.ndarray:
-    """SU(2) rotation of the given frame at coin angle theta."""
+def frame_angle(variant: FrameVariant, theta: float) -> float:
+    """Angle phi of the frame rotation V = exp(i*phi*sigma_y) at coin angle theta.
+
+    0 for the identity, theta/2 for V1 and theta/2 - sgn(theta)*pi/4 for V2,
+    which has no sign to take at theta = 0.
+    """
     theta = wrap_angle(theta)
     if variant is FrameVariant.IDENTITY:
-        return ID2.copy()
+        return 0.0
     if variant is FrameVariant.V1:
-        half = 0.5 * theta
-    else:
-        if abs(theta) < 1e-12:
-            raise UndefinedSign("V2 frame depends on sgn(theta); undefined at theta = 0")
-        half = 0.5 * (theta - math.copysign(math.pi / 2.0, theta))
-    return math.cos(half) * ID2 + 1j * math.sin(half) * SIGMA_Y
+        return 0.5 * theta
+    if abs(theta) < 1e-12:
+        raise UndefinedSign("V2 frame depends on sgn(theta); undefined at theta = 0")
+    return 0.5 * theta - math.copysign(math.pi / 4.0, theta)
 
 
-def su2_to_rotation(v: np.ndarray) -> np.ndarray:
-    """SO(3) rotation R with V (n.sigma) V^dagger = (R n).sigma."""
-    r = np.empty((3, 3))
-    vdag = v.conj().T
-    for i in range(3):
-        for j in range(3):
-            r[i, j] = 0.5 * np.trace(PAULI[i] @ v @ PAULI[j] @ vdag).real
-    return r
+def frame_rotation(variant: FrameVariant, theta: float) -> np.ndarray:
+    """SU(2) rotation exp(i*phi*sigma_y) of the given frame: the real coin at phi."""
+    return coin_matrix(CoinParams(0.0, 0.0, 0.0, frame_angle(variant, theta)))
 
 
-def rotated_winding(
-    p: CoinParams,
-    variant: FrameVariant,
-    axis: np.ndarray | None = None,
-    grid_size: int = DEFAULT_GRID,
-) -> int:
-    """Winding of the frame-rotated image curve about an axis.
+def frame_so3(variant: FrameVariant, theta: float) -> np.ndarray:
+    """SO(3) action R of the frame rotation, V (n.sigma) V^dagger = (R n).sigma:
+    the rotation about Y by -2*phi."""
+    angle = 2.0 * frame_angle(variant, theta)
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
 
-    The curve n_k is rotated by the frame's SO(3) action, projected onto the
-    plane orthogonal to the axis, and the angle is accumulated with the
-    right-hand rule about the axis.  Default axis: the frame's chiral axis.
+
+def rotated_winding(p: CoinParams, variant: FrameVariant, grid_size: int = DEFAULT_GRID) -> int:
+    """Winding of the frame-rotated image curve R n_k about the frame's chiral
+    axis, by the right-hand rule: in the (Y, Z) plane about X for V1, in the
+    (X, Y) plane about Z for V2.  Those components of R n_k are n_k projected
+    onto the matching rows of R.
     """
     _require_gapped(p)
-    if axis is None:
-        axis = variant.gamma_axis
-        if axis is None:
-            raise ValueError("identity frame has no default axis; pass one explicitly")
-    axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if norm < PROJECTION_EPS:
-        raise ValueError("axis must be a nonzero vector")
-    axis = axis / norm
-
-    rot = su2_to_rotation(frame_rotation(variant, p.theta))
+    if variant is FrameVariant.IDENTITY:
+        raise ValueError("the identity frame has no chiral axis")
+    rot = frame_so3(variant, p.theta)
+    e_u, e_w = rot[1:] if variant is FrameVariant.V1 else rot[:2]
     n, _, degenerate = bloch_vectors(p, k_grid(grid_size))
-
-    ref = _Z_AXIS if abs(axis @ _Z_AXIS) < 0.9 else np.array([1.0, 0.0, 0.0])
-    u = np.cross(axis, ref)
-    u /= np.linalg.norm(u)
-    w = np.cross(axis, u)  # (u, w, axis) right-handed
-    return int(_winding(n @ rot.T, degenerate, u, w, np.asarray(p.theta), CurveHitsAxis,
+    return int(_winding(n, degenerate, e_u, e_w, np.asarray(p.theta), CurveHitsAxis,
                         PROJECTION_EPS))
 
 
@@ -405,7 +379,7 @@ def bz_image_table(
 ) -> list[list]:
     """Rows (k, n_x, n_y, n_z, frame tag) of the (optionally rotated) image curve."""
     _require_gapped(p)
-    rot = su2_to_rotation(frame_rotation(variant, p.theta))
+    rot = frame_so3(variant, p.theta)
     ks = k_grid(grid_size)
     n, _, _ = bloch_vectors(p, ks)
     curve = n @ rot.T

@@ -1,6 +1,6 @@
 """Property tests of the Bloch map and the invariant over the whole gapped
-domain, down to |theta| = 1e-10 from either gap closing, and of angle
-wrapping."""
+domain, down to |theta| = 1e-10 from either gap closing, of the frame
+identities of the time-shifted walks, and of angle wrapping."""
 
 import math
 
@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from dtqw.core import CoinParams, wrap_angle, wrap_angles
 from dtqw.momentum import bloch_hamiltonian, bloch_vector, bloch_vectors, momentum_step_matrix
-from dtqw.topology import invariant_json_dict, rel_homotopy_invariant
+from dtqw.symmetry import frame_conjugated_walk, timeshift_walk
+from dtqw.topology import FrameVariant, invariant_json_dict, rel_homotopy_invariant
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -75,3 +76,14 @@ def test_wrap_angles_equals_wrap_angle_bit_for_bit(xs):
     array = wrap_angles(np.array(xs))
     assert array.tobytes() == scalar.tobytes()
     assert np.all((array > -math.pi) & (array <= math.pi))
+
+
+@PROPERTY_SETTINGS
+@given(angles, thetas)
+def test_timeshift_walks_are_frame_conjugations(delta, theta):
+    # Both time-shifted products are V U V^dagger by construction, V the frame
+    # rotation; frame_conjugated_walk conjugates the plain walk site by site.
+    p = CoinParams(delta, 0.0, 0.0, theta)
+    for variant in (FrameVariant.V1, FrameVariant.V2):
+        u = timeshift_walk(p, variant, 8).dense()
+        assert np.max(np.abs(u - frame_conjugated_walk(p, variant, 8))) < 1e-14

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dtqw.core import CoinParams
+from dtqw.core import PAULI, CoinParams
 from dtqw.errors import (
-    CurveHitsAxis,
     GaplessParameters,
     MixedFamilies,
     OnExcludedCircle,
@@ -16,7 +15,9 @@ from dtqw.topology import (
     FrameVariant,
     PhaseLabel,
     bz_image_table,
+    frame_angle,
     frame_rotation,
+    frame_so3,
     invariant_json_dict,
     manifold_frame,
     pole_assignment,
@@ -25,7 +26,6 @@ from dtqw.topology import (
     rel_homotopy_invariant,
     retract,
     rotated_winding,
-    su2_to_rotation,
     winding_mt,
 )
 
@@ -135,9 +135,33 @@ def test_frame_rotation_special_unitary():
             assert abs(np.linalg.det(m) - 1) < 1e-14
 
 
-def test_su2_to_rotation_is_orthogonal():
-    m = frame_rotation(FrameVariant.V1, 0.9)
-    r = su2_to_rotation(m)
+def test_frame_angles():
+    assert frame_angle(FrameVariant.IDENTITY, 1.2) == 0.0
+    assert frame_angle(FrameVariant.V1, 0.9) == 0.45
+    assert frame_angle(FrameVariant.V2, math.pi / 2) == 0.0
+    assert frame_angle(FrameVariant.V2, -0.5) == pytest.approx(-0.25 + math.pi / 4, abs=1e-16)
+    with pytest.raises(UndefinedSign):
+        frame_angle(FrameVariant.V2, 0.0)
+
+
+def _so3_by_traces(v: np.ndarray) -> np.ndarray:
+    """R[i, j] = tr(sigma_i V sigma_j V^dagger) / 2, the defining identity."""
+    r = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            r[i, j] = 0.5 * np.trace(PAULI[i] @ v @ PAULI[j] @ v.conj().T).real
+    return r
+
+
+def test_frame_so3_matches_trace_oracle():
+    for t in np.random.default_rng(8).uniform(-math.pi, math.pi, 200):
+        for v in FrameVariant:
+            r = frame_so3(v, t)
+            assert np.max(np.abs(r - _so3_by_traces(frame_rotation(v, t)))) <= 1e-15
+
+
+def test_frame_so3_is_orthogonal():
+    r = frame_so3(FrameVariant.V1, 0.9)
     assert np.max(np.abs(r @ r.T - np.eye(3))) < 1e-14
     assert np.linalg.det(r) == pytest.approx(1.0)
 
@@ -161,11 +185,9 @@ def test_rotated_winding_full_ladder():
         assert rotated_winding(CoinParams(0, 0, 0, -t), FrameVariant.V2) == 1
 
 
-def test_rotated_winding_axis_in_curve_plane_fails():
-    # The V1-rotated curve lies in the YZ-plane and crosses the Y-axis.
-    with pytest.raises(CurveHitsAxis):
-        rotated_winding(CoinParams(0, 0, 0, math.pi / 4), FrameVariant.V1,
-                        axis=np.array([0.0, 1.0, 0.0]))
+def test_rotated_winding_identity_frame_has_no_axis():
+    with pytest.raises(ValueError):
+        rotated_winding(CoinParams(0, 0, 0, math.pi / 4), FrameVariant.IDENTITY)
 
 
 def test_rotated_curves_are_planar():
