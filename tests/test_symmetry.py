@@ -191,6 +191,8 @@ def test_timeshift_spectra_coincide():
     u2 = timeshift_walk(p, FrameVariant.V2, 8)
     assert spectrum_match_residual(u, u1) < 1e-10
     assert spectrum_match_residual(u, u2) < 1e-10
+    assert spectrum_match_residual(u, u1, u2) == max(spectrum_match_residual(u, u1),
+                                                     spectrum_match_residual(u, u2))
 
 
 def test_timeshift_operators_are_unitary():
