@@ -180,7 +180,12 @@ def _validate(args: argparse.Namespace) -> list[str]:
         if single == pair:
             problems.append("give either --theta or both --theta1 and --theta2")
     if args.command == "sweep":
-        if args.theta_step <= 0:
+        non_finite = [f"{flag} must be finite, got {value}" for flag, value in (
+            ("--theta-min", args.theta_min), ("--theta-max", args.theta_max),
+            ("--theta-step", args.theta_step)) if not math.isfinite(value)]
+        if non_finite:
+            problems += non_finite
+        elif args.theta_step <= 0:
             problems.append("--theta-step must be positive")
         elif args.theta_min > args.theta_max:
             problems.append("empty sweep range: --theta-min exceeds --theta-max")

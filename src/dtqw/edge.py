@@ -43,6 +43,10 @@ WINDOW_HALFWIDTH = 5
 PLATEAU_TOL = 0.02
 DEPARTURE_TOL = 0.02
 
+# The late-time tail is the last steps // 4 samples; its two-step difference
+# needs three of them.
+MIN_STEPS = 12
+
 
 @dataclass(frozen=True)
 class InterfaceSpec:
@@ -239,6 +243,8 @@ def dynamics_experiment(spec: InterfaceSpec, case: InitialStateCase, steps: int,
     The ring must be long enough that no wavefront re-enters the window
     within the run (speed is at most one site per step).
     """
+    if steps < MIN_STEPS:
+        raise ValueError(f"steps = {steps}: the experiment needs at least {MIN_STEPS} steps")
     window_width = 2 * window_halfwidth + 1
     if spec.n_sites < 2 * steps + window_width:
         raise RingTooSmall(
@@ -253,13 +259,13 @@ def dynamics_experiment(spec: InterfaceSpec, case: InitialStateCase, steps: int,
     traj = evolve(u, state, steps, record_every=max(1, steps // 8),
                   window_center=0, window_halfwidth=window_halfwidth)
 
-    tail = traj.interface_prob[-(max(steps // 4, 2)):]
-    plateau = float(np.mean(tail))
+    tail = steps // 4
+    plateau = float(np.mean(traj.interface_prob[-tail:]))
     final_prob = float(traj.interface_prob[-1])
     # Two gap states sit a half-zone apart, so their interference flips the
     # parity-signed density each step: strong step-to-step alternation with a
     # near-zero two-step difference.
-    stag = traj.staggered_prob[-(max(steps // 4, 2)):]
+    stag = traj.staggered_prob[-tail:]
     alternation = float(np.mean(np.abs(np.diff(stag))))
     period2 = float(np.mean(np.abs(stag[2:] - stag[:-2])))
     oscillation = alternation > 0.01 and period2 < 0.2 * alternation

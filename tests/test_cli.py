@@ -126,6 +126,15 @@ def test_evolve_ring_too_small_exits_2(tmp_path, capsys):
     assert "RingTooSmall" in capsys.readouterr().err
 
 
+def test_evolve_too_few_steps_exits_2(tmp_path, capsys):
+    code = run(["evolve", "--theta1", "-0.5", "--theta2", "0.5", "--case", "overlap-both",
+                "--steps", "11", "--ring-size", "64", "--out", str(tmp_path)])
+    assert code == 2
+    assert "at least 12 steps" in capsys.readouterr().err
+    assert not (tmp_path / "experiment.json").exists()
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_sweep_partitions_by_sign(tmp_path, capsys):
     code = run(["sweep", "--theta-min", "-0.4", "--theta-max", "0.4",
                 "--theta-step", "0.2", "--grid", "64", "--out", str(tmp_path)])
@@ -149,6 +158,16 @@ def test_sweep_empty_range_exits_2(tmp_path, capsys):
                 "--theta-step", "0.1", "--out", str(tmp_path)]) == 2
     assert run(["sweep", "--theta-min", "0", "--theta-max", "1",
                 "--theta-step", "-0.1", "--out", str(tmp_path)]) == 2
+
+
+def test_sweep_non_finite_range_exits_2(tmp_path, capsys):
+    for flag, value in (("--theta-max", "inf"), ("--theta-min", "-inf"),
+                        ("--theta-step", "nan"), ("--theta-max", "nan")):
+        bounds = {"--theta-min": "-1", "--theta-max": "1", "--theta-step": "0.5", flag: value}
+        argv = ["sweep", *(f"{k}={v}" for k, v in bounds.items()), "--out", str(tmp_path)]
+        assert run(argv) == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_degrees_flag(tmp_path, capsys):

@@ -213,6 +213,17 @@ def test_dynamics_experiment_enforces_ring_headroom():
         dynamics_experiment(spec, InitialStateCase.OVERLAP_BOTH, 200)
 
 
+def test_dynamics_experiment_needs_twelve_steps():
+    # The shortest run whose late-time tail has a two-step difference.
+    spec = InterfaceSpec(n_sites=64, **CAPTION_SPEC)
+    for steps in (0, 1, 11):
+        with pytest.raises(ValueError, match="at least 12 steps"):
+            dynamics_experiment(spec, InitialStateCase.OVERLAP_BOTH, steps)
+    rec = dynamics_experiment(spec, InitialStateCase.OVERLAP_BOTH, 12)
+    d = experiment_json_dict(rec)
+    assert all(math.isfinite(d[key]) for key in ("plateau", "alternation", "period2_residual"))
+
+
 def test_bulk_boundary_count_matches_prediction():
     spec = InterfaceSpec(n_sites=64, **CAPTION_SPEC)
     p1, p2 = spec.left_params(), spec.right_params()
