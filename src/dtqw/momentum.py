@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GAP_EPS, PAULI, ID2, CoinParams, coin_matrix, gapped, wrap_angle, wrap_angles
+from .core import (GAP_EPS, ID2, CoinParams, coin_matrix, gapped, pauli_compose, wrap_angle,
+                   wrap_angles)
 from .errors import DegeneratePoint
 
 DEFAULT_GRID = 512
@@ -127,7 +128,7 @@ def bloch_hamiltonian(p: CoinParams, k: float) -> np.ndarray:
     """
     n, sin_w = _bloch_point(p, k)
     omega = math.atan2(sin_w, math.cos(p.theta) * math.cos(k - p.alpha))
-    return p.delta * ID2 + omega * np.einsum("i,ijk->jk", n.astype(complex), PAULI)
+    return p.delta * ID2 + omega * pauli_compose(0, n)
 
 
 def momentum_step_matrix(p: CoinParams, k: float) -> np.ndarray:

@@ -19,16 +19,15 @@ their image curves wind differently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ID2, PAULI, CoinParams, coin_matrices, phs_operator, wrap_angle
+from .core import ID2, CoinParams, coin_matrices, pauli_compose, phs_operator, wrap_angle
 from .errors import BetaNonzero, OddRing, UnsupportedParams
 from .lattice import SHIFT, ThetaProfile, WalkOperator, build_walk, ring_sites
 from .momentum import bloch_hamiltonian, bloch_vectors
-from .topology import FrameVariant, frame_angle, frame_rotation, frame_so3
+from .topology import FrameVariant, frame_angle, frame_rotation, frame_so3, manifold_frame
 
 # Spectral norm up to this matrix dimension, max-entry norm beyond.
 SPECTRAL_NORM_CAP = 64
@@ -91,10 +90,6 @@ def phs_residual(u: WalkOperator, p: CoinParams | None = None) -> tuple[float, c
     return res, complex(lam)
 
 
-def _pauli_dot(v: np.ndarray) -> np.ndarray:
-    return np.einsum("i,ijk->jk", np.asarray(v, dtype=complex), PAULI)
-
-
 def parity_residual_bloch(p: CoinParams, k: float) -> float:
     """|| P H_k P^-1 - H_{2 alpha - k} || with P = i n_beta . sigma.
 
@@ -102,8 +97,7 @@ def parity_residual_bloch(p: CoinParams, k: float) -> float:
     Raises DegeneratePoint if the gap closes at either momentum.
     """
     k_mirror = wrap_angle(2.0 * p.alpha - k)
-    n_beta = np.array([math.sin(p.beta), math.cos(p.beta), 0.0])
-    par = 1j * _pauli_dot(n_beta)
+    par = 1j * pauli_compose(0, manifold_frame(p.beta).n_beta)
     h_k = bloch_hamiltonian(p, k)
     h_m = bloch_hamiltonian(p, k_mirror)
     return float(np.linalg.norm(par @ h_k @ par.conj().T - h_m, 2))
@@ -118,7 +112,7 @@ def chiral_vector(theta: float) -> np.ndarray:
 
 def chiral_operator(theta: float) -> np.ndarray:
     """exp(-i pi/2 m . sigma) = -i m . sigma; eigenvalues +/- i for every theta."""
-    return -1j * _pauli_dot(chiral_vector(theta))
+    return -1j * pauli_compose(0, chiral_vector(theta))
 
 
 def chiral_residual(p: CoinParams, k: float) -> float:
