@@ -23,7 +23,7 @@ from .edge import (
     eigen_residual,
     experiment_json_dict,
 )
-from .errors import NumericalContractError, ValidationError
+from .errors import NumericalContractError, UnsupportedParams, ValidationError
 from .lattice import (
     STATE_CSV_HEADER,
     TRAJECTORY_CSV_HEADER,
@@ -234,12 +234,21 @@ def cmd_map(args) -> int:
     return 0
 
 
+def _frame_winding(p: CoinParams, variant: FrameVariant, grid: int) -> int | None:
+    """rotated_winding, or None (JSON null) for a coin whose frames have no
+    fixed chiral plane (alpha or beta nonzero)."""
+    try:
+        return rotated_winding(p, variant, grid_size=grid)
+    except UnsupportedParams:
+        return None
+
+
 def cmd_winding(args) -> int:
     p = CoinParams(args.delta, args.alpha, args.beta, args.theta)
     result = {
         "winding_mt": winding_mt(p, +1, args.grid),
-        "rotated_v1_about_x": rotated_winding(p, FrameVariant.V1, grid_size=args.grid),
-        "rotated_v2_about_z": rotated_winding(p, FrameVariant.V2, grid_size=args.grid),
+        "rotated_v1_about_x": _frame_winding(p, FrameVariant.V1, args.grid),
+        "rotated_v2_about_z": _frame_winding(p, FrameVariant.V2, args.grid),
     }
     _write_record(args, "winding", result)
     print(io.json_text(result), end="")

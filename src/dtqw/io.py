@@ -13,6 +13,11 @@ import math
 import os
 
 
+# Cells of these exact types go to csv.writer as they are: it writes str(x),
+# which is repr(x) for a float ("nan" for NaN), the same text _fmt_cell gives.
+_PLAIN_CELLS = frozenset((int, float, str))
+
+
 def _fmt_cell(x) -> str:
     if isinstance(x, float):
         x = float(x)  # numpy scalars repr verbosely; plain float round-trips
@@ -37,7 +42,9 @@ def write_csv(path, header: list[str], rows) -> None:
     writer = csv.writer(buf)
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_fmt_cell(x) for x in row])
+        if not _PLAIN_CELLS.issuperset(map(type, row)):
+            row = [_fmt_cell(x) for x in row]
+        writer.writerow(row)
     atomic_write_text(path, buf.getvalue())
 
 

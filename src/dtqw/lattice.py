@@ -11,13 +11,14 @@ Quasienergies follow the convention U v = exp(-i*omega) v.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .core import CoinParams, coin_matrices, wrap_angles
-from .errors import DimensionMismatch, OddRing, TooLarge
+from .errors import DimensionMismatch, NumericalContractError, OddRing, TooLarge
 
 # Dense materialization / eigensolve cap (2N x 2N matrices).
 DENSE_CAP = 512
@@ -145,12 +146,19 @@ class WalkOperator:
         return self.profile.n_sites
 
     def apply_array(self, amps: np.ndarray) -> np.ndarray:
-        """One step on amplitudes of shape (n_sites, 2, ...); trailing axes are a batch."""
+        """One step on amplitudes of shape (n_sites, 2, ...); trailing axes are a batch.
+
+        A coin layer c maps (a, b) to (c00 a + c01 b, c10 a + c11 b) site by site.
+        """
+        batch = (1,) * (amps.ndim - 2)
         for layer in self.layers:
             if layer is SHIFT:
                 amps = _shift(amps)
             else:
-                amps = np.einsum("nij,nj...->ni...", layer, amps)
+                c = layer.reshape(layer.shape + batch)
+                a, b = amps[:, 0], amps[:, 1]
+                amps = np.stack([c[:, 0, 0] * a + c[:, 0, 1] * b,
+                                 c[:, 1, 0] * a + c[:, 1, 1] * b], axis=1)
         return amps
 
     def apply(self, s: WalkerState) -> WalkerState:
@@ -223,7 +231,8 @@ def window_sites(center: int, halfwidth: int, n_sites: int) -> np.ndarray:
 
 def _observables(amps: np.ndarray, sites: np.ndarray, window_idx: np.ndarray,
                  window_signs: np.ndarray) -> tuple[float, float, float, float]:
-    probs = np.sum(np.abs(amps) ** 2, axis=1)
+    re_im = amps.view(float)  # (n_sites, 4): re a, im a, re b, im b
+    probs = np.einsum("ij,ij->i", re_im, re_im)
     mean = float(probs @ sites)
     var = float(probs @ (sites - mean) ** 2)
     in_win = probs[window_idx]
@@ -291,25 +300,64 @@ class SpectralData:
         return np.sum(np.abs(v) ** 2, axis=1).T
 
 
-def diagonalize(u: WalkOperator) -> SpectralData:
-    """Dense eigendecomposition via a complex Schur form.
+def sublattice_blocks(u: WalkOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, A, B): the dense walk and its two N x N sublattice blocks.
 
-    The Schur transform of a unitary matrix is diagonal up to round-off, so the
-    orthonormal Schur basis doubles as an eigenbasis.
+    With the sites ordered even then odd (ring index, not label), a walk with
+    one shift layer is U = [[0, B], [A, 0]]: A takes the even sites to the odd
+    ones and B the odd ones back, so U^2 = diag(BA, AB).  Raises
+    NumericalContractError, naming the largest entry, if U couples two sites of
+    the same parity.
     """
-    if u.n_sites > DENSE_CAP:
-        raise TooLarge(f"diagonalize() capped at {DENSE_CAP} sites")
     mat = u.dense()
-    t, z = scipy.linalg.schur(mat, output="complex")
-    eigvals = np.diag(t)
+    n = u.n_sites
+    # blocks[j, parity, coin, j', parity', coin'] couples site 2j'+parity' to 2j+parity
+    blocks = mat.reshape(n // 2, 2, 2, n // 2, 2, 2)
+    same = max(np.max(np.abs(blocks[:, 0, :, :, 0])), np.max(np.abs(blocks[:, 1, :, :, 1])))
+    if same != 0.0:
+        raise NumericalContractError(
+            f"walk couples sites of equal parity: largest entry {same:.3e}")
+    return mat, blocks[:, 1, :, :, 0].reshape(n, n), blocks[:, 0, :, :, 1].reshape(n, n)
+
+
+def _roots(lam: np.ndarray) -> np.ndarray:
+    """The eigenvalues +/- sqrt(lambda) of U, given those of BA."""
+    mu = np.sqrt(lam)
+    return np.concatenate([mu, -mu])
+
+
+def eigenvalues(u: WalkOperator) -> np.ndarray:
+    """The 2N eigenvalues of U, from the N x N block BA of U^2 (sublattice_blocks)."""
+    _, a, b = sublattice_blocks(u)
+    return _roots(np.linalg.eigvals(b @ a))
+
+
+def diagonalize(u: WalkOperator) -> SpectralData:
+    """Dense eigendecomposition from the complex Schur form of the N x N block
+    BA of U^2 on the even sites (see sublattice_blocks).
+
+    BA is unitary, so its Schur transform is diagonal up to round-off and the
+    orthonormal Schur vectors z are eigenvectors, BA z = lambda z.  Each gives
+    the two eigenvectors (z, A z / mu) / sqrt(2) of U, mu = +/- sqrt(lambda),
+    on the even and odd sites; they are orthonormal because A is unitary.
+    ``max_residual`` is measured against the full dense U.
+    """
+    mat, a, b = sublattice_blocks(u)
+    t, z = scipy.linalg.schur(b @ a, output="complex")
+    eigvals = _roots(np.diag(t))
+    n = u.n_sites
+    z = np.concatenate([z, z], axis=1)
+    even = z.reshape(n // 2, 2, 2 * n)
+    odd = ((a @ z) / eigvals).reshape(n // 2, 2, 2 * n)
+    vectors = np.stack([even, odd], axis=1).reshape(2 * n, 2 * n) / math.sqrt(2.0)
     omega = wrap_angles(-np.angle(eigvals))
     order = np.argsort(omega, kind="stable")
     omega = omega[order]
-    vectors = z[:, order]
+    vectors = vectors[:, order]
     eigvals = eigvals[order]
 
     residual = float(np.max(np.linalg.norm(mat @ vectors - vectors * eigvals[None, :], axis=0)))
-    probs = np.sum(np.abs(vectors.reshape(u.n_sites, 2, -1)) ** 2, axis=1)
+    probs = np.sum(np.abs(vectors.reshape(n, 2, -1)) ** 2, axis=1)
     ipr = np.sum(probs**2, axis=0)
     return SpectralData(omega, vectors, ipr, residual)
 
@@ -337,15 +385,11 @@ TRAJECTORY_CSV_HEADER = ["t", "interface_prob", "mean_x", "sigma_x"]
 
 
 def state_table(s: WalkerState) -> list[list[float]]:
-    probs = s.site_probabilities()
-    return [
-        [int(x), a.real, a.imag, b.real, b.imag, float(p)]
-        for x, (a, b), p in zip(s.sites, s.amps, probs)
-    ]
+    a, b = s.amps[:, 0], s.amps[:, 1]
+    columns = (s.sites, a.real, a.imag, b.real, b.imag, s.site_probabilities())
+    return [list(row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def trajectory_table(traj: Trajectory) -> list[list[float]]:
-    return [
-        [int(t), float(p), float(m), float(s)]
-        for t, p, m, s in zip(traj.times, traj.interface_prob, traj.mean_x, traj.sigma_x)
-    ]
+    columns = (traj.times, traj.interface_prob, traj.mean_x, traj.sigma_x)
+    return [list(row) for row in zip(*(c.tolist() for c in columns))]

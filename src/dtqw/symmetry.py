@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import ID2, CoinParams, coin_matrices, pauli_compose, phs_operator, wrap_angle
 from .errors import BetaNonzero, OddRing, UnsupportedParams
-from .lattice import SHIFT, ThetaProfile, WalkOperator, build_walk, ring_sites
+from .lattice import SHIFT, ThetaProfile, WalkOperator, build_walk, eigenvalues, ring_sites
 from .momentum import bloch_hamiltonian, bloch_vectors
 from .topology import FrameVariant, frame_angle, frame_rotation, frame_so3, manifold_frame
 
@@ -154,11 +154,12 @@ def timeshift_walk(p: CoinParams, variant, n_sites: int) -> WalkOperator:
 
 def spectrum_match_residual(u: WalkOperator, *others: WalkOperator) -> float:
     """Largest Hausdorff-style distance between the eigenvalue set of u and
-    that of each other operator; u's spectrum is computed once."""
-    e = np.linalg.eigvals(u.dense())
+    that of each other operator; u's spectrum is computed once, every spectrum
+    from the sublattice split (lattice.eigenvalues)."""
+    e = eigenvalues(u)
     res = 0.0
     for other in others:
-        d = np.abs(e[:, None] - np.linalg.eigvals(other.dense())[None, :])
+        d = np.abs(e[:, None] - eigenvalues(other)[None, :])
         res = max(res, np.max(np.min(d, axis=1)), np.max(np.min(d, axis=0)))
     return float(res)
 

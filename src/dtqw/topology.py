@@ -39,6 +39,7 @@ from .errors import (
     OnExcludedCircle,
     PoleMismatch,
     UndefinedSign,
+    UnsupportedParams,
 )
 from .momentum import (
     DEFAULT_GRID,
@@ -244,10 +245,15 @@ def rotated_winding(p: CoinParams, variant: FrameVariant, grid_size: int = DEFAU
     axis, by the right-hand rule: in the (Y, Z) plane about X for V1, in the
     (X, Y) plane about Z for V2.  Those components of R n_k are n_k projected
     onto the matching rows of R.
+
+    The frames' chiral planes are fixed only for alpha = beta = 0; any other
+    coin raises UnsupportedParams.
     """
     _require_gapped(p)
     if variant is FrameVariant.IDENTITY:
         raise ValueError("the identity frame has no chiral axis")
+    if abs(p.alpha) > 1e-12 or abs(p.beta) > 1e-12:
+        raise UnsupportedParams("frame windings are defined for alpha = beta = 0")
     rot = frame_so3(variant, p.theta)
     e_u, e_w = rot[1:] if variant is FrameVariant.V1 else rot[:2]
     n, _, degenerate = bloch_vectors(p, k_grid(grid_size))

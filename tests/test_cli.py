@@ -82,6 +82,16 @@ def test_winding_values(tmp_path, capsys):
     assert result == {"winding_mt": 1, "rotated_v1_about_x": -1, "rotated_v2_about_z": 1}
 
 
+def test_winding_of_complex_coin_has_no_frame_values(tmp_path, capsys):
+    for flag in ("--alpha", "--beta"):
+        out = tmp_path / flag.strip("-")
+        assert run(["winding", "--theta", "0.5", flag, "0.3", "--out", str(out)]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result == {"winding_mt": 1, "rotated_v1_about_x": None,
+                          "rotated_v2_about_z": None}
+        assert read_json(out / "winding.json") == result
+
+
 def test_symmetry_report(tmp_path, capsys):
     code = run(["symmetry", "--theta", "0.7853981633974483", "--out", str(tmp_path)])
     assert code == 0

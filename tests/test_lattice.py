@@ -2,21 +2,27 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtqw.core import CoinParams, coin_matrix, wrap_angles
-from dtqw.errors import DimensionMismatch, OddRing, TooLarge
+from dtqw.errors import DimensionMismatch, NumericalContractError, OddRing, TooLarge
 from dtqw.lattice import (
     SHIFT,
     STATE_CSV_HEADER,
     TRAJECTORY_CSV_HEADER,
     ThetaProfile,
     WalkerState,
+    WalkOperator,
     build_walk,
     diagonalize,
+    eigenvalues,
     evolve,
     localization_report,
     site_coins,
     state_table,
+    sublattice_blocks,
     trajectory_table,
     window_sites,
 )
@@ -131,6 +137,18 @@ def test_apply_array_steps_trailing_batch_axes():
             assert np.array_equal(out[:, :, j, m], u.apply_array(batch[:, :, j, m]))
 
 
+def test_apply_array_matches_index_formula_oracle():
+    rng = np.random.default_rng(14)
+    for n in (4, 16, 96):
+        u = build_walk(CoinParams(*rng.uniform(-math.pi, math.pi, 3), 0),
+                       ThetaProfile(rng.uniform(-math.pi, math.pi, n)))
+        batch = rng.standard_normal((2 * n, 5)) + 1j * rng.standard_normal((2 * n, 5))
+        batch /= np.linalg.norm(batch, axis=0)
+        expected = _coin_then_shift_oracle(u.layers[0]) @ batch
+        got = u.apply_array(batch.reshape(n, 2, 5)).reshape(2 * n, 5)
+        assert np.max(np.abs(got - expected)) <= 1e-15
+
+
 def test_site_coins_match_per_site_coin_matrix():
     rng = np.random.default_rng(13)
     # angles well outside (-pi, pi] exercise the wrapping of both paths
@@ -201,6 +219,15 @@ def test_evolve_zero_steps_and_semigroup():
     assert np.max(np.abs(full.amps - rest.amps)) < 1e-10
 
 
+def test_evolve_norm_drift_over_500_steps():
+    n = 4096
+    u = build_walk(CoinParams(0.3, -1.1, 0.8, 0),
+                   ThetaProfile.sharp_interface(-math.pi / 4, 1.2, n))
+    traj = evolve(u, WalkerState.localized(n, 0, (0.6, 0.8j)), 500, record_every=500)
+    assert traj.snapshot_times == [0, 500]
+    assert abs(traj.snapshots[-1].norm() - 1.0) <= 1e-12
+
+
 def test_evolve_conserves_probability():
     u = build_walk(CoinParams(0.2, -0.3, 0.9, 1.1), n_sites=64)
     traj = evolve(u, WalkerState.localized(64, 0), 100, record_every=10)
@@ -232,6 +259,76 @@ def test_diagonalize_orthonormal_vectors():
     sd = diagonalize(u)
     gram = sd.vectors.conj().T @ sd.vectors
     assert np.max(np.abs(gram - np.eye(24))) < 1e-10
+
+
+def _schur_reference(u):
+    """The 2N x 2N complex Schur eigendecomposition of the dense walk:
+    (sorted eigenphases, max residual) as an independent oracle."""
+    mat = u.dense()
+    t, z = scipy.linalg.schur(mat, output="complex")
+    eigvals = np.diag(t)
+    residual = np.max(np.linalg.norm(mat @ z - z * eigvals[None, :], axis=0))
+    return np.sort(wrap_angles(-np.angle(eigvals))), residual
+
+
+def _split_oracle_walks(n, rng):
+    for _ in range(3):
+        d, a, b = rng.uniform(-math.pi, math.pi, 3)
+        t1, t2 = rng.uniform(-math.pi, math.pi, 2)
+        yield build_walk(CoinParams(d, a, b, 0), ThetaProfile.sharp_interface(t1, t2, n))
+    for variant in (FrameVariant.V1, FrameVariant.V2):
+        d, t = rng.uniform(-math.pi, math.pi, 2)
+        yield timeshift_walk(CoinParams(d, 0, 0, t), variant, n)
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 64])
+def test_sublattice_split_matches_full_schur(n):
+    rng = np.random.default_rng(100 + n)
+    for u in _split_oracle_walks(n, rng):
+        ref_phases, ref_residual = _schur_reference(u)
+        sd = diagonalize(u)
+        assert ref_residual <= 1e-13
+        assert np.max(np.abs(wrap_angles(sd.eigenphases - ref_phases))) <= 1e-13
+        assert sd.max_residual <= 1e-13
+        gram = sd.vectors.conj().T @ sd.vectors
+        assert np.max(np.abs(gram - np.eye(2 * n))) <= 1e-13
+        from_eigvals = np.sort(wrap_angles(-np.angle(eigenvalues(u))))
+        assert np.max(np.abs(wrap_angles(from_eigvals - ref_phases))) <= 1e-13
+
+
+_angles = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 24), _angles, _angles, _angles, _angles, _angles,
+       st.sampled_from(["plain", "interface", "V1", "V2"]))
+def test_same_parity_blocks_are_exactly_zero(half, d, a, b, t1, t2, kind):
+    n = 2 * half
+    if kind == "plain":
+        u = build_walk(CoinParams(d, a, b, t1), n_sites=n)
+    elif kind == "interface":
+        u = build_walk(CoinParams(d, a, b, 0), ThetaProfile.sharp_interface(t1, t2, n))
+    else:
+        if abs(t1) < 1e-12:
+            t1 = 0.5
+        u = timeshift_walk(CoinParams(d, 0, 0, t1), FrameVariant[kind], n)
+    parity = np.repeat(np.arange(n) % 2, 2)
+    mat = u.dense()
+    assert not mat[parity[:, None] == parity[None, :]].any()
+    full, a_block, b_block = sublattice_blocks(u)
+    assert np.array_equal(full, mat)
+    assert np.array_equal(a_block, mat[parity == 1][:, parity == 0])
+    assert np.array_equal(b_block, mat[parity == 0][:, parity == 1])
+
+
+def test_two_shift_layers_break_the_sublattice_split():
+    walk = build_walk(CoinParams(0.2, 0.3, -0.4, 0.9), n_sites=8)
+    coins = walk.layers[0]
+    u = WalkOperator(walk.delta, walk.alpha, walk.beta, walk.profile,
+                     layers=(coins, SHIFT, coins, SHIFT))
+    for solve in (diagonalize, eigenvalues, sublattice_blocks):
+        with pytest.raises(NumericalContractError, match="largest entry"):
+            solve(u)
 
 
 def test_diagonalize_size_cap():

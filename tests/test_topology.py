@@ -9,6 +9,7 @@ from dtqw.errors import (
     MixedFamilies,
     OnExcludedCircle,
     UndefinedSign,
+    UnsupportedParams,
 )
 from dtqw.momentum import k_grid
 from dtqw.topology import (
@@ -188,6 +189,15 @@ def test_rotated_winding_full_ladder():
 def test_rotated_winding_identity_frame_has_no_axis():
     with pytest.raises(ValueError):
         rotated_winding(CoinParams(0, 0, 0, math.pi / 4), FrameVariant.IDENTITY)
+
+
+def test_rotated_winding_refuses_complex_coins():
+    # the frames' chiral planes are fixed only at alpha = beta = 0
+    for a, b in ((0.3, 0.0), (0.0, -1.2), (2.0, 0.7), (1e-11, 0.0), (0.0, -1e-11)):
+        for v in (FrameVariant.V1, FrameVariant.V2):
+            with pytest.raises(UnsupportedParams):
+                rotated_winding(CoinParams(0.4, a, b, 0.9), v)
+    assert rotated_winding(CoinParams(0.4, 1e-13, -1e-13, 0.9), FrameVariant.V2) == 1
 
 
 def test_rotated_curves_are_planar():
