@@ -391,5 +391,7 @@ def state_table(s: WalkerState) -> list[list[float]]:
 
 
 def trajectory_table(traj: Trajectory) -> list[list[float]]:
-    columns = (traj.times, traj.interface_prob, traj.mean_x, traj.sigma_x)
-    return [list(row) for row in zip(*(c.tolist() for c in columns))]
+    return [
+        [int(t), float(p), float(m), float(s)]
+        for t, p, m, s in zip(traj.times, traj.interface_prob, traj.mean_x, traj.sigma_x)
+    ]

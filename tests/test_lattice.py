@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtqw import io
 from dtqw.core import CoinParams, coin_matrix, wrap_angles
 from dtqw.errors import DimensionMismatch, NumericalContractError, OddRing, TooLarge
 from dtqw.lattice import (
@@ -380,3 +381,23 @@ def test_tables_have_contracted_shapes():
     sd = diagonalize(u)
     rows = localization_report(sd, window_sites(0, 2, 8))
     assert len(rows) == 16 and all(len(r) == 3 for r in rows)
+
+
+def test_state_csv_bytes_match_per_cell_formatting(tmp_path):
+    rng = np.random.default_rng(15)
+    amps = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+    amps[3, 0] = complex(-0.0, math.nan)
+    amps[5, 1] = complex(math.inf, 1e-300)
+    s = WalkerState(amps)
+    rows = state_table(s)
+    assert {type(x) for row in rows for x in row} == {int, float}
+    # numpy scalars, as the rows used to hold, take the per-cell path
+    numpy_rows = [[x, a.real, a.imag, b.real, b.imag, p]
+                  for x, (a, b), p in zip(s.sites, s.amps, s.site_probabilities())]
+    texts = [[io._fmt_cell(x) for x in row] for row in numpy_rows]
+    written = []
+    for name, table in (("plain", rows), ("numpy", numpy_rows), ("text", texts)):
+        io.write_csv(tmp_path / name, STATE_CSV_HEADER, table)
+        written.append((tmp_path / name).read_bytes())
+    assert written[0] == written[1] == written[2]
+    assert b",nan," in written[0] and b",-0.0," in written[0] and b",inf," in written[0]
