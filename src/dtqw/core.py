@@ -94,6 +94,13 @@ class CoinParams:
         """True iff theta is neither 0 nor pi (both quasienergy gaps open)."""
         return bool(gapped(self.theta))
 
+    @property
+    def has_fixed_frames(self) -> bool:
+        """True iff alpha = beta = 0 (to 1e-12).  Only then do the frame
+        rotations V1 and V2 have fixed chiral planes, so the time-shifted walks
+        and the frame windings are defined for these coins alone."""
+        return abs(self.alpha) <= 1e-12 and abs(self.beta) <= 1e-12
+
     def family(self) -> tuple[float, float, float]:
         """The (delta, alpha, beta) triple shared by a one-parameter theta family."""
         return (self.delta, self.alpha, self.beta)

@@ -9,22 +9,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-import math
 import os
-
-
-# Cells of these exact types go to csv.writer as they are: it writes str(x),
-# which is repr(x) for a float ("nan" for NaN), the same text _fmt_cell gives.
-_PLAIN_CELLS = frozenset((int, float, str))
-
-
-def _fmt_cell(x) -> str:
-    if isinstance(x, float):
-        x = float(x)  # numpy scalars repr verbosely; plain float round-trips
-        if math.isnan(x):
-            return "nan"
-        return repr(x)
-    return str(x)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -37,14 +22,16 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """RFC-4180-style CSV with a header row and '.' decimal separator."""
+    """RFC-4180-style CSV with a header row and '.' decimal separator.
+
+    Cells are plain Python int, float or str: the writer gives repr(x) for a
+    float, which round-trips ("nan" for NaN).  numpy scalars would repr
+    verbosely, so the table builders convert them first.
+    """
     buf = _io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for row in rows:
-        if not _PLAIN_CELLS.issuperset(map(type, row)):
-            row = [_fmt_cell(x) for x in row]
-        writer.writerow(row)
+    writer.writerows(rows)
     atomic_write_text(path, buf.getvalue())
 
 

@@ -320,12 +320,17 @@ def sublattice_blocks(u: WalkOperator) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return mat, blocks[:, 1, :, :, 0].reshape(n, n), blocks[:, 0, :, :, 1].reshape(n, n)
 
 
-def eigenvalues(u: WalkOperator) -> np.ndarray:
-    """The 2N eigenvalues +/- sqrt(lambda) of U, lambda those of the N x N block
-    BA of U^2 (sublattice_blocks)."""
-    _, a, b = sublattice_blocks(u)
-    mu = np.sqrt(np.linalg.eigvals(b @ a))
+def _paired_roots(lam: np.ndarray) -> np.ndarray:
+    """The 2N eigenvalues +/- sqrt(lambda) of U, given the N eigenvalues of BA."""
+    mu = np.sqrt(lam)
     return np.concatenate([mu, -mu])
+
+
+def eigenvalues(u: WalkOperator) -> np.ndarray:
+    """The 2N eigenvalues of U, from those of the N x N block BA of U^2
+    (sublattice_blocks)."""
+    _, a, b = sublattice_blocks(u)
+    return _paired_roots(np.linalg.eigvals(b @ a))
 
 
 def diagonalize(u: WalkOperator) -> SpectralData:
@@ -340,8 +345,7 @@ def diagonalize(u: WalkOperator) -> SpectralData:
     """
     mat, a, b = sublattice_blocks(u)
     t, z = scipy.linalg.schur(b @ a, output="complex")
-    mu = np.sqrt(np.diag(t))
-    eigvals = np.concatenate([mu, -mu])
+    eigvals = _paired_roots(np.diag(t))
     n = u.n_sites
     z = np.concatenate([z, z], axis=1)
     even = z.reshape(n // 2, 2, 2 * n)

@@ -137,7 +137,7 @@ def timeshift_walk(p: CoinParams, variant, n_sites: int) -> WalkOperator:
     the coin in half around the shift, V2 asymmetrically.  Both share the plain
     walk's spectrum.
     """
-    if abs(p.alpha) > 1e-12 or abs(p.beta) > 1e-12:
+    if not p.has_fixed_frames:
         raise UnsupportedParams("time-shifted products are defined for alpha = beta = 0")
     if abs(p.theta) < 1e-12:
         raise UnsupportedParams("theta = 0 has no sign; time-shifted split undefined")
@@ -210,7 +210,7 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
         reports.append(SymmetryReport("CS", res, RESIDUAL_TOL, res < RESIDUAL_TOL,
                                       "spectral", _context(p, k_samples=list(ks))))
 
-    if abs(p.alpha) <= 1e-12 and abs(p.beta) <= 1e-12 and abs(p.theta) > 1e-12:
+    if p.has_fixed_frames and abs(p.theta) > 1e-12:
         u1 = timeshift_walk(p, FrameVariant.V1, n_sites)
         v1 = frame_conjugated_walk(p, FrameVariant.V1, n_sites)
         res, _ = operator_norm(u1.dense() - v1)

@@ -252,7 +252,7 @@ def rotated_winding(p: CoinParams, variant: FrameVariant, grid_size: int = DEFAU
     _require_gapped(p)
     if variant is FrameVariant.IDENTITY:
         raise ValueError("the identity frame has no chiral axis")
-    if abs(p.alpha) > 1e-12 or abs(p.beta) > 1e-12:
+    if not p.has_fixed_frames:
         raise UnsupportedParams("frame windings are defined for alpha = beta = 0")
     rot = frame_so3(variant, p.theta)
     e_u, e_w = rot[1:] if variant is FrameVariant.V1 else rot[:2]

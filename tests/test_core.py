@@ -41,6 +41,13 @@ def test_coin_params_normalized_and_gapped():
     assert CoinParams(0, 0, 0, -0.9).with_theta(0.4).theta == pytest.approx(0.4)
 
 
+def test_fixed_frames_only_for_alpha_beta_zero():
+    assert CoinParams(0.7, 0, 0, 0.3).has_fixed_frames
+    assert CoinParams(0.7, 2 * math.pi, -1e-13, 0.3).has_fixed_frames
+    assert not CoinParams(0, 1e-9, 0, 0.3).has_fixed_frames
+    assert not CoinParams(0, 0, -0.2, 0.3).has_fixed_frames
+
+
 def test_coin_matrix_identity_and_quarter_turn():
     assert np.allclose(coin_matrix(CoinParams(0, 0, 0, 0)), ID2, atol=ALGEBRA_TOL)
     expected = np.array([[0, 1], [-1, 0]], dtype=complex)

@@ -12,7 +12,6 @@ import math
 import numpy as np
 import pytest
 
-from dtqw import io
 from dtqw.cli import SWEEP_CSV_HEADER, _sweep_row, main
 from dtqw.core import CoinParams, pauli_decompose
 from dtqw.errors import CurveHitsAxis, GaplessParameters, GridTooCoarse
@@ -46,7 +45,8 @@ def _reference_row(p: CoinParams, grid: int) -> list:
 
 
 def _cells(row: list) -> list[str]:
-    return [io._fmt_cell(x) for x in row]
+    """The CSV text of each cell: repr of the float value, str otherwise."""
+    return [repr(float(x)) if isinstance(x, float) else str(x) for x in row]
 
 
 def _families(seed: int, count: int):
