@@ -4,9 +4,6 @@ from .core import (
     CoinParams,
     PhsOperator,
     coin_matrix,
-    gauge_unitary_w,
-    is_special_unitary,
-    is_unitary,
     pauli_compose,
     pauli_decompose,
     phs_operator,
@@ -33,7 +30,6 @@ from .lattice import (
     build_walk,
     diagonalize,
     evolve,
-    localization_report,
 )
 from .momentum import (
     BandStructure,
@@ -67,7 +63,6 @@ from .topology import (
     predicted_edge_states,
     rel_homotopic,
     rel_homotopy_invariant,
-    retract,
     rotated_winding,
     winding_mt,
 )

@@ -23,14 +23,14 @@ from .edge import (
     eigen_residual,
     experiment_json_dict,
 )
-from .errors import NumericalContractError, UnsupportedParams, ValidationError
+from .errors import NumericalContractError, ValidationError
 from .lattice import (
     STATE_CSV_HEADER,
     TRAJECTORY_CSV_HEADER,
     state_table,
     trajectory_table,
 )
-from .momentum import BAND_CSV_HEADER, band_structure, band_table, gap_report
+from .momentum import BAND_CSV_HEADER, DEFAULT_GRID, band_structure, band_table, gap_report
 from .symmetry import reports_json, run_symmetry_suite
 from .topology import (
     BZ_IMAGE_CSV_HEADER,
@@ -57,6 +57,10 @@ _CASES = {
     "overlap-one": InitialStateCase.OVERLAP_ONE,
     "overlap-both": InitialStateCase.OVERLAP_BOTH,
 }
+
+# A sweep of more points is refused: 1000 times the largest sweep in use, and
+# a bound on the memory the rows take.
+MAX_SWEEP_POINTS = 10**7
 
 SWEEP_CSV_HEADER = ["theta", "gap_delta", "gap_delta_plus_pi", "winding",
                     "pole_k0", "pole_k1", "phase_label"]
@@ -90,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("band", help="band structure CSV plus gap report")
     p.add_argument("--theta", type=float, required=True)
     _family_flags(p)
-    p.add_argument("--grid", type=int, default=512)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     _common_flags(p)
     p.set_defaults(func=cmd_band)
 
@@ -98,14 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     _family_flags(p)
     p.add_argument("--frame", choices=sorted(_FRAMES), default="identity")
-    p.add_argument("--grid", type=int, default=512)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     _common_flags(p)
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("winding", help="winding numbers of the image curve")
     p.add_argument("--theta", type=float, required=True)
     _family_flags(p)
-    p.add_argument("--grid", type=int, default=512)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     _common_flags(p)
     p.set_defaults(func=cmd_winding)
 
@@ -114,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta1", type=float)
     p.add_argument("--theta2", type=float)
     _family_flags(p)
-    p.add_argument("--grid", type=int, default=512)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     _common_flags(p)
     p.set_defaults(func=cmd_invariant)
 
@@ -148,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-max", type=float, required=True)
     p.add_argument("--theta-step", type=float, required=True)
     _family_flags(p)
-    p.add_argument("--grid", type=int, default=512)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     _common_flags(p)
     p.set_defaults(func=cmd_sweep)
     return parser
@@ -169,8 +173,6 @@ def _validate(args: argparse.Namespace) -> list[str]:
     problems = []
     if getattr(args, "grid", 8) < 8:
         problems.append("--grid must be at least 8")
-    if getattr(args, "steps", 0) < 0:
-        problems.append("--steps must be nonnegative")
     ring = getattr(args, "ring_size", None)
     if ring is not None and (ring < 4 or ring % 2):
         problems.append("--ring-size must be even and at least 4")
@@ -237,10 +239,7 @@ def cmd_map(args) -> int:
 def _frame_winding(p: CoinParams, variant: FrameVariant, grid: int) -> int | None:
     """rotated_winding, or None (JSON null) for a coin whose frames have no
     fixed chiral plane (alpha or beta nonzero)."""
-    try:
-        return rotated_winding(p, variant, grid_size=grid)
-    except UnsupportedParams:
-        return None
+    return rotated_winding(p, variant, grid_size=grid) if p.has_fixed_frames else None
 
 
 def cmd_winding(args) -> int:
@@ -288,13 +287,12 @@ def cmd_symmetry(args) -> int:
 def cmd_edge(args) -> int:
     spec = InterfaceSpec(args.delta, args.alpha, args.beta,
                          args.theta1, args.theta2, args.ring_size)
-    u = spec.walk()
     result = {"norm_constant": None, "states": []}
     states = []
     for eta, tag in ((0.0, "eta0"), (math.pi, "eta_pi")):
         e = analytic_edge_state(spec, eta)
         states.append(e)
-        residual, omega = eigen_residual(u, e)
+        residual, omega = eigen_residual(e)
         _write_table(args, f"edge_{tag}", STATE_CSV_HEADER, state_table(e.state))
         result["norm_constant"] = e.norm_constant
         result["states"].append({
@@ -331,7 +329,11 @@ def _sweep_row(sweep: SweepResult, i: int) -> list:
 
 
 def cmd_sweep(args) -> int:
-    count = int(math.floor((args.theta_max - args.theta_min) / args.theta_step + 1e-9)) + 1
+    span = (args.theta_max - args.theta_min) / args.theta_step + 1e-9
+    if not span < MAX_SWEEP_POINTS:  # also an infinite span
+        raise ValidationError(f"--theta-step {args.theta_step} asks for {span + 1:.6g} sweep "
+                              f"points, more than {MAX_SWEEP_POINTS}")
+    count = int(math.floor(span)) + 1
     thetas = [args.theta_min + i * args.theta_step for i in range(count)]
     family = CoinParams(args.delta, args.alpha, args.beta, 0.0)  # its theta is not used
     sweep = classify_sweep(family, thetas, args.grid)
@@ -357,7 +359,7 @@ def main(argv=None) -> int:
     except NumericalContractError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:  # ValidationError among them
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -6,8 +6,8 @@ The coin family used throughout the package is the four-angle U(2) matrix
         exp(-i*delta) * [[cos(theta)*e^{i*alpha},  sin(theta)*e^{i*(alpha+beta)}],
                          [-sin(theta)*e^{-i*(alpha+beta)}, cos(theta)*e^{-i*alpha}]]
 
-together with the Pauli decomposition of 2x2 matrices and the gauge
-unitaries that map a complex coin onto the real-coin walk.
+together with the Pauli decomposition of 2x2 matrices and the
+particle-hole operator.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncommensurateAlpha
+from .errors import ValidationError
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -25,9 +25,8 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
-# Default tolerances: pure 2x2 algebra vs dense operator identities.
+# Tolerance of the pure 2x2 algebra identities.
 ALGEBRA_TOL = 1e-14
-OPERATOR_TOL = 1e-12
 
 # The one gap threshold.  A coin is gapped iff |sin theta| exceeds it.  Since
 # sin(omega_k) = hypot(sin theta, cos theta sin(k - alpha)) >= |sin theta|, the
@@ -43,10 +42,10 @@ def wrap_angle(x: float) -> float:
     returned unchanged (-0.0 as 0.0), and -pi maps to pi.
 
     fmod is exact, and so is the one correction by 2*pi (both operands lie
-    within a factor of two of each other).  Raises ValueError for inf and nan.
+    within a factor of two of each other).  Raises ValidationError for inf and nan.
     """
     if not math.isfinite(x):
-        raise ValueError(f"angle {x} is not finite")
+        raise ValidationError(f"angle {x} is not finite")
     y = math.fmod(x, _TWO_PI)
     if y > math.pi:
         return y - _TWO_PI
@@ -132,15 +131,6 @@ def coin_matrix(p: CoinParams) -> np.ndarray:
     return coin_matrices(p.delta, p.alpha, p.beta, p.theta)
 
 
-def is_unitary(m: np.ndarray, tol: float = OPERATOR_TOL) -> bool:
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) < tol)
-
-
-def is_special_unitary(m: np.ndarray, tol: float = OPERATOR_TOL) -> bool:
-    return is_unitary(m, tol) and bool(abs(np.linalg.det(m) - 1.0) < tol)
-
-
 def pauli_decompose(m: np.ndarray) -> tuple[complex, np.ndarray]:
     """Write a 2x2 matrix as c0*I + c . sigma.
 
@@ -157,18 +147,6 @@ def pauli_compose(c0: complex, c: np.ndarray) -> np.ndarray:
     """Inverse of :func:`pauli_decompose`."""
     c = np.asarray(c, dtype=complex)
     return c0 * ID2 + c[0] * SIGMA_X + c[1] * SIGMA_Y + c[2] * SIGMA_Z
-
-
-def gauge_unitary_w(alpha: float, beta: float, x: int) -> tuple[complex, np.ndarray]:
-    """Site factor of the gauge unitary W at position x.
-
-    W acts as the position-dependent phase exp(i*alpha*x) times the coin
-    factor diag(1, exp(-i*beta)); conjugating the (delta, 0, 0, theta) walk
-    by W produces the (delta, alpha, beta, theta) walk.
-    """
-    phase = complex(np.exp(1j * alpha * x))
-    coin_part = np.array([[1.0, 0.0], [0.0, np.exp(-1j * beta)]], dtype=complex)
-    return phase, coin_part
 
 
 def is_commensurate(alpha: float, n_sites: int, tol: float = 1e-9) -> bool:
@@ -205,9 +183,9 @@ class PhsOperator:
 
     def check_commensurate(self, n_sites: int, tol: float = 1e-9) -> None:
         if not is_commensurate(self.alpha, n_sites, tol):
-            raise IncommensurateAlpha(
-                f"alpha = {self.alpha} is not a multiple of 2*pi/{n_sites}; "
-                "the gauge phase is not single-valued on this ring"
+            raise ValidationError(
+                f"incommensurate alpha = {self.alpha}: not a multiple of 2*pi/{n_sites}, "
+                "so the gauge phase is not single-valued on this ring"
             )
 
 

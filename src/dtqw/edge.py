@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .core import CoinParams, wrap_angle
-from .errors import DimensionMismatch, RingTooSmall, SpecMismatch, UnsupportedParams
+from .errors import ValidationError
 from .lattice import (
     ThetaProfile,
     Trajectory,
@@ -63,17 +63,14 @@ class InterfaceSpec:
         for name in ("delta", "alpha", "beta", "theta1", "theta2"):
             object.__setattr__(self, name, wrap_angle(float(getattr(self, name))))
         if not (-math.pi < self.theta1 < 0.0):
-            raise UnsupportedParams("theta1 must lie in (-pi, 0)")
+            raise ValidationError(f"theta1 = {self.theta1} must lie in (-pi, 0)")
         if not (0.0 < self.theta2 < math.pi):
-            raise UnsupportedParams("theta2 must lie in (0, pi)")
+            raise ValidationError(f"theta2 = {self.theta2} must lie in (0, pi)")
         if self.n_sites % 2 or self.n_sites < 4:
-            raise UnsupportedParams("ring size must be even and at least 4")
+            raise ValidationError(f"ring size must be even and at least 4, got {self.n_sites}")
 
     def profile(self) -> ThetaProfile:
         return ThetaProfile.sharp_interface(self.theta1, self.theta2, self.n_sites)
-
-    def left_params(self) -> CoinParams:
-        return CoinParams(self.delta, self.alpha, self.beta, self.theta1)
 
     def right_params(self) -> CoinParams:
         return CoinParams(self.delta, self.alpha, self.beta, self.theta2)
@@ -115,13 +112,14 @@ def analytic_edge_state(spec: InterfaceSpec, eta: float) -> EdgeState:
     """
     eta = wrap_angle(eta)
     if not (abs(eta) < 1e-12 or abs(eta - math.pi) < 1e-12):
-        raise ValueError("eta must be 0 or pi")
+        raise ValidationError(f"eta = {eta} must be 0 or pi")
     a1 = decay_constant(spec.alpha, spec.theta1)
     a2 = decay_constant(spec.alpha, spec.theta2)
     q1 = 1.0 / a1  # |q1| < 1: stable left-side ratio
     n = spec.n_sites
     if abs(a2) ** n >= TRUNCATION_EPS or abs(q1) ** n >= TRUNCATION_EPS:
-        raise RingTooSmall("geometric tails overlap the wrap-around wall")
+        raise ValidationError(f"ring of {n} sites too small: the geometric tails "
+                              "overlap the wrap-around wall")
 
     x = ring_sites(n)
     right = x >= 0
@@ -141,25 +139,15 @@ def analytic_edge_state(spec: InterfaceSpec, eta: float) -> EdgeState:
     return EdgeState(eta, WalkerState(amps), (a1, a2), norm_constant, spec)
 
 
-def eigen_residual(u: WalkOperator, e: EdgeState) -> tuple[float, float]:
-    """(|| U psi - exp(-i w) psi ||, w) with w from the Rayleigh quotient.
+def eigen_residual(e: EdgeState) -> tuple[float, float]:
+    """(|| U psi - exp(-i w) psi ||, w) for the walk U of the state's interface,
+    with w from the Rayleigh quotient.
 
     The residual is limited by the second wall on the ring, so it shrinks
     exponentially as the ring grows.
     """
-    spec = e.spec
-    if (
-        u.form != "walk"
-        or u.n_sites != spec.n_sites
-        or any(
-            abs(wrap_angle(a - b)) > 1e-12
-            for a, b in ((u.delta, spec.delta), (u.alpha, spec.alpha), (u.beta, spec.beta))
-        )
-        or not np.allclose(u.profile.thetas, spec.profile().thetas, atol=1e-12)
-    ):
-        raise SpecMismatch("walk operator was not built from this interface")
     psi = e.state.amps
-    upsi = u.apply(e.state).amps
+    upsi = e.spec.walk().apply(e.state).amps
     z = complex(np.vdot(psi, upsi))
     omega = wrap_angle(-np.angle(z))
     residual = float(np.linalg.norm(upsi - np.exp(-1j * omega) * psi))
@@ -170,7 +158,8 @@ def overlap_decomposition(s: WalkerState, edges: list[EdgeState]) -> tuple[np.nd
     """Projections <edge_i | s> and the norm of what is left after removing them."""
     for e in edges:
         if e.state.n_sites != s.n_sites:
-            raise DimensionMismatch("states live on different rings")
+            raise ValidationError(f"states live on rings of {e.state.n_sites} and "
+                                  f"{s.n_sites} sites")
     projections = np.array([e.state.overlap(s) for e in edges], dtype=complex)
     rest = s.amps.copy()
     for proj, e in zip(projections, edges):
@@ -244,12 +233,12 @@ def dynamics_experiment(spec: InterfaceSpec, case: InitialStateCase, steps: int,
     within the run (speed is at most one site per step).
     """
     if steps < MIN_STEPS:
-        raise ValueError(f"steps = {steps}: the experiment needs at least {MIN_STEPS} steps")
+        raise ValidationError(f"steps = {steps}: the experiment needs at least {MIN_STEPS} steps")
     window_width = 2 * window_halfwidth + 1
     if spec.n_sites < 2 * steps + window_width:
-        raise RingTooSmall(
-            f"need n_sites >= {2 * steps + window_width} to keep wavefronts "
-            "from wrapping into the window"
+        raise ValidationError(
+            f"ring of {spec.n_sites} sites too small: need n_sites >= "
+            f"{2 * steps + window_width} to keep wavefronts from wrapping into the window"
         )
     state, edges = initial_state(spec, case)
     projections, _ = overlap_decomposition(state, edges)

@@ -1,77 +1,20 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+One class per way a run can fail, matching the CLI's exit codes: a
+ValidationError (exit 2) for inputs outside an operation's domain, a
+NumericalContractError (exit 3) for a computed quantity that broke a
+guarantee.  The message says which rule was broken and names the offending
+value.
+"""
 
 
 class WalkError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ValidationError(WalkError):
+class ValidationError(WalkError, ValueError):
     """Inputs are outside the documented domain of an operation."""
 
 
 class NumericalContractError(WalkError):
     """A computed quantity violated an internal numerical guarantee."""
-
-
-class DegeneratePoint(ValidationError):
-    """Bloch vector requested at a momentum where the gap closes."""
-
-
-class GaplessParameters(ValidationError):
-    """Topological quantities requested for a gapless coin angle."""
-
-
-class OnExcludedCircle(ValidationError):
-    """Vector has no well-defined retraction angle (zero in-plane projection)."""
-
-
-class CurveHitsAxis(ValidationError):
-    """A projected image curve passes through the chosen winding axis."""
-
-
-class GridTooCoarse(NumericalContractError):
-    """Momentum grid cannot resolve the phase increments of a winding."""
-
-
-class PoleMismatch(NumericalContractError):
-    """Image at a special momentum failed to land on a pole."""
-
-
-class MixedFamilies(ValidationError):
-    """Operation requires coin parameters sharing (delta, alpha, beta)."""
-
-
-class UndefinedSign(ValidationError):
-    """Frame rotation depends on sgn(theta), undefined at theta = 0."""
-
-
-class OddRing(ValidationError):
-    """Ring size must be even (bipartite sublattice structure)."""
-
-
-class IncommensurateAlpha(ValidationError):
-    """Gauge phase exp(i*alpha*x) is not single-valued on this ring."""
-
-
-class BetaNonzero(ValidationError):
-    """Operation is only defined for beta = 0 coins."""
-
-
-class UnsupportedParams(ValidationError):
-    """Coin parameters outside the domain of this construction."""
-
-
-class DimensionMismatch(ValidationError):
-    """Operands live on rings of different sizes."""
-
-
-class TooLarge(ValidationError):
-    """Dense linear algebra requested beyond the supported size cap."""
-
-
-class RingTooSmall(ValidationError):
-    """Ring too short for the requested truncation or evolution horizon."""
-
-
-class SpecMismatch(ValidationError):
-    """Walk operator does not match the interface description it is tested against."""

@@ -50,10 +50,7 @@ def json_complex(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def sidecar_path(path) -> str:
-    return os.fspath(path) + ".meta.json"
-
-
 def write_sidecar(path, config: dict, version: str) -> None:
     """Reproducibility sidecar: tool version plus the full config echo."""
-    write_json(sidecar_path(path), {"tool": "dtqw", "version": version, "config": config})
+    write_json(os.fspath(path) + ".meta.json",
+               {"tool": "dtqw", "version": version, "config": config})

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import CoinParams, coin_matrices, wrap_angles
-from .errors import DimensionMismatch, NumericalContractError, OddRing, TooLarge
+from .errors import NumericalContractError, ValidationError
 
 # Dense materialization / eigensolve cap (2N x 2N matrices).
 DENSE_CAP = 512
@@ -30,14 +30,15 @@ def ring_sites(n_sites: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class ThetaProfile:
-    """Per-site coin angles theta_x on an even-length ring."""
+    """Per-site coin angles theta_x on a ring; the one check of ring size."""
 
     thetas: np.ndarray
 
     def __post_init__(self):
         self.thetas = np.asarray(self.thetas, dtype=float).copy()
-        if self.thetas.ndim != 1 or self.n_sites < 2 or self.n_sites % 2:
-            raise OddRing("profile length must be even and at least 2")
+        if self.thetas.ndim != 1 or self.n_sites < 4 or self.n_sites % 2:
+            raise ValidationError("ring size must be even and at least 4, got thetas "
+                                  f"of shape {self.thetas.shape}")
         self.thetas.setflags(write=False)
 
     @property
@@ -58,10 +59,6 @@ class ThetaProfile:
         thetas = np.where(ring_sites(n_sites) < 0, float(theta1), float(theta2))
         return cls(thetas)
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return bool(np.all(self.thetas == self.thetas[0]))
-
 
 @dataclass(eq=False)
 class WalkerState:
@@ -72,7 +69,7 @@ class WalkerState:
     def __post_init__(self):
         self.amps = np.asarray(self.amps, dtype=complex).copy()
         if self.amps.ndim != 2 or self.amps.shape[1] != 2:
-            raise DimensionMismatch("amplitudes must have shape (n_sites, 2)")
+            raise ValidationError(f"amplitudes of shape {self.amps.shape}, not (n_sites, 2)")
         self.amps.setflags(write=False)
 
     @property
@@ -85,32 +82,25 @@ class WalkerState:
 
     @classmethod
     def localized(cls, n_sites: int, x: int, spinor=(1.0, 0.0)) -> "WalkerState":
+        half = n_sites // 2
+        if not -half <= x < half:
+            raise ValidationError(f"site x = {x} is outside the ring's labels [{-half}, {half})")
         amps = np.zeros((n_sites, 2), dtype=complex)
-        amps[x + n_sites // 2] = np.asarray(spinor, dtype=complex)
-        state = cls(amps)
-        return state.normalized()
+        amps[x + half] = np.asarray(spinor, dtype=complex)
+        return cls(amps / np.linalg.norm(amps))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def normalized(self) -> "WalkerState":
-        return WalkerState(self.amps / self.norm())
-
     def overlap(self, other: "WalkerState") -> complex:
         """<self|other>."""
         if other.n_sites != self.n_sites:
-            raise DimensionMismatch("states live on different rings")
+            raise ValidationError(f"states live on rings of {self.n_sites} and "
+                                  f"{other.n_sites} sites")
         return complex(np.vdot(self.amps, other.amps))
 
     def site_probabilities(self) -> np.ndarray:
         return np.sum(np.abs(self.amps) ** 2, axis=1)
-
-    def translated(self, shift: int) -> "WalkerState":
-        return WalkerState(np.roll(self.amps, shift, axis=0))
-
-    def flat(self) -> np.ndarray:
-        """Amplitudes flattened site-major: index 2*i + coin."""
-        return self.amps.reshape(-1)
 
 
 # The coin-conditioned shift layer of a walk; every other layer is a
@@ -129,9 +119,7 @@ def _shift(amps: np.ndarray) -> np.ndarray:
 class WalkOperator:
     """Unitary one-step operator on the ring: its layers, in application order.
 
-    ``layers`` holds per-site coin arrays and the SHIFT marker.  ``form``
-    distinguishes the plain coin-then-shift walk from rearranged
-    (time-shifted) products that share its spectrum.
+    ``layers`` holds per-site coin arrays and the SHIFT marker.
     """
 
     delta: float
@@ -139,7 +127,6 @@ class WalkOperator:
     beta: float
     profile: ThetaProfile
     layers: tuple = field(repr=False)
-    form: str = "walk"
 
     @property
     def n_sites(self) -> int:
@@ -163,14 +150,15 @@ class WalkOperator:
 
     def apply(self, s: WalkerState) -> WalkerState:
         if s.n_sites != self.n_sites:
-            raise DimensionMismatch("state ring size does not match the operator")
+            raise ValidationError(f"state ring of {s.n_sites} sites, walk of {self.n_sites}")
         return WalkerState(self.apply_array(s.amps))
 
     def dense(self) -> np.ndarray:
         """Materialize the 2N x 2N matrix (site-major index 2*i + coin): the
         step applied to each basis vector, O(N^2)."""
         if self.n_sites > DENSE_CAP:
-            raise TooLarge(f"dense() capped at {DENSE_CAP} sites")
+            raise ValidationError(f"dense() of {self.n_sites} sites is too large: "
+                                  f"capped at {DENSE_CAP}")
         n = self.n_sites
         basis = np.eye(2 * n, dtype=complex).reshape(n, 2, 2 * n)
         return self.apply_array(basis).reshape(2 * n, 2 * n)
@@ -190,15 +178,11 @@ def build_walk(p: CoinParams, profile: ThetaProfile | None = None,
     """
     if profile is None:
         if n_sites is None:
-            raise ValueError("need either a profile or n_sites")
+            raise ValidationError("need either a profile or n_sites")
         profile = ThetaProfile.homogeneous(p.theta, n_sites)
     elif n_sites is not None and n_sites != profile.n_sites:
-        raise DimensionMismatch("n_sites disagrees with the profile length")
-    n = profile.n_sites
-    if n % 2:
-        raise OddRing("ring size must be even")
-    if n < 4:
-        raise ValueError("ring size must be at least 4")
+        raise ValidationError(f"n_sites = {n_sites} disagrees with the profile "
+                              f"length {profile.n_sites}")
     coins = site_coins(p.delta, p.alpha, p.beta, profile)
     return WalkOperator(p.delta, p.alpha, p.beta, profile, layers=(coins, SHIFT))
 
@@ -245,9 +229,9 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
     """Evolve ``steps`` steps, recording window probability, mean position and
     spread every step, and state snapshots every ``record_every`` steps."""
     if steps < 0:
-        raise ValueError("steps must be nonnegative")
+        raise ValidationError(f"steps = {steps} must be nonnegative")
     if s0.n_sites != u.n_sites:
-        raise DimensionMismatch("state ring size does not match the operator")
+        raise ValidationError(f"state ring of {s0.n_sites} sites, walk of {u.n_sites}")
     labels = window_sites(window_center, window_halfwidth, u.n_sites)
     win = labels + u.n_sites // 2
     signs = 1.0 - 2.0 * (labels & 1)
@@ -290,9 +274,6 @@ class SpectralData:
     @property
     def n_sites(self) -> int:
         return self.vectors.shape[0] // 2
-
-    def state(self, i: int) -> WalkerState:
-        return WalkerState(self.vectors[:, i].reshape(-1, 2))
 
     def site_probabilities(self) -> np.ndarray:
         """Per-eigenvector site probability distributions, shape (2N, n_sites)."""
@@ -361,24 +342,6 @@ def diagonalize(u: WalkOperator) -> SpectralData:
     probs = np.sum(np.abs(vectors.reshape(n, 2, -1)) ** 2, axis=1)
     ipr = np.sum(probs**2, axis=0)
     return SpectralData(omega, vectors, ipr, residual)
-
-
-def localization_report(spectral: SpectralData, window) -> list[tuple[float, float, float]]:
-    """(eigenphase, probability weight in window, participation ratio) per
-    eigenvector, sorted by weight, heaviest first.
-
-    ``window`` is an iterable of site labels.
-    """
-    n = spectral.n_sites
-    idx = np.asarray([(int(x) + n // 2) % n for x in window], dtype=int)
-    probs = spectral.site_probabilities()
-    weights = np.sum(probs[:, idx], axis=1)
-    rows = [
-        (float(w), float(wt), float(ipr))
-        for w, wt, ipr in zip(spectral.eigenphases, weights, spectral.participation_ratios)
-    ]
-    rows.sort(key=lambda r: -r[1])
-    return rows
 
 
 STATE_CSV_HEADER = ["x", "re_a", "im_a", "re_b", "im_b", "prob"]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import (GAP_EPS, ID2, CoinParams, coin_matrix, gapped, pauli_compose, wrap_angle,
                    wrap_angles)
-from .errors import DegeneratePoint
+from .errors import ValidationError
 
 DEFAULT_GRID = 512
 
@@ -106,17 +106,18 @@ def bloch_vectors(p: CoinParams, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _bloch_point(p: CoinParams, k: float) -> tuple[np.ndarray, float]:
-    """(n_k, sin omega_k); raises DegeneratePoint where the gap closes."""
+    """(n_k, sin omega_k); raises ValidationError where the gap closes."""
     n, sin_w, degenerate = bloch_vectors(p, [float(k)])
     if degenerate[0]:
-        raise DegeneratePoint(f"Bloch vector undefined at k = {k} (omega in {{0, pi}})")
+        raise ValidationError(f"degenerate point: Bloch vector undefined at k = {k}, "
+                              f"theta = {p.theta} (omega in {{0, pi}})")
     return n[0], float(sin_w[0])
 
 
 def bloch_vector(p: CoinParams, k: float) -> np.ndarray:
     """Unit Bloch vector n_k.
 
-    Raises DegeneratePoint at momenta where the gap closes (sin omega_k ~ 0).
+    Raises ValidationError at momenta where the gap closes (sin omega_k ~ 0).
     """
     return _bloch_point(p, k)[0]
 
@@ -207,7 +208,7 @@ def band_structure(p: CoinParams, grid_size: int = DEFAULT_GRID, thetas=None) ->
     parameters can still be tabulated.
     """
     if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
+        raise ValidationError(f"grid_size must be at least 8, got {grid_size}")
     ks, trig = _family_grid(p.alpha, p.beta, grid_size)
     block = np.atleast_1d(np.asarray(p.theta if thetas is None else thetas, dtype=float))
     omega = _omega(block[:, None], trig.cos_a)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ID2, CoinParams, coin_matrices, pauli_compose, phs_operator, wrap_angle
-from .errors import BetaNonzero, OddRing, UnsupportedParams
+from .errors import ValidationError
 from .lattice import SHIFT, ThetaProfile, WalkOperator, build_walk, eigenvalues, ring_sites
 from .momentum import bloch_hamiltonian, bloch_vectors
 from .topology import FrameVariant, frame_angle, frame_rotation, frame_so3, manifold_frame
@@ -36,11 +36,16 @@ RESIDUAL_TOL = 1e-12
 SPECTRUM_TOL = 1e-10
 
 
-def operator_norm(m: np.ndarray) -> tuple[float, str]:
-    """(norm, kind): max singular value for small matrices, max entry beyond."""
-    if m.shape[0] <= SPECTRAL_NORM_CAP:
-        return float(np.linalg.norm(m, 2)), "spectral"
-    return float(np.max(np.abs(m))), "max-entry"
+def norm_kind(dim: int) -> str:
+    """The norm operator_norm takes of a dim x dim matrix."""
+    return "spectral" if dim <= SPECTRAL_NORM_CAP else "max-entry"
+
+
+def operator_norm(m: np.ndarray) -> float:
+    """Max singular value for small matrices, max entry beyond (norm_kind)."""
+    if norm_kind(m.shape[0]) == "spectral":
+        return float(np.linalg.norm(m, 2))
+    return float(np.max(np.abs(m)))
 
 
 @dataclass(frozen=True)
@@ -61,12 +66,9 @@ def sublattice_residual(u: WalkOperator) -> float:
     Vanishes for every theta profile: a single step only couples neighboring
     sites, which alternate sign.
     """
-    if u.n_sites % 2:
-        raise OddRing("alternating site signs need an even ring")
     mat = u.dense()
     signs = np.repeat(1 - 2 * (ring_sites(u.n_sites) & 1), 2)
-    res, _ = operator_norm(signs[:, None] * mat * signs[None, :] + mat)
-    return res
+    return operator_norm(signs[:, None] * mat * signs[None, :] + mat)
 
 
 def phs_residual(u: WalkOperator, p: CoinParams | None = None) -> tuple[float, complex]:
@@ -86,15 +88,14 @@ def phs_residual(u: WalkOperator, p: CoinParams | None = None) -> tuple[float, c
     conjugated = d[:, None] * mat.conj() * d.conj()[None, :]
     inner = complex(np.vdot(mat, conjugated))
     lam = inner / abs(inner) if abs(inner) > 0 else 1.0 + 0j
-    res, _ = operator_norm(conjugated - lam * mat)
-    return res, complex(lam)
+    return operator_norm(conjugated - lam * mat), complex(lam)
 
 
 def parity_residual_bloch(p: CoinParams, k: float) -> float:
     """|| P H_k P^-1 - H_{2 alpha - k} || with P = i n_beta . sigma.
 
     At the special momenta k = alpha + j*pi this reduces to a commutator.
-    Raises DegeneratePoint if the gap closes at either momentum.
+    Raises ValidationError if the gap closes at either momentum.
     """
     k_mirror = wrap_angle(2.0 * p.alpha - k)
     par = 1j * pauli_compose(0, manifold_frame(p.beta).n_beta)
@@ -123,7 +124,7 @@ def chiral_residual(p: CoinParams, k: float) -> float:
     with everything and would fail anticommutation trivially for delta != 0.
     """
     if abs(p.beta) > 1e-12:
-        raise BetaNonzero("chiral relation holds only for beta = 0 coins")
+        raise ValidationError(f"chiral relation holds only for beta = 0, got beta = {p.beta}")
     gamma = chiral_operator(p.theta)
     h0 = bloch_hamiltonian(p, k) - p.delta * ID2
     return float(np.linalg.norm(gamma @ h0 @ gamma.conj().T + h0, 2))
@@ -138,18 +139,17 @@ def timeshift_walk(p: CoinParams, variant, n_sites: int) -> WalkOperator:
     walk's spectrum.
     """
     if not p.has_fixed_frames:
-        raise UnsupportedParams("time-shifted products are defined for alpha = beta = 0")
+        raise ValidationError("time-shifted products are defined for alpha = beta = 0, "
+                              f"got alpha = {p.alpha}, beta = {p.beta}")
     if abs(p.theta) < 1e-12:
-        raise UnsupportedParams("theta = 0 has no sign; time-shifted split undefined")
-    if n_sites % 2:
-        raise OddRing("ring size must be even")
+        raise ValidationError(f"theta = {p.theta} has no sign; time-shifted split undefined")
     if variant is FrameVariant.IDENTITY:
         return build_walk(p, n_sites=n_sites)
+    profile = ThetaProfile.homogeneous(p.theta, n_sites)
     phi = frame_angle(variant, p.theta)
     coins = coin_matrices(p.delta / 2.0, 0.0, 0.0, [p.theta - phi, phi])
     first, second = np.broadcast_to(coins[:, None], (2, n_sites, 2, 2))
-    return WalkOperator(p.delta, p.alpha, p.beta, ThetaProfile.homogeneous(p.theta, n_sites),
-                        layers=(first, SHIFT, second), form=f"timeshift-{variant.value.lower()}")
+    return WalkOperator(p.delta, p.alpha, p.beta, profile, layers=(first, SHIFT, second))
 
 
 def spectrum_match_residual(u: WalkOperator, *others: WalkOperator) -> float:
@@ -180,12 +180,12 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     reports = []
-    norm_kind = "spectral" if 2 * n_sites <= SPECTRAL_NORM_CAP else "max-entry"
+    norm = norm_kind(2 * n_sites)
     u = build_walk(p, n_sites=n_sites)
 
     res = sublattice_residual(u)
     reports.append(SymmetryReport("SUB", res, RESIDUAL_TOL, res < RESIDUAL_TOL,
-                                  norm_kind, _context(p, n_sites=n_sites)))
+                                  norm, _context(p, n_sites=n_sites)))
 
     res, lam = phs_residual(u, p)
     omega_op = phs_operator(p.alpha, p.beta)
@@ -195,7 +195,7 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
     involution = float(np.linalg.norm(
         omega_op.apply(omega_op.apply(probe, sites), sites) - probe))
     reports.append(SymmetryReport(
-        "PHS", res, RESIDUAL_TOL, res < RESIDUAL_TOL, norm_kind,
+        "PHS", res, RESIDUAL_TOL, res < RESIDUAL_TOL, norm,
         _context(p, n_sites=n_sites, global_phase=[lam.real, lam.imag],
                  involution_residual=involution, seed=seed)))
 
@@ -213,9 +213,9 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
     if p.has_fixed_frames and abs(p.theta) > 1e-12:
         u1 = timeshift_walk(p, FrameVariant.V1, n_sites)
         v1 = frame_conjugated_walk(p, FrameVariant.V1, n_sites)
-        res, _ = operator_norm(u1.dense() - v1)
+        res = operator_norm(u1.dense() - v1)
         reports.append(SymmetryReport("TimeShiftV1", res, RESIDUAL_TOL,
-                                      res < RESIDUAL_TOL, norm_kind,
+                                      res < RESIDUAL_TOL, norm,
                                       _context(p, n_sites=n_sites)))
 
         u2 = timeshift_walk(p, FrameVariant.V2, n_sites)

@@ -31,16 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .core import GAP_EPS, CoinParams, coin_matrix, wrap_angle, wrap_angles
-from .errors import (
-    CurveHitsAxis,
-    GaplessParameters,
-    GridTooCoarse,
-    MixedFamilies,
-    OnExcludedCircle,
-    PoleMismatch,
-    UndefinedSign,
-    UnsupportedParams,
-)
+from .errors import NumericalContractError, ValidationError
 from .momentum import (
     DEFAULT_GRID,
     band_structure,
@@ -52,8 +43,8 @@ from .momentum import (
     special_trig,
 )
 
-# Vectors shorter than this count as zero (retraction, rotated_winding's
-# projection); images this close to a pole count as hitting it.
+# Projections shorter than this count as zero (rotated_winding); images this
+# close to a pole count as hitting it.
 PROJECTION_EPS = 1e-9
 
 # Thetas per block of classify_sweep: bounds its temporaries at a few
@@ -107,20 +98,6 @@ def manifold_frame(beta: float) -> ManifoldFrame:
     return ManifoldFrame(beta, n_beta, e_w)
 
 
-def retract(v: np.ndarray, frame: ManifoldFrame, eps: float = PROJECTION_EPS) -> float:
-    """Retraction angle of a point of the punctured sphere onto the circle.
-
-    Angles are measured from n_beta towards e_w, so the north pole maps to 0
-    and the south pole to pi.  Only +/-Z (and nothing else on the sphere) has
-    a vanishing projection and no well-defined angle.
-    """
-    v = np.asarray(v, dtype=float)
-    u, w = float(v @ frame.n_beta), float(v @ frame.e_w)
-    if math.hypot(u, w) <= eps:
-        raise OnExcludedCircle("zero projection onto the retraction plane")
-    return wrap_angle(math.atan2(w, u))  # south pole reads +pi, never -pi
-
-
 @dataclass(frozen=True)
 class PoleAssignment:
     """Which pole the upper-band image hits at each special momentum.
@@ -150,40 +127,42 @@ class RelHomotopyInvariant:
 
 def _require_gapped(p: CoinParams) -> None:
     if not p.is_gapped:
-        raise GaplessParameters(f"theta = {p.theta} closes both gaps")
+        raise ValidationError(f"gapless parameters: theta = {p.theta} closes both gaps")
 
 
 def _winding(curve: np.ndarray, degenerate: np.ndarray, e_u: np.ndarray, e_w: np.ndarray,
-             thetas: np.ndarray, hits_axis: type[Exception], eps: float) -> np.ndarray:
+             thetas: np.ndarray, eps: float) -> np.ndarray:
     """Windings of closed curves about the axis e_u x e_w, one per theta.
 
     ``curve`` has shape (..., K, 3) and is closed along k; ``thetas`` has its
     leading shape.  Each curve is projected onto the (e_u, e_w) plane and its
     angle accumulated from wrapped increments, all curves at once.  Raises
-    GaplessParameters at a degenerate point, ``hits_axis`` where a projection
-    is no longer than ``eps`` and GridTooCoarse where the grid cannot resolve
-    the angle, naming the first offending theta.
+    ValidationError at a degenerate point or where a projection is no longer
+    than ``eps``, and NumericalContractError where the grid cannot resolve the
+    angle, naming the first offending theta.
     """
     bad = degenerate.any(axis=-1)
     if bad.any():
-        raise GaplessParameters(f"theta = {thetas[bad][0]}: grid hit a degenerate point")
+        raise ValidationError(f"gapless parameters: theta = {thetas[bad][0]}: grid hit a "
+                              "degenerate point")
     pu = curve @ e_u
     pw = curve @ e_w
     bad = np.min(pu * pu + pw * pw, axis=-1) <= eps * eps
     if bad.any():
-        raise hits_axis(f"theta = {thetas[bad][0]}: image curve passes through the winding axis")
+        raise ValidationError(f"theta = {thetas[bad][0]}: image curve passes through the "
+                              "winding axis")
     phis = np.arctan2(pw, pu)
     steps = np.diff(phis, axis=-1, append=phis[..., :1])
     steps -= _TWO_PI * np.rint(steps / _TWO_PI)  # wrapped into [-pi, pi]
     bad = np.max(np.abs(steps), axis=-1) > np.pi - 0.1
     if bad.any():
-        raise GridTooCoarse(f"theta = {thetas[bad][0]}: phase step close to pi; "
-                            "refine the momentum grid")
+        raise NumericalContractError(f"theta = {thetas[bad][0]}: grid too coarse, phase "
+                                     "step close to pi; refine the momentum grid")
     turns = np.sum(steps, axis=-1) / _TWO_PI
     bad = np.abs(turns - np.round(turns)) > 1e-6
     if bad.any():
-        raise GridTooCoarse(f"theta = {thetas[bad][0]}: winding accumulated to "
-                            f"non-integer {turns[bad][0]}")
+        raise NumericalContractError(f"theta = {thetas[bad][0]}: grid too coarse, winding "
+                                     f"accumulated to non-integer {turns[bad][0]}")
     return np.round(turns).astype(int)
 
 
@@ -193,8 +172,7 @@ def _mt_windings(n: np.ndarray, degenerate: np.ndarray, thetas: np.ndarray,
     # The band -1 curve is -n: project n onto the negated axes instead.  The
     # projection has length |sin theta| / sin omega >= |sin theta| > GAP_EPS
     # for every gapped theta, so GAP_EPS, not PROJECTION_EPS, marks a miss.
-    return _winding(n, degenerate, band * frame.n_beta, band * frame.e_w, thetas,
-                    OnExcludedCircle, GAP_EPS)
+    return _winding(n, degenerate, band * frame.n_beta, band * frame.e_w, thetas, GAP_EPS)
 
 
 def winding_mt(p: CoinParams, band: int = +1, grid_size: int = DEFAULT_GRID) -> int:
@@ -206,7 +184,7 @@ def winding_mt(p: CoinParams, band: int = +1, grid_size: int = DEFAULT_GRID) -> 
     """
     _require_gapped(p)
     if band not in (+1, -1):
-        raise ValueError("band must be +1 or -1")
+        raise ValidationError(f"band must be +1 or -1, got {band}")
     n, _, degenerate = bloch_vectors(p, k_grid(grid_size))
     return int(_mt_windings(n, degenerate, np.asarray(p.theta), manifold_frame(p.beta), band))
 
@@ -223,7 +201,7 @@ def frame_angle(variant: FrameVariant, theta: float) -> float:
     if variant is FrameVariant.V1:
         return 0.5 * theta
     if abs(theta) < 1e-12:
-        raise UndefinedSign("V2 frame depends on sgn(theta); undefined at theta = 0")
+        raise ValidationError(f"V2 frame depends on sgn(theta); undefined at theta = {theta}")
     return 0.5 * theta - math.copysign(math.pi / 4.0, theta)
 
 
@@ -247,18 +225,18 @@ def rotated_winding(p: CoinParams, variant: FrameVariant, grid_size: int = DEFAU
     onto the matching rows of R.
 
     The frames' chiral planes are fixed only for alpha = beta = 0; any other
-    coin raises UnsupportedParams.
+    coin raises ValidationError.
     """
     _require_gapped(p)
     if variant is FrameVariant.IDENTITY:
-        raise ValueError("the identity frame has no chiral axis")
+        raise ValidationError("the identity frame has no chiral axis")
     if not p.has_fixed_frames:
-        raise UnsupportedParams("frame windings are defined for alpha = beta = 0")
+        raise ValidationError("frame windings are defined for alpha = beta = 0, "
+                              f"got alpha = {p.alpha}, beta = {p.beta}")
     rot = frame_so3(variant, p.theta)
     e_u, e_w = rot[1:] if variant is FrameVariant.V1 else rot[:2]
     n, _, degenerate = bloch_vectors(p, k_grid(grid_size))
-    return int(_winding(n, degenerate, e_u, e_w, np.asarray(p.theta), CurveHitsAxis,
-                        PROJECTION_EPS))
+    return int(_winding(n, degenerate, e_u, e_w, np.asarray(p.theta), PROJECTION_EPS))
 
 
 def _poles(thetas: np.ndarray, alpha: float, beta: float,
@@ -275,8 +253,8 @@ def _poles(thetas: np.ndarray, alpha: float, beta: float,
     miss = ~(north | south)
     if miss.any():
         i, j = np.argwhere(miss)[0]
-        raise PoleMismatch(f"theta = {thetas[i]}: image at k = {special_points(alpha)[j]} "
-                           f"is not on a pole: {n[i, j]}")
+        raise NumericalContractError(f"theta = {thetas[i]}: image at k = "
+                                     f"{special_points(alpha)[j]} is not on a pole: {n[i, j]}")
     return np.where(north, 1, -1)
 
 
@@ -352,7 +330,8 @@ def rel_homotopic(p1: CoinParams, p2: CoinParams, grid_size: int = DEFAULT_GRID)
     for this coin family reduces to sgn(theta1) == sgn(theta2).
     """
     if not _same_family(p1, p2):
-        raise MixedFamilies("coins do not share (delta, alpha, beta)")
+        raise ValidationError(f"coins do not share (delta, alpha, beta): {p1.family()} "
+                              f"vs {p2.family()}")
     i1, i2 = rel_homotopy_invariant(p1, grid_size), rel_homotopy_invariant(p2, grid_size)
     return (i1.winding_mt, i1.poles) == (i2.winding_mt, i2.poles)
 

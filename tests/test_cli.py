@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from dtqw import cli
 from dtqw.cli import main
+from dtqw.errors import NumericalContractError
 
 
 def run(args):
@@ -67,7 +69,7 @@ def test_non_finite_angle_exits_2(tmp_path, capsys):
 
 def test_invariant_gapless_exits_2(tmp_path, capsys):
     assert run(["invariant", "--theta", "0", "--out", str(tmp_path)]) == 2
-    assert "GaplessParameters" in capsys.readouterr().err
+    assert "gapless parameters: theta = 0.0 closes both gaps" in capsys.readouterr().err
 
 
 def test_invariant_requires_exactly_one_form(tmp_path, capsys):
@@ -133,16 +135,18 @@ def test_evolve_ring_too_small_exits_2(tmp_path, capsys):
                 "--case", "overlap-one", "--steps", "500",
                 "--ring-size", "64", "--out", str(tmp_path)])
     assert code == 2
-    assert "RingTooSmall" in capsys.readouterr().err
+    assert "ring of 64 sites too small: need n_sites >= 1011" in capsys.readouterr().err
 
 
 def test_evolve_too_few_steps_exits_2(tmp_path, capsys):
-    code = run(["evolve", "--theta1", "-0.5", "--theta2", "0.5", "--case", "overlap-both",
-                "--steps", "11", "--ring-size", "64", "--out", str(tmp_path)])
-    assert code == 2
-    assert "at least 12 steps" in capsys.readouterr().err
-    assert not (tmp_path / "experiment.json").exists()
-    assert not (tmp_path / "trajectory.csv").exists()
+    for steps in ("11", "-1"):  # negative steps take the same refusal
+        code = run(["evolve", "--theta1", "-0.5", "--theta2", "0.5", "--case", "overlap-both",
+                    "--steps", steps, "--ring-size", "64", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"steps = {steps}: the experiment needs at least 12 steps" in err
+        assert not (tmp_path / "experiment.json").exists()
+        assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_sweep_partitions_by_sign(tmp_path, capsys):
@@ -178,6 +182,29 @@ def test_sweep_non_finite_range_exits_2(tmp_path, capsys):
         assert run(argv) == 2
         assert f"{flag} must be finite" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("step, points", [("5e-324", "inf"), ("1e-12", "6e+12")])
+def test_sweep_refuses_more_than_the_point_cap(tmp_path, capsys, step, points):
+    # the refusal comes before the theta list, so neither input allocates it
+    assert run(["sweep", "--theta-min", "-3", "--theta-max", "3", "--theta-step", step,
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"asks for {points} sweep points, more than 10000000" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_error_contract_exit_codes_and_stderr(tmp_path, capsys, monkeypatch):
+    assert run(["winding", "--theta", "0", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: ValidationError: gapless parameters: theta = 0.0 closes both gaps\n")
+
+    def broken(*args):
+        raise NumericalContractError("image is not on a pole")
+
+    monkeypatch.setattr(cli, "winding_mt", broken)
+    assert run(["winding", "--theta", "0.5", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: NumericalContractError: image is not on a pole\n"
 
 
 def test_degrees_flag(tmp_path, capsys):

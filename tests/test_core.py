@@ -10,16 +10,13 @@ from dtqw.core import (
     SIGMA_X,
     CoinParams,
     coin_matrix,
-    gauge_unitary_w,
     is_commensurate,
-    is_special_unitary,
-    is_unitary,
     pauli_compose,
     pauli_decompose,
     phs_operator,
     wrap_angle,
 )
-from dtqw.errors import IncommensurateAlpha
+from dtqw.errors import ValidationError
 from dtqw.lattice import build_walk, ring_sites
 
 
@@ -78,10 +75,8 @@ def test_coin_matrix_unitary_and_det():
     for _ in range(200):
         d, a, b, t = rng.uniform(-math.pi, math.pi, 4)
         m = coin_matrix(CoinParams(d, a, b, t))
-        assert is_unitary(m, 1e-13)
+        assert np.max(np.abs(m @ m.conj().T - ID2)) < 1e-13
         assert abs(np.linalg.det(m) - cmath.exp(-2j * d)) < 1e-13
-        if abs(d) < 1e-15:
-            assert is_special_unitary(m, 1e-13)
 
 
 def test_pauli_decompose_basics():
@@ -100,14 +95,6 @@ def test_pauli_round_trip():
     for _ in range(100):
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert np.max(np.abs(pauli_compose(*pauli_decompose(m)) - m)) < ALGEBRA_TOL
-
-
-def test_gauge_unitary_trivial_values():
-    phase, coin = gauge_unitary_w(0.0, 0.0, 5)
-    assert phase == pytest.approx(1.0)
-    assert np.allclose(coin, ID2)
-    phase, _ = gauge_unitary_w(math.pi, 0.0, 2)
-    assert phase == pytest.approx(1.0)
 
 
 def _dense_gauge(alpha, beta, n):
@@ -142,7 +129,7 @@ def test_commensurability_detection():
     assert is_commensurate(2 * math.pi / 8, 8)
     assert is_commensurate(0.0, 10)
     assert not is_commensurate(0.3, 8)
-    with pytest.raises(IncommensurateAlpha):
+    with pytest.raises(ValidationError, match="incommensurate alpha = 0.3: not a multiple of 2"):
         phs_operator(0.3, 0.0).check_commensurate(8)
 
 

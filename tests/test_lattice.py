@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dtqw import io
 from dtqw.core import CoinParams, coin_matrix, wrap_angles
-from dtqw.errors import DimensionMismatch, NumericalContractError, OddRing, TooLarge
+from dtqw.errors import NumericalContractError, ValidationError
 from dtqw.lattice import (
     SHIFT,
     STATE_CSV_HEADER,
@@ -20,7 +20,6 @@ from dtqw.lattice import (
     diagonalize,
     eigenvalues,
     evolve,
-    localization_report,
     site_coins,
     state_table,
     sublattice_blocks,
@@ -34,18 +33,18 @@ from dtqw.topology import FrameVariant
 
 def test_profile_constructors():
     prof = ThetaProfile.homogeneous(0.5, 8)
-    assert prof.is_homogeneous and prof.n_sites == 8
+    assert np.array_equal(prof.thetas, np.full(8, 0.5)) and prof.n_sites == 8
     prof = ThetaProfile.sharp_interface(-0.4, 0.9, 8)
     assert list(prof.sites) == [-4, -3, -2, -1, 0, 1, 2, 3]
     assert np.allclose(prof.thetas, [-0.4] * 4 + [0.9] * 4)
-    with pytest.raises(OddRing):
+    with pytest.raises(ValidationError, match=r"even and at least 4, got thetas of shape \(7,\)"):
         ThetaProfile(np.zeros(7))
 
 
 def test_build_walk_validates_ring():
-    with pytest.raises(OddRing):
+    with pytest.raises(ValidationError, match=r"even and at least 4, got thetas of shape \(7,\)"):
         build_walk(CoinParams(0, 0, 0, 0.5), n_sites=7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match=r"even and at least 4, got thetas of shape \(2,\)"):
         build_walk(CoinParams(0, 0, 0, 0.5), n_sites=2)
 
 
@@ -163,6 +162,14 @@ def test_site_coins_match_per_site_coin_matrix():
         assert got.tobytes() == expected.tobytes()
 
 
+def test_localized_covers_exactly_the_ring_labels():
+    assert WalkerState.localized(8, -4).site_probabilities()[0] == 1.0
+    assert WalkerState.localized(8, 3).site_probabilities()[7] == 1.0
+    for x in (-5, 4):
+        with pytest.raises(ValidationError, match=rf"site x = {x} is outside .*\[-4, 4\)"):
+            WalkerState.localized(8, x)
+
+
 def test_step_preserves_norm_over_long_runs():
     u = build_walk(CoinParams(0.1, 0.2, 0.3, 0.9), n_sites=32)
     s = WalkerState.localized(32, 0)
@@ -177,11 +184,11 @@ def test_swap_coin_recurrence_against_dense_powers():
     u = build_walk(p, n_sites=8)
     dense = u.dense()
     s = WalkerState.localized(8, 1, (0.6, 0.8j))
-    vec = s.flat().copy()
+    vec = s.amps.reshape(-1)  # site-major: index 2*i + coin
     for _ in range(12):
         s = u.apply(s)
         vec = dense @ vec
-        assert np.max(np.abs(s.flat() - vec)) < 1e-12
+        assert np.max(np.abs(s.amps.reshape(-1) - vec)) < 1e-12
 
 
 def test_step_is_linear_in_global_phase():
@@ -195,15 +202,15 @@ def test_step_is_linear_in_global_phase():
 
 def test_step_dimension_mismatch():
     u = build_walk(CoinParams(0, 0, 0, 0.5), n_sites=8)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="state ring of 10 sites, walk of 8"):
         u.apply(WalkerState.localized(10, 0))
 
 
 def test_translation_commutes_with_homogeneous_walk():
     u = build_walk(CoinParams(0.3, 0.8, -0.5, 1.0), n_sites=16)
     s = WalkerState.localized(16, 2, (0.8, 0.6j))
-    evolved_then_shifted = u.apply(s).translated(3).amps
-    shifted_then_evolved = u.apply(s.translated(3)).amps
+    evolved_then_shifted = np.roll(u.apply(s).amps, 3, axis=0)
+    shifted_then_evolved = u.apply(WalkerState(np.roll(s.amps, 3, axis=0))).amps
     assert np.max(np.abs(evolved_then_shifted - shifted_then_evolved)) < 1e-13
 
 
@@ -333,7 +340,7 @@ def test_two_shift_layers_break_the_sublattice_split():
 
 
 def test_diagonalize_size_cap():
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValidationError, match=r"dense\(\) of 514 sites is too large: capped at"):
         diagonalize(build_walk(CoinParams(0, 0, 0, 0.5), n_sites=514))
 
 
@@ -346,23 +353,27 @@ def test_interface_ring_has_two_states_per_gap():
     assert near_zero == 2 and near_pi == 2
 
 
-def test_localization_report_extended_vs_bound():
+def _window_weights(sd, window, n):
+    """Probability weight of each eigenvector inside the window of site labels."""
+    return sd.site_probabilities()[:, [(int(x) + n // 2) % n for x in window]].sum(axis=1)
+
+
+def test_window_weights_extended_vs_bound():
     n = 64
     window = window_sites(0, 10, n)
     hom = diagonalize(build_walk(CoinParams(0, 0, 0, math.pi / 4), n_sites=n))
-    rows = localization_report(hom, window)
-    assert all(0.0 <= w <= 1.0 for _, w, _ in rows)
-    assert rows[0][1] < 2.5 * len(window) / n  # no localized states
+    weights = _window_weights(hom, window, n)
+    assert np.all((weights >= 0.0) & (weights <= 1.0))
+    assert np.max(weights) < 2.5 * len(window) / n  # no localized states
 
     prof = ThetaProfile.sharp_interface(-math.pi / 4, math.pi / 4, n)
     sd = diagonalize(build_walk(CoinParams(0, 0, math.pi / 2, math.pi / 4), prof))
     both_windows = sorted(set(window_sites(0, 10, n)) | set(window_sites(-n // 2, 10, n)))
-    rows = localization_report(sd, both_windows)
-    heavy = [r for r in rows if r[1] > 0.9]
-    gap_states = [r for r in heavy
-                  if abs(r[0]) < 1e-6 or np.pi - abs(r[0]) < 1e-6]
-    assert len(gap_states) == 4
-    assert all(r[2] > 10.0 / n for r in gap_states)  # far above extended-state IPR
+    weights = _window_weights(sd, both_windows, n)
+    w = sd.eigenphases
+    gap_states = (weights > 0.9) & ((np.abs(w) < 1e-6) | (np.pi - np.abs(w) < 1e-6))
+    assert np.sum(gap_states) == 4
+    assert np.all(sd.participation_ratios[gap_states] > 10.0 / n)  # far above extended-state IPR
 
 
 def test_window_sites_wraps():
@@ -378,9 +389,6 @@ def test_tables_have_contracted_shapes():
     traj = evolve(u, s, 5)
     rows = trajectory_table(traj)
     assert len(rows) == 6 and len(rows[0]) == len(TRAJECTORY_CSV_HEADER)
-    sd = diagonalize(u)
-    rows = localization_report(sd, window_sites(0, 2, 8))
-    assert len(rows) == 16 and all(len(r) == 3 for r in rows)
 
 
 def test_state_csv_bytes_match_per_cell_formatting(tmp_path):

@@ -7,7 +7,7 @@ import scipy.linalg
 
 from dtqw import io
 from dtqw.core import GAP_EPS, CoinParams, wrap_angle, wrap_angles
-from dtqw.errors import DegeneratePoint
+from dtqw.errors import ValidationError
 from dtqw.momentum import (
     BAND_CSV_HEADER,
     band_structure,
@@ -82,9 +82,9 @@ def test_bloch_vector_norm_identity():
 
 
 def test_bloch_vector_degenerate_raises():
-    with pytest.raises(DegeneratePoint):
+    with pytest.raises(ValidationError, match="degenerate point: Bloch vector undefined at k = 0"):
         bloch_vector(CoinParams(0, 0, 0, 0), 0.0)
-    with pytest.raises(DegeneratePoint):
+    with pytest.raises(ValidationError, match="degenerate point: .* at k = 0.5, theta = 3.14"):
         bloch_hamiltonian(CoinParams(0, 0.5, 0, math.pi), 0.5)
 
 
@@ -133,7 +133,7 @@ def test_band_structure_gapless_shape():
 
 
 def test_band_structure_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="grid_size must be at least 8, got 4"):
         band_structure(CoinParams(0, 0, 0, 1.0), 4)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dtqw.core import CoinParams, wrap_angles
-from dtqw.errors import BetaNonzero, IncommensurateAlpha, UnsupportedParams
+from dtqw.errors import ValidationError
 from dtqw.lattice import ThetaProfile, build_walk, diagonalize
 from dtqw.momentum import bloch_hamiltonian, special_points
 from dtqw.symmetry import (
@@ -65,7 +65,7 @@ def test_phs_residual_nonzero_delta_reports_phase():
 
 def test_phs_requires_commensurate_alpha():
     p = CoinParams(0, 0.3, 0, 0.5)
-    with pytest.raises(IncommensurateAlpha):
+    with pytest.raises(ValidationError, match="incommensurate alpha = 0.3"):
         phs_residual(build_walk(p, n_sites=8), p)
 
 
@@ -145,7 +145,7 @@ def test_chiral_residual_beta_zero():
 
 
 def test_chiral_residual_rejects_beta():
-    with pytest.raises(BetaNonzero):
+    with pytest.raises(ValidationError, match="only for beta = 0, got beta = 0.4"):
         chiral_residual(CoinParams(0, 0, 0.4, 0.5), 1.0)
 
 
@@ -203,11 +203,11 @@ def test_timeshift_operators_are_unitary():
 
 
 def test_timeshift_rejects_unsupported():
-    with pytest.raises(UnsupportedParams):
+    with pytest.raises(ValidationError, match="alpha = beta = 0, got alpha = 0.3, beta = 0.0"):
         timeshift_walk(CoinParams(0, 0.3, 0, 0.5), FrameVariant.V1, 8)
-    with pytest.raises(UnsupportedParams):
+    with pytest.raises(ValidationError, match="alpha = beta = 0, got alpha = 0.0, beta = 0.4"):
         timeshift_walk(CoinParams(0, 0, 0.4, 0.5), FrameVariant.V2, 8)
-    with pytest.raises(UnsupportedParams):
+    with pytest.raises(ValidationError, match="theta = 0.0 has no sign"):
         timeshift_walk(CoinParams(0, 0, 0, 0.0), FrameVariant.V2, 8)
 
 

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from dtqw.core import PAULI, CoinParams
-from dtqw.errors import (
-    GaplessParameters,
-    MixedFamilies,
-    OnExcludedCircle,
-    UndefinedSign,
-    UnsupportedParams,
-)
+from dtqw.errors import ValidationError
 from dtqw.momentum import k_grid
 from dtqw.topology import (
     FrameVariant,
@@ -25,7 +19,6 @@ from dtqw.topology import (
     predicted_edge_states,
     rel_homotopic,
     rel_homotopy_invariant,
-    retract,
     rotated_winding,
     winding_mt,
 )
@@ -47,17 +40,9 @@ def test_manifold_frame_axes():
         assert abs(np.linalg.norm(f.n_beta) - 1) < 1e-15
 
 
-def test_retract_poles_and_excluded_point():
-    f = manifold_frame(0.7)
-    assert retract(f.n_beta, f) == pytest.approx(0.0)
-    assert retract(-f.n_beta, f) == pytest.approx(math.pi)
-    with pytest.raises(OnExcludedCircle):
-        retract(np.array([0.0, 0.0, 1.0]), f)
-
-
 def test_winding_mt_reference_case():
-    # For (0, 0, 0, pi/4) the retraction angle is k + pi exactly; the oracle
-    # below accumulates it independently with np.unwrap.
+    # For (0, 0, 0, pi/4) the retraction angle, measured from n_beta towards
+    # e_w, is k + pi exactly; the oracle below accumulates it with np.unwrap.
     p = CoinParams(0, 0, 0, math.pi / 4)
     f = manifold_frame(0.0)
     ks = k_grid(512)
@@ -65,7 +50,8 @@ def test_winding_mt_reference_case():
     from dtqw.momentum import bloch_vector
 
     for k in ks:
-        phi = retract(bloch_vector(p, k), f)
+        n = bloch_vector(p, k)
+        phi = math.atan2(n @ f.e_w, n @ f.n_beta)
         assert abs(math.remainder(phi - (k + math.pi), 2 * math.pi)) < 1e-12
         phis.append(phi)
     closed = np.unwrap(np.append(phis, phis[0]))
@@ -92,9 +78,9 @@ def test_winding_mt_constant_over_theta_ladder():
 
 
 def test_winding_mt_rejects_gapless():
-    with pytest.raises(GaplessParameters):
+    with pytest.raises(ValidationError, match="gapless parameters: theta = 0.0 closes"):
         winding_mt(CoinParams(0, 0, 0, 0))
-    with pytest.raises(GaplessParameters):
+    with pytest.raises(ValidationError, match="gapless parameters: theta = 3.14159"):
         winding_mt(CoinParams(0, 0, 0, math.pi))
 
 
@@ -122,7 +108,7 @@ def test_frame_rotation_values():
     sigma_y = np.array([[0, -1j], [1j, 0]])
     assert np.allclose(frame_rotation(FrameVariant.V1, math.pi), 1j * sigma_y, atol=1e-15)
     assert np.allclose(frame_rotation(FrameVariant.IDENTITY, 1.2), np.eye(2))
-    with pytest.raises(UndefinedSign):
+    with pytest.raises(ValidationError, match=r"V2 frame depends on sgn\(theta\); undefined at"):
         frame_rotation(FrameVariant.V2, 0.0)
 
 
@@ -141,7 +127,7 @@ def test_frame_angles():
     assert frame_angle(FrameVariant.V1, 0.9) == 0.45
     assert frame_angle(FrameVariant.V2, math.pi / 2) == 0.0
     assert frame_angle(FrameVariant.V2, -0.5) == pytest.approx(-0.25 + math.pi / 4, abs=1e-16)
-    with pytest.raises(UndefinedSign):
+    with pytest.raises(ValidationError, match=r"V2 frame depends on sgn\(theta\); undefined at"):
         frame_angle(FrameVariant.V2, 0.0)
 
 
@@ -187,7 +173,7 @@ def test_rotated_winding_full_ladder():
 
 
 def test_rotated_winding_identity_frame_has_no_axis():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="the identity frame has no chiral axis"):
         rotated_winding(CoinParams(0, 0, 0, math.pi / 4), FrameVariant.IDENTITY)
 
 
@@ -195,7 +181,7 @@ def test_rotated_winding_refuses_complex_coins():
     # the frames' chiral planes are fixed only at alpha = beta = 0
     for a, b in ((0.3, 0.0), (0.0, -1.2), (2.0, 0.7), (1e-11, 0.0), (0.0, -1e-11)):
         for v in (FrameVariant.V1, FrameVariant.V2):
-            with pytest.raises(UnsupportedParams):
+            with pytest.raises(ValidationError, match="defined for alpha = beta = 0, got alpha"):
                 rotated_winding(CoinParams(0.4, a, b, 0.9), v)
     assert rotated_winding(CoinParams(0.4, 1e-13, -1e-13, 0.9), FrameVariant.V2) == 1
 
@@ -232,9 +218,9 @@ def test_rel_homotopic_by_sign():
 
 
 def test_rel_homotopic_validates_family_and_gap():
-    with pytest.raises(MixedFamilies):
+    with pytest.raises(ValidationError, match=r"do not share \(delta, alpha, beta\)"):
         rel_homotopic(CoinParams(0, 0, 0, 0.5), CoinParams(0, 0.1, 0, 0.5))
-    with pytest.raises(GaplessParameters):
+    with pytest.raises(ValidationError, match="gapless parameters: theta = 0.0"):
         rel_homotopic(CoinParams(0, 0, 0, 0.0), CoinParams(0, 0, 0, 0.5))
 
 
