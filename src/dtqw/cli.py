@@ -177,9 +177,8 @@ def _validate(args: argparse.Namespace) -> list[str]:
     if ring is not None and (ring < 4 or ring % 2):
         problems.append("--ring-size must be even and at least 4")
     if args.command == "invariant":
-        single = args.theta is not None
-        pair = args.theta1 is not None and args.theta2 is not None
-        if single == pair:
+        given = tuple(v is not None for v in (args.theta, args.theta1, args.theta2))
+        if given not in ((True, False, False), (False, True, True)):
             problems.append("give either --theta or both --theta1 and --theta2")
     if args.command == "sweep":
         non_finite = [f"{flag} must be finite, got {value}" for flag, value in (

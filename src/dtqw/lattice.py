@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import CoinParams, coin_matrices, wrap_angles
 from .errors import NumericalContractError, ValidationError
@@ -323,7 +322,12 @@ def diagonalize(u: WalkOperator) -> SpectralData:
     the two eigenvectors (z, A z / mu) / sqrt(2) of U, mu = +/- sqrt(lambda),
     on the even and odd sites; they are orthonormal because A is unitary.
     ``max_residual`` is measured against the full dense U.
+
+    scipy is imported here, on the first call, and nowhere else in dtqw, so no
+    CLI subcommand pays for loading it.
     """
+    import scipy.linalg
+
     mat, a, b = sublattice_blocks(u)
     t, z = scipy.linalg.schur(b @ a, output="complex")
     eigvals = _paired_roots(np.diag(t))

@@ -5,8 +5,9 @@ Certified relations, each on its stated domain:
 
 * sublattice: the alternating-sign site operator anticommutes with the walk
   on any even ring, for any theta profile;
-* particle-hole: the antiunitary built from the squared gauge transformation
-  conjugates the walk into itself (times a global phase when delta != 0);
+* particle-hole (alpha a lattice momentum 2 pi m / N of the ring only): the
+  antiunitary built from the squared gauge transformation conjugates the walk
+  into itself (times a global phase when delta != 0);
 * parity: i n_beta . sigma maps the Bloch Hamiltonian at k to the one at
   2*alpha - k;
 * chiral (beta = 0 only): exp(-i pi/2 m . sigma) with m = (cos theta, 0,
@@ -23,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ID2, CoinParams, coin_matrices, pauli_compose, phs_operator, wrap_angle
+from .core import (ID2, CoinParams, coin_matrices, is_commensurate, pauli_compose,
+                   phs_operator, wrap_angle)
 from .errors import ValidationError
 from .lattice import SHIFT, ThetaProfile, WalkOperator, build_walk, eigenvalues, ring_sites
 from .momentum import bloch_hamiltonian, bloch_vectors
@@ -175,8 +177,9 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
     """Certify every relation applicable to the given parameters.
 
     Returns one report per check; reports for relations whose domain excludes
-    the parameters (chiral with beta != 0, time-shifted with alpha or beta
-    nonzero) are simply omitted.
+    the parameters (particle-hole with alpha not a lattice momentum of the
+    ring, chiral with beta != 0, time-shifted with alpha or beta nonzero) are
+    simply omitted.
     """
     rng = np.random.default_rng(seed)
     reports = []
@@ -187,17 +190,18 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
     reports.append(SymmetryReport("SUB", res, RESIDUAL_TOL, res < RESIDUAL_TOL,
                                   norm, _context(p, n_sites=n_sites)))
 
-    res, lam = phs_residual(u, p)
     omega_op = phs_operator(p.alpha, p.beta)
-    probe = rng.standard_normal((n_sites, 2)) + 1j * rng.standard_normal((n_sites, 2))
-    probe /= np.linalg.norm(probe)
-    sites = ring_sites(n_sites)
-    involution = float(np.linalg.norm(
-        omega_op.apply(omega_op.apply(probe, sites), sites) - probe))
-    reports.append(SymmetryReport(
-        "PHS", res, RESIDUAL_TOL, res < RESIDUAL_TOL, norm,
-        _context(p, n_sites=n_sites, global_phase=[lam.real, lam.imag],
-                 involution_residual=involution, seed=seed)))
+    if is_commensurate(omega_op.alpha, n_sites):
+        res, lam = phs_residual(u, p)
+        probe = rng.standard_normal((n_sites, 2)) + 1j * rng.standard_normal((n_sites, 2))
+        probe /= np.linalg.norm(probe)
+        sites = ring_sites(n_sites)
+        involution = float(np.linalg.norm(
+            omega_op.apply(omega_op.apply(probe, sites), sites) - probe))
+        reports.append(SymmetryReport(
+            "PHS", res, RESIDUAL_TOL, res < RESIDUAL_TOL, norm,
+            _context(p, n_sites=n_sites, global_phase=[lam.real, lam.imag],
+                     involution_residual=involution, seed=seed)))
 
     ks = [k for k in k_samples
           if not bloch_vectors(p, [k, wrap_angle(2 * p.alpha - k)])[2].any()]

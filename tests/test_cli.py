@@ -73,9 +73,11 @@ def test_invariant_gapless_exits_2(tmp_path, capsys):
 
 
 def test_invariant_requires_exactly_one_form(tmp_path, capsys):
-    assert run(["invariant", "--theta", "0.5", "--theta1", "0.2", "--theta2", "0.4",
-                "--out", str(tmp_path)]) == 2
-    assert run(["invariant", "--out", str(tmp_path)]) == 2
+    for flags in (["--theta", "0.5", "--theta1", "0.2", "--theta2", "0.4"], [],
+                  ["--theta", "0.5", "--theta1", "0.3"], ["--theta", "0.5", "--theta2", "0.3"],
+                  ["--theta1", "0.3"], ["--theta2", "0.3"]):
+        assert run(["invariant", *flags, "--out", str(tmp_path)]) == 2
+        assert "give either --theta or both --theta1 and --theta2" in capsys.readouterr().err
 
 
 def test_winding_values(tmp_path, capsys):
@@ -101,6 +103,16 @@ def test_symmetry_report(tmp_path, capsys):
     assert {r["name"] for r in reports} >= {"SUB", "PHS", "PS", "CS"}
     assert all(r["passed"] for r in reports)
     assert "passed" in capsys.readouterr().out
+
+
+def test_symmetry_incommensurate_alpha_omits_only_phs(tmp_path, capsys):
+    code = run(["symmetry", "--theta", "0.5", "--alpha", "0.3", "--ring-size", "8",
+                "--out", str(tmp_path)])
+    assert code == 0
+    reports = read_json(tmp_path / "symmetry.json")
+    assert [r["name"] for r in reports] == ["SUB", "PS", "CS"]
+    assert all(r["passed"] for r in reports)
+    assert "PHS" not in capsys.readouterr().out
 
 
 def test_edge_subcommand(tmp_path, capsys):
