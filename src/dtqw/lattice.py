@@ -107,13 +107,6 @@ class WalkerState:
 SHIFT = object()
 
 
-def _shift(amps: np.ndarray) -> np.ndarray:
-    out = np.empty_like(amps)
-    out[:, 0] = np.roll(amps[:, 0], 1, axis=0)
-    out[:, 1] = np.roll(amps[:, 1], -1, axis=0)
-    return out
-
-
 @dataclass(eq=False)
 class WalkOperator:
     """Unitary one-step operator on the ring: its layers, in application order.
@@ -134,17 +127,39 @@ class WalkOperator:
     def apply_array(self, amps: np.ndarray) -> np.ndarray:
         """One step on amplitudes of shape (n_sites, 2, ...); trailing axes are a batch.
 
-        A coin layer c maps (a, b) to (c00 a + c01 b, c10 a + c11 b) site by site.
+        A coin layer c maps (a, b) to (c00 a + c01 b, c10 a + c11 b) site by site,
+        each component computed as ``r = c00 * a; r += c01 * b``.  A coin followed
+        by SHIFT writes those products straight into their shifted slots: the
+        a-products one site up the ring, the b-products one site down.  The
+        result keeps the memory order of ``amps`` (``np.empty_like``), so a
+        planar input, each component contiguous, gives a planar output.
         """
+        if amps.shape[:2] != (self.n_sites, 2):
+            raise ValidationError(f"amplitudes of shape {amps.shape}, walk of {self.n_sites} "
+                                  f"sites needs ({self.n_sites}, 2, ...)")
         batch = (1,) * (amps.ndim - 2)
-        for layer in self.layers:
-            if layer is SHIFT:
-                amps = _shift(amps)
+        layers = self.layers
+        k = 0
+        while k < len(layers):
+            a, b = amps[:, 0], amps[:, 1]
+            if layers[k] is not SHIFT:
+                c = layers[k].reshape(layers[k].shape + batch)
+                ra = c[:, 0, 0] * a
+                ra += c[:, 0, 1] * b
+                rb = c[:, 1, 0] * a
+                rb += c[:, 1, 1] * b
+                a, b = ra, rb
+                k += 1
+            amps = np.empty_like(amps, dtype=complex)
+            if k < len(layers) and layers[k] is SHIFT:
+                amps[1:, 0] = a[:-1]
+                amps[0, 0] = a[-1]
+                amps[:-1, 1] = b[1:]
+                amps[-1, 1] = b[0]
+                k += 1
             else:
-                c = layer.reshape(layer.shape + batch)
-                a, b = amps[:, 0], amps[:, 1]
-                amps = np.stack([c[:, 0, 0] * a + c[:, 0, 1] * b,
-                                 c[:, 1, 0] * a + c[:, 1, 1] * b], axis=1)
+                amps[:, 0] = a
+                amps[:, 1] = b
         return amps
 
     def apply(self, s: WalkerState) -> WalkerState:
@@ -164,8 +179,10 @@ class WalkOperator:
 
 
 def site_coins(delta: float, alpha: float, beta: float, profile: ThetaProfile) -> np.ndarray:
-    """Per-site coin matrices, shape (n_sites, 2, 2)."""
-    return coin_matrices(delta, alpha, beta, wrap_angles(profile.thetas))
+    """Per-site coin matrices, shape (n_sites, 2, 2), stored coin-major: each
+    entry's column ``c[:, i, j]`` is contiguous, as the step reads it."""
+    c = coin_matrices(delta, alpha, beta, wrap_angles(profile.thetas))
+    return np.ascontiguousarray(c.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
 def build_walk(p: CoinParams, profile: ThetaProfile | None = None,
@@ -213,11 +230,21 @@ def window_sites(center: int, halfwidth: int, n_sites: int) -> np.ndarray:
 
 
 def _observables(amps: np.ndarray, sites: np.ndarray, window_idx: np.ndarray,
-                 window_signs: np.ndarray) -> tuple[float, float, float, float]:
-    re_im = amps.view(float)  # (n_sites, 4): re a, im a, re b, im b
-    probs = np.einsum("ij,ij->i", re_im, re_im)
+                 window_signs: np.ndarray, squares: np.ndarray, pairs: np.ndarray,
+                 probs: np.ndarray, dev: np.ndarray) -> tuple[float, float, float, float]:
+    """(window sum, staggered window sum, mean, spread) of planar amplitudes.
+
+    ``squares`` (2, 2n), ``pairs`` (2n,), ``probs`` and ``dev`` (n,) are
+    scratch buffers.  Each site probability is summed in one fixed order,
+    (re_a^2 + re_b^2) + (im_a^2 + im_b^2).
+    """
+    np.square(amps.T.view(float), out=squares)  # rows a, b: re, im interleaved
+    np.add(squares[0], squares[1], out=pairs)
+    np.add(pairs[0::2], pairs[1::2], out=probs)
     mean = float(probs @ sites)
-    var = float(probs @ (sites - mean) ** 2)
+    np.subtract(sites, mean, out=dev)
+    np.square(dev, out=dev)
+    var = float(probs @ dev)
     in_win = probs[window_idx]
     return (float(np.sum(in_win)), float(window_signs @ in_win), mean,
             float(np.sqrt(max(var, 0.0))))
@@ -226,15 +253,30 @@ def _observables(amps: np.ndarray, sites: np.ndarray, window_idx: np.ndarray,
 def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
            window_center: int = 0, window_halfwidth: int = 5) -> Trajectory:
     """Evolve ``steps`` steps, recording window probability, mean position and
-    spread every step, and state snapshots every ``record_every`` steps."""
+    spread every step, and state snapshots every ``record_every`` steps.
+
+    The amplitudes are held in planar memory (each spinor component
+    contiguous), which ``apply_array`` preserves; snapshots are ordinary
+    ``WalkerState`` copies.  Site probabilities are summed as
+    (re_a^2 + re_b^2) + (im_a^2 + im_b^2).
+    """
+    n = u.n_sites
     if steps < 0:
         raise ValidationError(f"steps = {steps} must be nonnegative")
-    if s0.n_sites != u.n_sites:
-        raise ValidationError(f"state ring of {s0.n_sites} sites, walk of {u.n_sites}")
-    labels = window_sites(window_center, window_halfwidth, u.n_sites)
-    win = labels + u.n_sites // 2
+    if record_every < 1:
+        raise ValidationError(f"record_every = {record_every} must be at least 1")
+    if window_halfwidth < 0:
+        raise ValidationError(f"window_halfwidth = {window_halfwidth} must be nonnegative")
+    if not -(n // 2) <= window_center < n // 2:
+        raise ValidationError(f"window_center = {window_center} is outside the ring's labels "
+                              f"[{-(n // 2)}, {n // 2})")
+    if s0.n_sites != n:
+        raise ValidationError(f"state ring of {s0.n_sites} sites, walk of {n}")
+    labels = window_sites(window_center, window_halfwidth, n)
+    win = labels + n // 2
     signs = 1.0 - 2.0 * (labels & 1)
-    sites = ring_sites(u.n_sites)
+    sites = ring_sites(n).astype(float)
+    buffers = (np.empty((2, 2 * n)), np.empty(2 * n), np.empty(n), np.empty(n))
 
     times = np.arange(steps + 1)
     iprob = np.empty(steps + 1)
@@ -244,11 +286,11 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
     snapshot_times = [0]
     snapshots = [s0]
 
-    amps = s0.amps
-    iprob[0], stag[0], mean_x[0], sigma_x[0] = _observables(amps, sites, win, signs)
+    amps = np.ascontiguousarray(s0.amps.T).T
+    iprob[0], stag[0], mean_x[0], sigma_x[0] = _observables(amps, sites, win, signs, *buffers)
     for t in range(1, steps + 1):
         amps = u.apply_array(amps)
-        iprob[t], stag[t], mean_x[t], sigma_x[t] = _observables(amps, sites, win, signs)
+        iprob[t], stag[t], mean_x[t], sigma_x[t] = _observables(amps, sites, win, signs, *buffers)
         if (t % record_every == 0 or t == steps) and snapshot_times[-1] != t:
             snapshot_times.append(t)
             snapshots.append(WalkerState(amps))

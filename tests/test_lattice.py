@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from dtqw.lattice import (
 from dtqw.momentum import dispersion
 from dtqw.symmetry import timeshift_walk
 from dtqw.topology import FrameVariant
+
+_angles = st.floats(-math.pi, math.pi)
 
 
 def test_profile_constructors():
@@ -149,6 +152,60 @@ def test_apply_array_matches_index_formula_oracle():
         assert np.max(np.abs(got - expected)) <= 1e-15
 
 
+def _reference_step(u: WalkOperator, amps: np.ndarray) -> np.ndarray:
+    """The unfused step: each coin layer as an np.stack of two-term products,
+    the shift as two np.roll copies.  apply_array must match it bit for bit."""
+    batch = (1,) * (amps.ndim - 2)
+    for layer in u.layers:
+        if layer is SHIFT:
+            out = np.empty_like(amps)
+            out[:, 0] = np.roll(amps[:, 0], 1, axis=0)
+            out[:, 1] = np.roll(amps[:, 1], -1, axis=0)
+            amps = out
+        else:
+            c = layer.reshape(layer.shape + batch)
+            a, b = amps[:, 0], amps[:, 1]
+            amps = np.stack([c[:, 0, 0] * a + c[:, 0, 1] * b,
+                             c[:, 1, 0] * a + c[:, 1, 1] * b], axis=1)
+    return amps
+
+
+def _oracle_walks(n: int, rng: np.random.Generator):
+    d, a, b = rng.uniform(-math.pi, math.pi, 3)
+    plain = build_walk(CoinParams(d, a, b, 0), ThetaProfile(rng.uniform(-math.pi, math.pi, n)))
+    yield plain
+    yield build_walk(CoinParams(d, a, b, 0),
+                     ThetaProfile.sharp_interface(*rng.uniform(-math.pi, math.pi, 2), n))
+    for variant in (FrameVariant.V1, FrameVariant.V2):
+        yield timeshift_walk(CoinParams(d, 0, 0, rng.uniform(0.1, 3.0)), variant, n)
+    coins = plain.layers[0]
+    for layers in ((coins, SHIFT, coins, SHIFT), (SHIFT, coins)):
+        yield WalkOperator(d, a, b, plain.profile, layers=layers)
+
+
+def test_apply_array_is_bit_identical_to_the_unfused_step():
+    rng = np.random.default_rng(16)
+    for n in (4, 10, 64):
+        for u in _oracle_walks(n, rng):
+            amps = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+            planar = np.ascontiguousarray(amps.T).T
+            batch = rng.standard_normal((n, 2, 3, 2)) + 1j * rng.standard_normal((n, 2, 3, 2))
+            for x in (amps, planar, batch, np.asfortranarray(batch), amps.real.copy()):
+                got = u.apply_array(x)
+                assert got.shape == x.shape and got.dtype == complex
+                assert np.array_equal(got, _reference_step(u, x))
+            assert u.apply_array(amps).flags.c_contiguous
+            assert u.apply_array(planar).T.flags.c_contiguous  # planar in, planar out
+
+
+def test_apply_array_rejects_a_wrong_shape():
+    u = build_walk(CoinParams(0, 0, 0, 0.5), n_sites=8)
+    for shape in ((10, 2), (8, 3), (8,), (2, 8)):
+        with pytest.raises(ValidationError, match=re.escape(f"amplitudes of shape {shape}, "
+                                                             "walk of 8 sites needs (8, 2, ...)")):
+            u.apply_array(np.zeros(shape, dtype=complex))
+
+
 def test_site_coins_match_per_site_coin_matrix():
     rng = np.random.default_rng(13)
     # angles well outside (-pi, pi] exercise the wrapping of both paths
@@ -160,6 +217,7 @@ def test_site_coins_match_per_site_coin_matrix():
         p = CoinParams(d, a, b, 0)
         got = site_coins(p.delta, p.alpha, p.beta, prof)
         assert got.tobytes() == expected.tobytes()
+        assert all(got[:, i, j].flags.c_contiguous for i in (0, 1) for j in (0, 1))
 
 
 def test_localized_covers_exactly_the_ring_labels():
@@ -244,6 +302,73 @@ def test_evolve_conserves_probability():
     assert len(traj.interface_prob) == 101
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"record_every": 0}, "record_every = 0 must be at least 1"),
+    ({"record_every": -1}, "record_every = -1 must be at least 1"),
+    ({"window_halfwidth": -1}, "window_halfwidth = -1 must be nonnegative"),
+    ({"window_center": 100}, r"window_center = 100 is outside the ring's labels \[-4, 4\)"),
+    ({"window_center": 4}, r"window_center = 4 is outside the ring's labels \[-4, 4\)"),
+    ({"window_center": -5}, r"window_center = -5 is outside the ring's labels \[-4, 4\)"),
+])
+def test_evolve_refuses_bad_arguments(kwargs, message):
+    u = build_walk(CoinParams(0, 0, 0, 0.5), n_sites=8)
+    with pytest.raises(ValidationError, match=message):
+        evolve(u, WalkerState.localized(8, 0), 3, **kwargs)
+
+
+def test_evolve_accepts_the_edge_labels_and_a_zero_halfwidth():
+    u = build_walk(CoinParams(0, 0, 0, 0.5), n_sites=8)
+    for center in (-4, 3):
+        traj = evolve(u, WalkerState.localized(8, center), 0, window_center=center,
+                      window_halfwidth=0)
+        assert traj.interface_prob[0] == 1.0 and traj.window_center == center
+
+
+def _reference_observables(amps, sites, win, signs):
+    re_im = amps.view(float)
+    probs = np.einsum("ij,ij->i", re_im, re_im)
+    mean = float(probs @ sites)
+    var = float(probs @ (sites - mean) ** 2)
+    in_win = probs[win]
+    return (float(np.sum(in_win)), float(signs @ in_win), mean,
+            float(np.sqrt(max(var, 0.0))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 32), _angles, _angles, _angles, st.integers(0, 2**32 - 1),
+       st.integers(0, 40), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 10))
+def test_evolve_observables_match_a_reference_loop(half, d, a, b, seed, steps, where, hw):
+    n = 2 * half
+    rng = np.random.default_rng(seed)
+    u = build_walk(CoinParams(d, a, b, 0), ThetaProfile(rng.uniform(-math.pi, math.pi, n)))
+    amps = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    s0 = WalkerState(amps / np.linalg.norm(amps))
+    center = int(where * n) - n // 2
+    traj = evolve(u, s0, steps, record_every=1, window_center=center, window_halfwidth=hw)
+
+    labels = window_sites(center, hw, n)
+    win, signs = labels + n // 2, 1.0 - 2.0 * (labels & 1)
+    sites = s0.sites  # integers
+    expected = []
+    amps = s0.amps
+    for t in range(steps + 1):
+        if t:
+            amps = _reference_step(u, amps)
+        expected.append(_reference_observables(amps, sites, win, signs))
+    columns = (traj.interface_prob, traj.staggered_prob, traj.mean_x, traj.sigma_x)
+    for got, want in zip(columns, np.array(expected).T):
+        assert np.array_equal(got, want)
+
+    assert traj.snapshot_times == list(range(steps + 1))
+    for t, snap in zip(traj.snapshot_times, traj.snapshots):
+        probs = np.sum(np.abs(snap.amps) ** 2, axis=1)
+        mean = probs @ sites
+        recomputed = (np.sum(probs[win]), signs @ probs[win], mean,
+                      math.sqrt(probs @ (sites - mean) ** 2))
+        for got, want in zip(columns, recomputed):
+            assert abs(got[t] - want) <= 1e-14
+
+
 def test_diagonalize_matches_dispersion():
     p = CoinParams(0, 0, 0, math.pi / 4)
     sd = diagonalize(build_walk(p, n_sites=16))
@@ -302,9 +427,6 @@ def test_sublattice_split_matches_full_schur(n):
         assert np.max(np.abs(gram - np.eye(2 * n))) <= 1e-13
         from_eigvals = np.sort(wrap_angles(-np.angle(eigenvalues(u))))
         assert np.max(np.abs(wrap_angles(from_eigvals - ref_phases))) <= 1e-13
-
-
-_angles = st.floats(-math.pi, math.pi)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
