@@ -250,6 +250,10 @@ def _observables(amps: np.ndarray, sites: np.ndarray, window_idx: np.ndarray,
             float(np.sqrt(max(var, 0.0))))
 
 
+# The smallest normal float64: a part x with x * x below it is zeroed by evolve.
+_TINY = np.finfo(float).tiny
+
+
 def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
            window_center: int = 0, window_halfwidth: int = 5) -> Trajectory:
     """Evolve ``steps`` steps, recording window probability, mean position and
@@ -259,6 +263,14 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
     contiguous), which ``apply_array`` preserves; snapshots are ordinary
     ``WalkerState`` copies.  Site probabilities are summed as
     (re_a^2 + re_b^2) + (im_a^2 + im_b^2).
+
+    After each step's observables, every real or imaginary part whose square
+    is below ``np.finfo(float).tiny`` (|x| < 2^-511) is set to 0.0 in place,
+    in the copy ``evolve`` owns, never in ``s0``.  Such a part adds nothing
+    representable to a site probability, but the underflowing tails of edge
+    states would otherwise keep the step on the slow subnormal path.  The
+    observables of a step are taken before its zeroing; snapshots after t = 0
+    hold the zeroed amplitudes.
     """
     n = u.n_sites
     if steps < 0:
@@ -277,6 +289,7 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
     signs = 1.0 - 2.0 * (labels & 1)
     sites = ring_sites(n).astype(float)
     buffers = (np.empty((2, 2 * n)), np.empty(2 * n), np.empty(n), np.empty(n))
+    squares, small = buffers[0], np.empty((2, 2 * n), dtype=bool)
 
     times = np.arange(steps + 1)
     iprob = np.empty(steps + 1)
@@ -286,12 +299,14 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
     snapshot_times = [0]
     snapshots = [s0]
 
-    amps = np.ascontiguousarray(s0.amps.T).T
-    iprob[0], stag[0], mean_x[0], sigma_x[0] = _observables(amps, sites, win, signs, *buffers)
-    for t in range(1, steps + 1):
-        amps = u.apply_array(amps)
+    amps = s0.amps.T.copy(order="C").T  # planar, and never a view of s0.amps
+    for t in range(steps + 1):
+        if t:
+            amps = u.apply_array(amps)
         iprob[t], stag[t], mean_x[t], sigma_x[t] = _observables(amps, sites, win, signs, *buffers)
-        if (t % record_every == 0 or t == steps) and snapshot_times[-1] != t:
+        np.less(squares, _TINY, out=small)
+        np.copyto(amps.T.view(float), 0.0, where=small)
+        if t and (t % record_every == 0 or t == steps):
             snapshot_times.append(t)
             snapshots.append(WalkerState(amps))
     return Trajectory(times, iprob, stag, mean_x, sigma_x, snapshot_times, snapshots,

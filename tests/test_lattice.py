@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dtqw import io
 from dtqw.core import CoinParams, coin_matrix, wrap_angles
+from dtqw.edge import InitialStateCase, InterfaceSpec, analytic_edge_state, initial_state
 from dtqw.errors import NumericalContractError, ValidationError
 from dtqw.lattice import (
     SHIFT,
@@ -367,6 +368,81 @@ def test_evolve_observables_match_a_reference_loop(half, d, a, b, seed, steps, w
                       math.sqrt(probs @ (sites - mean) ** 2))
         for got, want in zip(columns, recomputed):
             assert abs(got[t] - want) <= 1e-14
+
+
+# A real or imaginary part below this is zeroed by evolve: its square is below
+# the smallest normal float64.
+_ZEROED_BELOW = 2.0**-511
+
+
+def _unzeroed_observables(u, s0, steps, center=0, hw=5):
+    """evolve's four columns from a loop that never zeroes an amplitude: the
+    same planar step and the same summation order as evolve."""
+    n = u.n_sites
+    labels = window_sites(center, hw, n)
+    win, signs = labels + n // 2, 1.0 - 2.0 * (labels & 1)
+    sites = s0.sites.astype(float)
+    amps = np.ascontiguousarray(s0.amps.T).T
+    rows = []
+    for t in range(steps + 1):
+        if t:
+            amps = u.apply_array(amps)
+        sq = np.square(amps.T.view(float))
+        pairs = sq[0] + sq[1]
+        probs = pairs[0::2] + pairs[1::2]
+        mean = float(probs @ sites)
+        var = float(probs @ (sites - mean) ** 2)
+        rows.append((float(np.sum(probs[win])), float(signs @ probs[win]), mean,
+                     math.sqrt(max(var, 0.0))))
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize("seed, n, steps", [(0, 1024, 500), (1, 1024, 500), (2, 2048, 1000),
+                                            (3, 512, 700)])
+def test_evolve_zeroing_leaves_edge_state_observables_bit_identical(seed, n, steps):
+    rng = np.random.default_rng([seed, 511])
+    d, a, b = rng.uniform(-math.pi, math.pi, 3)
+    spec = InterfaceSpec(d, a, b, -rng.uniform(0.05, math.pi - 0.05),
+                         rng.uniform(0.05, math.pi - 0.05), n)
+    u = spec.walk()
+    for case in InitialStateCase:
+        s0, _ = initial_state(spec, case)
+        traj = evolve(u, s0, steps)
+        got = (traj.interface_prob, traj.staggered_prob, traj.mean_x, traj.sigma_x)
+        for column, want in zip(got, _unzeroed_observables(u, s0, steps)):
+            assert np.array_equal(column, want)
+
+
+def test_evolve_snapshots_after_t0_hold_no_part_below_the_zeroing_threshold():
+    spec = InterfaceSpec(0.4, -0.9, 2.1, -0.6, 1.1, 1024)
+    u = spec.walk()
+    for case in InitialStateCase:
+        s0, _ = initial_state(spec, case)
+        before = s0.amps.copy()
+        parts = np.abs(s0.amps.view(float))
+        assert np.any((parts > 0) & (parts < _ZEROED_BELOW))  # the tails underflow
+        traj = evolve(u, s0, 120, record_every=7)
+        assert traj.snapshots[0] is s0 and np.array_equal(s0.amps, before)
+        for snap in traj.snapshots[1:]:
+            parts = np.abs(snap.amps.view(float))
+            assert not np.any((parts > 0) & (parts < _ZEROED_BELOW))
+
+
+def test_evolve_window_deep_in_an_edge_tail_reads_zero():
+    # The eta = 0 state decays like (sqrt(2) - 1)^x on the right.  Past the
+    # first site whose parts are all below 2^-520 the site probabilities are
+    # subnormal: the never-zeroing loop keeps reading them, evolve reads 0.0
+    # once the first step's zeroing has removed them.
+    spec = InterfaceSpec(0, 0, 0, -math.pi / 4, math.pi / 4, 2048)
+    s0 = analytic_edge_state(spec, 0.0).state
+    parts = np.abs(s0.amps.view(float)).max(axis=1)
+    center = int(np.argmax((s0.sites > 0) & (parts < 2.0**-520))) - 1024 + 2
+    u = spec.walk()
+    traj = evolve(u, s0, 10, window_center=center, window_halfwidth=2)
+    old = _unzeroed_observables(u, s0, 10, center=center, hw=2)[0]
+    assert np.all((old > 0.0) & (old < np.finfo(float).tiny))
+    assert traj.interface_prob[0] == old[0]
+    assert np.all(traj.interface_prob[1:] == 0.0)
 
 
 def test_diagonalize_matches_dispersion():
