@@ -32,6 +32,7 @@ from .lattice import (
     build_walk,
     evolve,
     ring_sites,
+    window_sites,
 )
 
 TRUNCATION_EPS = 1e-12
@@ -214,6 +215,7 @@ class ExperimentRecord:
     case: InitialStateCase
     spec: InterfaceSpec
     projections: np.ndarray  # onto (eta = 0, eta = pi)
+    edge_window_weight: float  # each edge state's probability inside the window
     predicted_weight: float
     plateau: float
     final_prob: float
@@ -227,7 +229,14 @@ class ExperimentRecord:
 def dynamics_experiment(spec: InterfaceSpec, case: InitialStateCase, steps: int,
                         window_halfwidth: int = WINDOW_HALFWIDTH) -> ExperimentRecord:
     """Evolve the case's initial state and compare the late-time interface
-    probability with the weight carried by the edge-state pair.
+    probability with the weight the edge-state pair puts inside the window.
+
+    The rest of the state disperses, so the window keeps the edge part: the
+    predicted plateau is sum_i |p_i|^2 W, with p_i the projections onto the
+    eta = 0 and eta = pi states and W the probability each of them has inside
+    the window.  The two share one modulus profile, so one W serves both.
+    Near a gap closing the states spread past the window and W falls well
+    below 1.
 
     The ring must be long enough that no wavefront re-enters the window
     within the run (speed is at most one site per step).
@@ -242,7 +251,9 @@ def dynamics_experiment(spec: InterfaceSpec, case: InitialStateCase, steps: int,
         )
     state, edges = initial_state(spec, case)
     projections, _ = overlap_decomposition(state, edges)
-    predicted = float(np.sum(np.abs(projections) ** 2))
+    window = window_sites(0, window_halfwidth, spec.n_sites) + spec.n_sites // 2
+    edge_weight = float(np.sum(edges[0].state.site_probabilities()[window]))
+    predicted = float(np.sum(np.abs(projections) ** 2)) * edge_weight
 
     u = spec.walk()
     traj = evolve(u, state, steps, record_every=max(1, steps // 8),
@@ -265,8 +276,8 @@ def dynamics_experiment(spec: InterfaceSpec, case: InitialStateCase, steps: int,
         passed = abs(plateau - predicted) < PLATEAU_TOL
     else:
         passed = abs(plateau - predicted) < PLATEAU_TOL and oscillation
-    return ExperimentRecord(case, spec, projections, predicted, plateau, final_prob,
-                            alternation, period2, oscillation, passed, traj)
+    return ExperimentRecord(case, spec, projections, edge_weight, predicted, plateau,
+                            final_prob, alternation, period2, oscillation, passed, traj)
 
 
 def experiment_json_dict(rec: ExperimentRecord) -> dict:
@@ -282,6 +293,7 @@ def experiment_json_dict(rec: ExperimentRecord) -> dict:
             "n_sites": spec.n_sites,
         },
         "edge_projections": [[z.real, z.imag] for z in rec.projections],
+        "edge_window_weight": rec.edge_window_weight,
         "predicted_weight": rec.predicted_weight,
         "plateau": rec.plateau,
         "final_interface_prob": rec.final_prob,

@@ -37,6 +37,11 @@ SPECTRAL_NORM_CAP = 64
 RESIDUAL_TOL = 1e-12
 SPECTRUM_TOL = 1e-10
 
+# The suite certifies PHS only where alpha N is this close to a multiple of
+# 2 pi.  The gauge exp(2i alpha x) misses single-valuedness at the wrap by
+# about 2 |remainder(alpha N, 2 pi)|, which must stay far below RESIDUAL_TOL.
+PHS_DOMAIN_TOL = RESIDUAL_TOL / 20
+
 
 def norm_kind(dim: int) -> str:
     """The norm operator_norm takes of a dim x dim matrix."""
@@ -177,9 +182,9 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
     """Certify every relation applicable to the given parameters.
 
     Returns one report per check; reports for relations whose domain excludes
-    the parameters (particle-hole with alpha not a lattice momentum of the
-    ring, chiral with beta != 0, time-shifted with alpha or beta nonzero) are
-    simply omitted.
+    the parameters (particle-hole with alpha N farther than PHS_DOMAIN_TOL from
+    a multiple of 2 pi, chiral with beta != 0, time-shifted with alpha or beta
+    nonzero) are simply omitted.
     """
     rng = np.random.default_rng(seed)
     reports = []
@@ -191,7 +196,7 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
                                   norm, _context(p, n_sites=n_sites)))
 
     omega_op = phs_operator(p.alpha, p.beta)
-    if is_commensurate(omega_op.alpha, n_sites):
+    if is_commensurate(omega_op.alpha, n_sites, PHS_DOMAIN_TOL):
         res, lam = phs_residual(u, p)
         probe = rng.standard_normal((n_sites, 2)) + 1j * rng.standard_normal((n_sites, 2))
         probe /= np.linalg.norm(probe)

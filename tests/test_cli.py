@@ -115,6 +115,15 @@ def test_symmetry_incommensurate_alpha_omits_only_phs(tmp_path, capsys):
     assert "PHS" not in capsys.readouterr().out
 
 
+def test_symmetry_omits_phs_just_off_a_lattice_momentum(tmp_path, capsys):
+    code = run(["symmetry", "--theta", "0.5", "--alpha", "1e-11", "--ring-size", "16",
+                "--out", str(tmp_path)])
+    assert code == 0
+    reports = read_json(tmp_path / "symmetry.json")
+    assert "PHS" not in [r["name"] for r in reports]
+    assert all(r["passed"] for r in reports)
+
+
 def test_edge_subcommand(tmp_path, capsys):
     code = run(["edge", "--theta1", "-0.7853981633974483",
                 "--theta2", "0.7853981633974483",
@@ -140,6 +149,29 @@ def test_evolve_subcommand(tmp_path, capsys):
     with open(tmp_path / "trajectory.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 62  # header + 61 recorded steps
+
+
+@pytest.mark.parametrize("theta1, theta2, case, ring", [
+    ("-3.0", "3.0", "overlap-both", "256"),
+    ("-0.2", "0.3", "overlap-one", "1024"),
+    ("-2.8", "2.9", "overlap-one", "1024"),
+])
+def test_evolve_near_a_gap_closing_predicts_the_window_weight(tmp_path, capsys,
+                                                              theta1, theta2, case, ring):
+    # The edge states spread past the +/-5-site window here, so the plateau
+    # sits well below the projection weight; the window weight accounts for it.
+    code = run(["evolve", "--theta1", theta1, "--theta2", theta2, "--case", case,
+                "--steps", "100", "--ring-size", ring, "--out", str(tmp_path)])
+    assert code == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result == read_json(tmp_path / "experiment.json")
+    assert result["edge_window_weight"] < 0.96
+    projection_weight = sum(re**2 + im**2 for re, im in result["edge_projections"])
+    assert result["predicted_weight"] == pytest.approx(
+        projection_weight * result["edge_window_weight"], rel=1e-12)
+    tolerance = result["thresholds"]["plateau"]
+    assert abs(result["plateau"] - result["predicted_weight"]) < 0.1 * tolerance
+    assert result["passed"] is True
 
 
 def test_evolve_ring_too_small_exits_2(tmp_path, capsys):

@@ -198,6 +198,21 @@ def test_dynamics_experiment_cases():
     assert d["case"] == "OverlapBoth" and d["passed"] is True
 
 
+def test_edge_window_weight_is_shared_by_both_edge_states():
+    # The prediction uses one window weight for both states: they differ only
+    # by the phase exp(i eta x), so their site probabilities agree.
+    spec = InterfaceSpec(0.3, -1.2, 0.7, -2.8, 2.9, 1024)
+    rec = dynamics_experiment(spec, InitialStateCase.OVERLAP_BOTH, 100)
+    window = window_sites(0, 5, 1024) + 512
+    weights = [analytic_edge_state(spec, eta).state.site_probabilities()[window].sum()
+               for eta in (0.0, math.pi)]
+    assert rec.edge_window_weight == weights[0]
+    assert abs(weights[1] - weights[0]) < 1e-14
+    assert 0.5 < rec.edge_window_weight < 0.99
+    assert rec.predicted_weight == np.sum(np.abs(rec.projections) ** 2) * weights[0]
+    assert experiment_json_dict(rec)["edge_window_weight"] == rec.edge_window_weight
+
+
 def test_dynamics_experiment_enforces_ring_headroom():
     spec = InterfaceSpec(n_sites=64, **CAPTION_SPEC)
     with pytest.raises(ValidationError, match="ring of 64 sites too small: need n_sites >= 411"):
