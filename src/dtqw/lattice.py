@@ -235,8 +235,9 @@ def _observables(amps: np.ndarray, sites: np.ndarray, window_idx: np.ndarray,
     """(window sum, staggered window sum, mean, spread) of planar amplitudes.
 
     ``squares`` (2, 2n), ``pairs`` (2n,), ``probs`` and ``dev`` (n,) are
-    scratch buffers.  Each site probability is summed in one fixed order,
-    (re_a^2 + re_b^2) + (im_a^2 + im_b^2).
+    scratch buffers; on return ``squares`` holds the squared real and
+    imaginary parts, which evolve's zeroing reads.  Each site probability is
+    summed in one fixed order, (re_a^2 + re_b^2) + (im_a^2 + im_b^2).
     """
     np.square(amps.T.view(float), out=squares)  # rows a, b: re, im interleaved
     np.add(squares[0], squares[1], out=pairs)

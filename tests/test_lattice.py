@@ -376,24 +376,16 @@ _ZEROED_BELOW = 2.0**-511
 
 
 def _unzeroed_observables(u, s0, steps, center=0, hw=5):
-    """evolve's four columns from a loop that never zeroes an amplitude: the
-    same planar step and the same summation order as evolve."""
-    n = u.n_sites
-    labels = window_sites(center, hw, n)
-    win, signs = labels + n // 2, 1.0 - 2.0 * (labels & 1)
-    sites = s0.sites.astype(float)
-    amps = np.ascontiguousarray(s0.amps.T).T
+    """evolve's four columns from the reference loop, which never zeroes an
+    amplitude."""
+    labels = window_sites(center, hw, u.n_sites)
+    win, signs = labels + u.n_sites // 2, 1.0 - 2.0 * (labels & 1)
     rows = []
+    amps = s0.amps
     for t in range(steps + 1):
         if t:
-            amps = u.apply_array(amps)
-        sq = np.square(amps.T.view(float))
-        pairs = sq[0] + sq[1]
-        probs = pairs[0::2] + pairs[1::2]
-        mean = float(probs @ sites)
-        var = float(probs @ (sites - mean) ** 2)
-        rows.append((float(np.sum(probs[win])), float(signs @ probs[win]), mean,
-                     math.sqrt(max(var, 0.0))))
+            amps = _reference_step(u, amps)
+        rows.append(_reference_observables(amps, s0.sites, win, signs))
     return np.array(rows).T
 
 
