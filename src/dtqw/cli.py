@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 from . import __version__, io
@@ -62,6 +63,13 @@ _CASES = {
 # a bound on the memory the rows take.
 MAX_SWEEP_POINTS = 10**7
 
+# Words argparse reads as a negative value, not as a flag.  Its own test takes
+# only -1 and -1.5, so a flag's value -1e-4, -inf or -nan would read as a flag.
+_NEGATIVE_VALUE = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+# --grid of winding and invariant: kept so their sidecars keep their bytes.
+_UNUSED_GRID_HELP = "accepted; the windings are closed forms, so it changes no value"
+
 SWEEP_CSV_HEADER = ["theta", "gap_delta", "gap_delta_plus_pi", "winding",
                     "pole_k0", "pole_k1", "phase_label"]
 
@@ -109,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("winding", help="winding numbers of the image curve")
     p.add_argument("--theta", type=float, required=True)
     _family_flags(p)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID, help=_UNUSED_GRID_HELP)
     _common_flags(p)
     p.set_defaults(func=cmd_winding)
 
@@ -118,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta1", type=float)
     p.add_argument("--theta2", type=float)
     _family_flags(p)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID, help=_UNUSED_GRID_HELP)
     _common_flags(p)
     p.set_defaults(func=cmd_invariant)
 
@@ -155,6 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     _common_flags(p)
     p.set_defaults(func=cmd_sweep)
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
 
@@ -235,18 +245,18 @@ def cmd_map(args) -> int:
     return 0
 
 
-def _frame_winding(p: CoinParams, variant: FrameVariant, grid: int) -> int | None:
+def _frame_winding(p: CoinParams, variant: FrameVariant) -> int | None:
     """rotated_winding, or None (JSON null) for a coin whose frames have no
     fixed chiral plane (alpha or beta nonzero)."""
-    return rotated_winding(p, variant, grid_size=grid) if p.has_fixed_frames else None
+    return rotated_winding(p, variant) if p.has_fixed_frames else None
 
 
 def cmd_winding(args) -> int:
     p = CoinParams(args.delta, args.alpha, args.beta, args.theta)
     result = {
-        "winding_mt": winding_mt(p, +1, args.grid),
-        "rotated_v1_about_x": _frame_winding(p, FrameVariant.V1, args.grid),
-        "rotated_v2_about_z": _frame_winding(p, FrameVariant.V2, args.grid),
+        "winding_mt": winding_mt(p),
+        "rotated_v1_about_x": _frame_winding(p, FrameVariant.V1),
+        "rotated_v2_about_z": _frame_winding(p, FrameVariant.V2),
     }
     _write_record(args, "winding", result)
     print(io.json_text(result), end="")
@@ -256,15 +266,15 @@ def cmd_winding(args) -> int:
 def cmd_invariant(args) -> int:
     if args.theta is not None:
         p = CoinParams(args.delta, args.alpha, args.beta, args.theta)
-        result = invariant_json_dict(rel_homotopy_invariant(p, args.grid))
+        result = invariant_json_dict(rel_homotopy_invariant(p))
     else:
         p1 = CoinParams(args.delta, args.alpha, args.beta, args.theta1)
         p2 = CoinParams(args.delta, args.alpha, args.beta, args.theta2)
         result = {
-            "invariant_theta1": invariant_json_dict(rel_homotopy_invariant(p1, args.grid)),
-            "invariant_theta2": invariant_json_dict(rel_homotopy_invariant(p2, args.grid)),
-            "rel_homotopic": rel_homotopic(p1, p2, args.grid),
-            "predicted_edge_states": predicted_edge_states(p1, p2, args.grid),
+            "invariant_theta1": invariant_json_dict(rel_homotopy_invariant(p1)),
+            "invariant_theta2": invariant_json_dict(rel_homotopy_invariant(p2)),
+            "rel_homotopic": rel_homotopic(p1, p2),
+            "predicted_edge_states": predicted_edge_states(p1, p2),
         }
     _write_record(args, "invariant", result)
     print(io.json_text(result), end="")

@@ -56,13 +56,6 @@ def k_trig(alpha: float, beta: float, k) -> KTrig:
     return KTrig(np.cos(ka), np.sin(ka), np.cos(kab), np.sin(kab))
 
 
-def special_trig(alpha: float, beta: float) -> KTrig:
-    """Family trig at the special momenta alpha and alpha + pi, taken exactly
-    (k - alpha is 0 and pi there) rather than from the rounded momenta."""
-    sb, cb = math.sin(beta), math.cos(beta)
-    return KTrig(np.array([1.0, -1.0]), np.zeros(2), np.array([cb, -cb]), np.array([-sb, sb]))
-
-
 def _omega(theta, cos_a):
     """omega in [0, pi] from cos(omega) = cos(theta) cos(k - alpha); broadcasts."""
     return np.arccos(np.clip(np.cos(theta) * cos_a, -1.0, 1.0))

@@ -37,10 +37,12 @@ SPECTRAL_NORM_CAP = 64
 RESIDUAL_TOL = 1e-12
 SPECTRUM_TOL = 1e-10
 
-# The suite certifies PHS only where alpha N is this close to a multiple of
-# 2 pi.  The gauge exp(2i alpha x) misses single-valuedness at the wrap by
-# about 2 |remainder(alpha N, 2 pi)|, which must stay far below RESIDUAL_TOL.
-PHS_DOMAIN_TOL = RESIDUAL_TOL / 20
+# How close the parameters must come to a relation's domain for the suite to
+# certify it: alpha N to a multiple of 2 pi for PHS, beta to 0 for CS, alpha
+# and beta to 0 for the time-shift pair.  Off the domain the residuals grow
+# as about 2 |remainder(alpha N, 2 pi)|, 2.65 |beta| and |alpha|, which must
+# stay far below RESIDUAL_TOL.
+DOMAIN_TOL = RESIDUAL_TOL / 20
 
 
 def norm_kind(dim: int) -> str:
@@ -182,9 +184,9 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
     """Certify every relation applicable to the given parameters.
 
     Returns one report per check; reports for relations whose domain excludes
-    the parameters (particle-hole with alpha N farther than PHS_DOMAIN_TOL from
-    a multiple of 2 pi, chiral with beta != 0, time-shifted with alpha or beta
-    nonzero) are simply omitted.
+    the parameters are simply omitted: particle-hole with alpha N farther than
+    DOMAIN_TOL from a multiple of 2 pi, chiral with |beta| >= DOMAIN_TOL, and
+    time-shifted with |alpha| or |beta| >= DOMAIN_TOL.
     """
     rng = np.random.default_rng(seed)
     reports = []
@@ -196,7 +198,7 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
                                   norm, _context(p, n_sites=n_sites)))
 
     omega_op = phs_operator(p.alpha, p.beta)
-    if is_commensurate(omega_op.alpha, n_sites, PHS_DOMAIN_TOL):
+    if is_commensurate(omega_op.alpha, n_sites, DOMAIN_TOL):
         res, lam = phs_residual(u, p)
         probe = rng.standard_normal((n_sites, 2)) + 1j * rng.standard_normal((n_sites, 2))
         probe /= np.linalg.norm(probe)
@@ -214,12 +216,12 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
     reports.append(SymmetryReport("PS", res, RESIDUAL_TOL, res < RESIDUAL_TOL,
                                   "spectral", _context(p, k_samples=list(ks))))
 
-    if abs(p.beta) <= 1e-12:
+    if abs(p.beta) < DOMAIN_TOL:
         res = max(chiral_residual(p, k) for k in ks)
         reports.append(SymmetryReport("CS", res, RESIDUAL_TOL, res < RESIDUAL_TOL,
                                       "spectral", _context(p, k_samples=list(ks))))
 
-    if p.has_fixed_frames and abs(p.theta) > 1e-12:
+    if max(abs(p.alpha), abs(p.beta)) < DOMAIN_TOL and abs(p.theta) > 1e-12:
         u1 = timeshift_walk(p, FrameVariant.V1, n_sites)
         v1 = frame_conjugated_walk(p, FrameVariant.V1, n_sites)
         res = operator_norm(u1.dense() - v1)

@@ -8,18 +8,21 @@ surviving points +/- n_beta act as poles connecting the hemispheres.  That
 punctured sphere deformation-retracts onto a circle, so every image curve has
 a well-defined winding number even without chiral symmetry.
 
-The winding alone does not separate phases (it is the same for every gapped
-theta).  What does separate them is where the curve sits at the two special
-momenta k_j = alpha + j*pi: the image there is forced onto a pole, and which
-pole is hit at which k_j depends only on sgn(theta).  Two gapped coins of the
-same family are deformable into each other with the special-momentum values
-held fixed iff they agree on both the winding and the pole assignment, which
-yields a two-phase classification and predicts two interface-localized states
-(one per gap) between distinct phases.
+The invariants are closed forms of that retraction.  In the (n_beta, e_w)
+basis the upper-band image projects onto -sin(theta) (cos(k - alpha),
+sin(k - alpha)) / sin(omega_k), so its retraction angle is exactly k - alpha,
+plus pi where sin(theta) > 0: the winding is +1 for every gapped theta and
+both bands, and so does not separate phases.  What does separate them is
+where the curve sits at the two special momenta k_j = alpha + j*pi: the image
+there is the pole -sgn(theta) n_beta at k_0 and +sgn(theta) n_beta at k_1.
+Two gapped coins of the same family are deformable into each other with the
+special-momentum values held fixed iff they agree on both the winding and the
+pole assignment, which yields a two-phase classification and predicts two
+interface-localized states (one per gap) between distinct phases.
 
-``classify_sweep`` evaluates gaps, winding and poles for a whole theta-array
-of one family block by block, one ``band_structure`` pass over (theta, k) per
-block; the single-coin functions run the same routines with one theta.
+No k-grid enters the invariants; the numeric curve windings they replace are
+the test oracle.  ``classify_sweep`` still samples each theta-block's band
+for the gap columns.
 """
 
 from __future__ import annotations
@@ -30,28 +33,13 @@ from enum import Enum
 
 import numpy as np
 
-from .core import GAP_EPS, CoinParams, coin_matrix, wrap_angle, wrap_angles
-from .errors import NumericalContractError, ValidationError
-from .momentum import (
-    DEFAULT_GRID,
-    band_structure,
-    bloch_block,
-    bloch_vectors,
-    gap_report,
-    k_grid,
-    special_points,
-    special_trig,
-)
-
-# Projections shorter than this count as zero (rotated_winding); images this
-# close to a pole count as hitting it.
-PROJECTION_EPS = 1e-9
+from .core import CoinParams, coin_matrix, gapped, wrap_angle, wrap_angles
+from .errors import ValidationError
+from .momentum import DEFAULT_GRID, band_structure, bloch_vectors, gap_report, k_grid
 
 # Thetas per block of classify_sweep: bounds its temporaries at a few
 # (SWEEP_BLOCK, grid, 3) arrays, whatever the length of the sweep.
 SWEEP_BLOCK = 32
-
-_TWO_PI = 2.0 * math.pi
 
 
 class FrameVariant(Enum):
@@ -130,63 +118,19 @@ def _require_gapped(p: CoinParams) -> None:
         raise ValidationError(f"gapless parameters: theta = {p.theta} closes both gaps")
 
 
-def _winding(curve: np.ndarray, degenerate: np.ndarray, e_u: np.ndarray, e_w: np.ndarray,
-             thetas: np.ndarray, eps: float) -> np.ndarray:
-    """Windings of closed curves about the axis e_u x e_w, one per theta.
-
-    ``curve`` has shape (..., K, 3) and is closed along k; ``thetas`` has its
-    leading shape.  Each curve is projected onto the (e_u, e_w) plane and its
-    angle accumulated from wrapped increments, all curves at once.  Raises
-    ValidationError at a degenerate point or where a projection is no longer
-    than ``eps``, and NumericalContractError where the grid cannot resolve the
-    angle, naming the first offending theta.
-    """
-    bad = degenerate.any(axis=-1)
-    if bad.any():
-        raise ValidationError(f"gapless parameters: theta = {thetas[bad][0]}: grid hit a "
-                              "degenerate point")
-    pu = curve @ e_u
-    pw = curve @ e_w
-    bad = np.min(pu * pu + pw * pw, axis=-1) <= eps * eps
-    if bad.any():
-        raise ValidationError(f"theta = {thetas[bad][0]}: image curve passes through the "
-                              "winding axis")
-    phis = np.arctan2(pw, pu)
-    steps = np.diff(phis, axis=-1, append=phis[..., :1])
-    steps -= _TWO_PI * np.rint(steps / _TWO_PI)  # wrapped into [-pi, pi]
-    bad = np.max(np.abs(steps), axis=-1) > np.pi - 0.1
-    if bad.any():
-        raise NumericalContractError(f"theta = {thetas[bad][0]}: grid too coarse, phase "
-                                     "step close to pi; refine the momentum grid")
-    turns = np.sum(steps, axis=-1) / _TWO_PI
-    bad = np.abs(turns - np.round(turns)) > 1e-6
-    if bad.any():
-        raise NumericalContractError(f"theta = {thetas[bad][0]}: grid too coarse, winding "
-                                     f"accumulated to non-integer {turns[bad][0]}")
-    return np.round(turns).astype(int)
-
-
-def _mt_windings(n: np.ndarray, degenerate: np.ndarray, thetas: np.ndarray,
-                 frame: ManifoldFrame, band: int = +1) -> np.ndarray:
-    """winding_mt of the upper-band Bloch vectors n (..., K, 3) of one family."""
-    # The band -1 curve is -n: project n onto the negated axes instead.  The
-    # projection has length |sin theta| / sin omega >= |sin theta| > GAP_EPS
-    # for every gapped theta, so GAP_EPS, not PROJECTION_EPS, marks a miss.
-    return _winding(n, degenerate, band * frame.n_beta, band * frame.e_w, thetas, GAP_EPS)
-
-
 def winding_mt(p: CoinParams, band: int = +1, grid_size: int = DEFAULT_GRID) -> int:
-    """Winding of the band's image curve around the retraction circle.
+    """Winding of the band's image curve around the retraction circle: +1.
 
     Positive values are counterclockwise in the (n_beta, e_w) basis viewed
-    from +Z.  The value is the same for every gapped theta of a family and
-    for both bands.
+    from +Z.  The retraction angle of the upper band is k - alpha (plus pi
+    where sin theta > 0), and the band -1 curve is -n with the angle shifted
+    by pi, so the value is +1 for every gapped coin and both bands.
+    ``grid_size`` does not change the value.
     """
     _require_gapped(p)
     if band not in (+1, -1):
         raise ValidationError(f"band must be +1 or -1, got {band}")
-    n, _, degenerate = bloch_vectors(p, k_grid(grid_size))
-    return int(_mt_windings(n, degenerate, np.asarray(p.theta), manifold_frame(p.beta), band))
+    return 1
 
 
 def frame_angle(variant: FrameVariant, theta: float) -> float:
@@ -218,14 +162,14 @@ def frame_so3(variant: FrameVariant, theta: float) -> np.ndarray:
     return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
 
 
-def rotated_winding(p: CoinParams, variant: FrameVariant, grid_size: int = DEFAULT_GRID) -> int:
+def rotated_winding(p: CoinParams, variant: FrameVariant) -> int:
     """Winding of the frame-rotated image curve R n_k about the frame's chiral
     axis, by the right-hand rule: in the (Y, Z) plane about X for V1, in the
-    (X, Y) plane about Z for V2.  Those components of R n_k are n_k projected
-    onto the matching rows of R.
+    (X, Y) plane about Z for V2.
 
-    The frames' chiral planes are fixed only for alpha = beta = 0; any other
-    coin raises ValidationError.
+    The closed forms are -sgn(theta) for V1 and +1 for V2.  The frames'
+    chiral planes are fixed only for alpha = beta = 0; any other coin raises
+    ValidationError.
     """
     _require_gapped(p)
     if variant is FrameVariant.IDENTITY:
@@ -233,43 +177,26 @@ def rotated_winding(p: CoinParams, variant: FrameVariant, grid_size: int = DEFAU
     if not p.has_fixed_frames:
         raise ValidationError("frame windings are defined for alpha = beta = 0, "
                               f"got alpha = {p.alpha}, beta = {p.beta}")
-    rot = frame_so3(variant, p.theta)
-    e_u, e_w = rot[1:] if variant is FrameVariant.V1 else rot[:2]
-    n, _, degenerate = bloch_vectors(p, k_grid(grid_size))
-    return int(_winding(n, degenerate, e_u, e_w, np.asarray(p.theta), PROJECTION_EPS))
+    if variant is FrameVariant.V2:
+        return 1
+    return -1 if p.theta > 0 else 1
 
 
-def _poles(thetas: np.ndarray, alpha: float, beta: float,
-           tol: float = PROJECTION_EPS) -> np.ndarray:
-    """Pole hit by the upper-band image at (k0, k1) for every theta, shape (T, 2).
+def pole_assignment(p: CoinParams) -> PoleAssignment:
+    """The poles the upper-band image hits at the special momenta.
 
-    +1 is the north pole, -1 the south pole.  The image is evaluated at the
-    exact special momenta, so the match holds to rounding for any gapped theta.
+    At k - alpha = 0 and pi the image is -sgn(theta) n_beta and +sgn(theta)
+    n_beta: the in-plane part is all of it there, since sin(omega) = |sin theta|.
     """
-    n, _, _ = bloch_block(special_trig(alpha, beta), thetas)
-    n_beta = manifold_frame(beta).n_beta
-    north = np.linalg.norm(n - n_beta, axis=-1) < tol
-    south = np.linalg.norm(n + n_beta, axis=-1) < tol
-    miss = ~(north | south)
-    if miss.any():
-        i, j = np.argwhere(miss)[0]
-        raise NumericalContractError(f"theta = {thetas[i]}: image at k = "
-                                     f"{special_points(alpha)[j]} is not on a pole: {n[i, j]}")
-    return np.where(north, 1, -1)
-
-
-def pole_assignment(p: CoinParams, tol: float = PROJECTION_EPS) -> PoleAssignment:
-    """Match the upper-band image at the special momenta against the poles."""
     _require_gapped(p)
-    (at_k0, at_k1), = _poles(np.array([p.theta]), p.alpha, p.beta, tol)
-    return PoleAssignment(int(at_k0), int(at_k1))
+    at_k1 = 1 if p.theta > 0 else -1
+    return PoleAssignment(-at_k1, at_k1)
 
 
-def rel_homotopy_invariant(p: CoinParams, grid_size: int = DEFAULT_GRID) -> RelHomotopyInvariant:
+def rel_homotopy_invariant(p: CoinParams) -> RelHomotopyInvariant:
     """The full invariant: winding plus pole assignment plus the phase label."""
     poles = pole_assignment(p)
-    return RelHomotopyInvariant(winding_mt(p, +1, grid_size), poles,
-                                PhaseLabel.from_pole(poles.at_k1))
+    return RelHomotopyInvariant(winding_mt(p), poles, PhaseLabel.from_pole(poles.at_k1))
 
 
 @dataclass(eq=False)
@@ -293,36 +220,27 @@ def classify_sweep(p: CoinParams, thetas, grid_size: int = DEFAULT_GRID) -> Swee
 
     Only p's family is used, not p.theta.  Each block of SWEEP_BLOCK thetas
     is sampled by one ``band_structure`` pass over (theta, k) on the family's
-    k-grid trig, computed once per sweep.  The gap columns are that band's
-    ``gap_report``; winding and poles come from the routines behind
-    winding_mt and pole_assignment, with the same checks.
+    k-grid, and the gap columns are that band's ``gap_report``.  Winding and
+    poles are the closed forms of winding_mt and pole_assignment: +1, and
+    (-sgn theta, sgn theta) at (k0, k1).
     """
     thetas = wrap_angles(np.atleast_1d(thetas))
-    count = len(thetas)
-    frame = manifold_frame(p.beta)
-    gaps = np.empty((2, count))
-    live = np.zeros(count, dtype=bool)
-    winding = np.zeros(count, dtype=int)
-    poles = np.zeros((count, 2), dtype=int)
-    for start in range(0, count, SWEEP_BLOCK):
+    gaps = np.empty((2, len(thetas)))
+    for start in range(0, len(thetas), SWEEP_BLOCK):
         rows = slice(start, start + SWEEP_BLOCK)
-        b = band_structure(p, grid_size, thetas[rows])
-        g = gap_report(b)
+        g = gap_report(band_structure(p, grid_size, thetas[rows]))
         gaps[:, rows] = g.gap_at_delta, g.gap_at_delta_plus_pi
-        live[rows] = on = g.is_gapped
-        idx = start + np.flatnonzero(on)
-        if idx.size:
-            keep = slice(None) if idx.size == on.size else on  # a view unless some row is gapless
-            winding[idx] = _mt_windings(b.n[keep], b.degenerate[keep], thetas[idx], frame)
-    poles[live] = _poles(thetas[live], p.alpha, p.beta)  # two momenta: no k-grid
-    return SweepResult(thetas, gaps[0], gaps[1], live, winding, poles)
+    live = gapped(thetas)
+    at_k1 = np.where(live, np.where(thetas > 0, 1, -1), 0)
+    poles = np.stack([-at_k1, at_k1], axis=-1)
+    return SweepResult(thetas, gaps[0], gaps[1], live, live.astype(int), poles)
 
 
 def _same_family(p1: CoinParams, p2: CoinParams, tol: float = 1e-12) -> bool:
     return all(abs(wrap_angle(a - b)) < tol for a, b in zip(p1.family(), p2.family()))
 
 
-def rel_homotopic(p1: CoinParams, p2: CoinParams, grid_size: int = DEFAULT_GRID) -> bool:
+def rel_homotopic(p1: CoinParams, p2: CoinParams) -> bool:
     """Whether two gapped coins of one family are deformable into each other
     with the special-momentum images pinned.
 
@@ -332,14 +250,14 @@ def rel_homotopic(p1: CoinParams, p2: CoinParams, grid_size: int = DEFAULT_GRID)
     if not _same_family(p1, p2):
         raise ValidationError(f"coins do not share (delta, alpha, beta): {p1.family()} "
                               f"vs {p2.family()}")
-    i1, i2 = rel_homotopy_invariant(p1, grid_size), rel_homotopy_invariant(p2, grid_size)
+    i1, i2 = rel_homotopy_invariant(p1), rel_homotopy_invariant(p2)
     return (i1.winding_mt, i1.poles) == (i2.winding_mt, i2.poles)
 
 
-def predicted_edge_states(p1: CoinParams, p2: CoinParams, grid_size: int = DEFAULT_GRID) -> int:
+def predicted_edge_states(p1: CoinParams, p2: CoinParams) -> int:
     """Number of interface-localized states expected between the two walks:
     zero within one phase, two (one per gap) across distinct phases."""
-    return 0 if rel_homotopic(p1, p2, grid_size) else 2
+    return 0 if rel_homotopic(p1, p2) else 2
 
 
 def pole_letter(sign: int) -> str:

@@ -86,6 +86,54 @@ def test_winding_values(tmp_path, capsys):
     assert result == {"winding_mt": 1, "rotated_v1_about_x": -1, "rotated_v2_about_z": 1}
 
 
+@pytest.mark.parametrize("theta", ["1e-7", "3.14159"])
+def test_winding_on_an_odd_grid_near_a_gap_closing(tmp_path, capsys, theta):
+    # a 9-point grid misses k = 0 and k = pi, where the frame-rotated curve
+    # turns fastest near a closing; the closed forms need no grid
+    assert run(["winding", "--theta", theta, "--grid", "9", "--out", str(tmp_path)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result == {"winding_mt": 1, "rotated_v1_about_x": -1, "rotated_v2_about_z": 1}
+
+
+def test_grid_changes_no_winding_or_invariant(tmp_path, capsys):
+    for command, theta in (("winding", "0.5"), ("invariant", "-0.5")):
+        printed = set()
+        for grid in ("8", "9", "512"):
+            assert run([command, "--theta", theta, "--grid", grid,
+                        "--out", str(tmp_path / grid)]) == 0
+            printed.add(capsys.readouterr().out)
+        assert len(printed) == 1
+
+
+def _outputs(out: Path) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("args", [
+    ["band", "--theta", "-1e-4", "--grid", "16"],
+    ["sweep", "--theta-min", "-1e-3", "--theta-max", "1e-3", "--theta-step", "5e-4"],
+    ["invariant", "--theta1", "-2e-5", "--theta2", "0.5"],
+    ["symmetry", "--theta", "0.5", "--delta", "-1E-1", "--beta", "-.5e0"],
+])
+def test_negative_values_in_exponent_notation(tmp_path, capsys, args):
+    # argparse alone reads -1e-4 after a flag as a flag of its own
+    out = ["--out", str(tmp_path / "out")]
+    assert run(args + out) == 0
+    spaced = _outputs(tmp_path / "out"), capsys.readouterr().out
+    joined = [f"{flag}={value}" for flag, value in zip(args[1::2], args[2::2])]
+    for path in (tmp_path / "out").iterdir():
+        path.unlink()
+    assert run(args[:1] + joined + out) == 0
+    assert (_outputs(tmp_path / "out"), capsys.readouterr().out) == spaced
+
+
+def test_negative_non_finite_values_reach_validation(tmp_path, capsys):
+    code = run(["sweep", "--theta-min", "-inf", "--theta-max", "1", "--theta-step", "0.1",
+                "--out", str(tmp_path)])
+    assert code == 2
+    assert "--theta-min must be finite, got -inf" in capsys.readouterr().err
+
+
 def test_winding_of_complex_coin_has_no_frame_values(tmp_path, capsys):
     for flag in ("--alpha", "--beta"):
         out = tmp_path / flag.strip("-")
@@ -122,6 +170,25 @@ def test_symmetry_omits_phs_just_off_a_lattice_momentum(tmp_path, capsys):
     reports = read_json(tmp_path / "symmetry.json")
     assert "PHS" not in [r["name"] for r in reports]
     assert all(r["passed"] for r in reports)
+
+
+@pytest.mark.parametrize("ring", ["8", "16"])
+@pytest.mark.parametrize("flag, value, omitted", [
+    ("--alpha", "1e-12", ["PHS", "TimeShiftV1", "TimeShiftV2"]),
+    ("--beta", "5e-13", ["CS", "TimeShiftV1", "TimeShiftV2"]),
+    ("--beta", "1e-12", ["CS", "TimeShiftV1", "TimeShiftV2"]),
+])
+def test_symmetry_omits_relations_just_off_their_domain(tmp_path, capsys, ring, flag, value,
+                                                        omitted):
+    # the CS and time-shift residuals grow as about 2.65 |beta| and |alpha|,
+    # which reach RESIDUAL_TOL = 1e-12 before alpha or beta reads as zero
+    code = run(["symmetry", "--theta", "0.5", flag, value, "--ring-size", ring,
+                "--out", str(tmp_path)])
+    assert code == 0
+    names = [r["name"] for r in read_json(tmp_path / "symmetry.json")]
+    assert set(names) | set(omitted) == {"SUB", "PHS", "PS", "CS", "TimeShiftV1",
+                                         "TimeShiftV2"}
+    assert not set(names) & set(omitted)
 
 
 def test_edge_subcommand(tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Property tests of the Bloch map and the invariant over the whole gapped
 domain, down to |theta| = 1e-10 from either gap closing, of the frame
-identities of the time-shifted walks, and of angle wrapping."""
+identities of the time-shifted walks, and of angle wrapping.
+
+The closed-form windings and poles of ``dtqw.topology`` are checked against
+the numeric oracle: the winding of the sampled image curve, accumulated with
+np.unwrap, and the Bloch vector at the special momenta."""
 
 import math
 
@@ -10,15 +14,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtqw.core import CoinParams, wrap_angle, wrap_angles
-from dtqw.momentum import bloch_hamiltonian, bloch_vector, bloch_vectors, momentum_step_matrix
+from dtqw.momentum import (bloch_hamiltonian, bloch_vector, bloch_vectors, k_grid,
+                           momentum_step_matrix, special_points)
 from dtqw.symmetry import frame_conjugated_walk, timeshift_walk
-from dtqw.topology import FrameVariant, invariant_json_dict, rel_homotopy_invariant
+from dtqw.topology import (FrameVariant, bz_image_table, invariant_json_dict, manifold_frame,
+                           pole_assignment, rel_homotopy_invariant, rotated_winding,
+                           winding_mt)
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 angles = st.floats(-math.pi, math.pi)
 thetas = st.builds(lambda mag, sign: sign * mag,
                    st.floats(1e-10, math.pi - 1e-10), st.sampled_from([-1.0, 1.0]))
+# the edges of the gapped domain and the flat-band point, plus the rest of it
+oracle_thetas = st.one_of(
+    st.sampled_from([s * t for t in (1e-10, math.pi / 2, math.pi - 1e-10) for s in (1, -1)]),
+    thetas)
+grids = st.sampled_from([8, 16, 512])
+
+
+def _curve_winding(u: np.ndarray, w: np.ndarray) -> int:
+    """Turns about the origin of the closed curve with in-plane coordinates
+    (u, w), counterclockwise positive, from its angles accumulated by np.unwrap."""
+    closed = np.unwrap(np.arctan2(np.append(w, w[0]), np.append(u, u[0])))
+    assert np.max(np.abs(np.diff(closed))) < math.pi - 0.1  # the grid resolves each turn
+    return int(round((closed[-1] - closed[0]) / (2 * math.pi)))
 
 
 @PROPERTY_SETTINGS
@@ -51,7 +71,7 @@ def test_bloch_hamiltonian_generates_the_step(delta, alpha, beta, theta, k):
 @PROPERTY_SETTINGS
 @given(angles, angles, angles, thetas)
 def test_phase_label_and_k1_pole_follow_the_sign_of_theta(delta, alpha, beta, theta):
-    d = invariant_json_dict(rel_homotopy_invariant(CoinParams(delta, alpha, beta, theta), 64))
+    d = invariant_json_dict(rel_homotopy_invariant(CoinParams(delta, alpha, beta, theta)))
     positive = theta > 0
     assert d["phase_label"] == ("ThetaPositive" if positive else "ThetaNegative")
     assert d["pole_k1"] == ("N" if positive else "S")
@@ -87,3 +107,30 @@ def test_timeshift_walks_are_frame_conjugations(delta, theta):
     for variant in (FrameVariant.V1, FrameVariant.V2):
         u = timeshift_walk(p, variant, 8).dense()
         assert np.max(np.abs(u - frame_conjugated_walk(p, variant, 8))) < 1e-14
+
+
+@PROPERTY_SETTINGS
+@given(angles, angles, angles, oracle_thetas, grids)
+def test_closed_form_windings_and_poles_match_the_curve_oracle(delta, alpha, beta, theta, grid):
+    p = CoinParams(delta, alpha, beta, theta)
+    f = manifold_frame(p.beta)
+    n, _, degenerate = bloch_vectors(p, k_grid(grid))
+    assert not degenerate.any()
+    for band in (+1, -1):  # the band -1 image is -n
+        assert winding_mt(p, band) == _curve_winding(band * n @ f.n_beta, band * n @ f.e_w)
+    # The rounded special momenta sit a few 1e-16 off, and n turns at up to
+    # 1/|sin theta| per unit k there.
+    poles = pole_assignment(p)
+    for pole, k in zip((poles.at_k0, poles.at_k1), special_points(p.alpha)):
+        miss = np.max(np.abs(bloch_vector(p, k) - pole * f.n_beta))
+        assert miss < 1e-12 + 1e-14 / abs(math.sin(p.theta))
+
+
+@PROPERTY_SETTINGS
+@given(angles, oracle_thetas, grids)
+def test_closed_form_frame_windings_match_the_curve_oracle(delta, theta, grid):
+    p = CoinParams(delta, 0.0, 0.0, theta)
+    # V1 turns in the (Y, Z) plane about X, V2 in the (X, Y) plane about Z
+    for variant, (u, w) in ((FrameVariant.V1, (1, 2)), (FrameVariant.V2, (0, 1))):
+        curve = np.array([row[1:4] for row in bz_image_table(p, variant, grid)])
+        assert rotated_winding(p, variant) == _curve_winding(curve[:, u], curve[:, w])

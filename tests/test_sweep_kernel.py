@@ -14,9 +14,8 @@ import pytest
 
 from dtqw.cli import SWEEP_CSV_HEADER, _sweep_row, main
 from dtqw.core import CoinParams, pauli_decompose
-from dtqw.errors import NumericalContractError, ValidationError
 from dtqw.momentum import band_structure, gap_report, k_grid, momentum_step_matrix, special_points
-from dtqw.topology import PROJECTION_EPS, SWEEP_BLOCK, _winding, classify_sweep, manifold_frame
+from dtqw.topology import SWEEP_BLOCK, classify_sweep, manifold_frame
 
 GRID = 64
 
@@ -87,35 +86,3 @@ def test_kernel_matches_reference_on_the_cli_sweep(tmp_path):
         p = CoinParams(2.0, 0.4, -1.3, -1 + i * 0.05)
         assert line == ",".join(_cells(_reference_row(p, GRID)))
 
-
-def _circle(count: int, turns: int = 1) -> np.ndarray:
-    phi = turns * 2 * math.pi * np.arange(count) / count
-    return np.stack([np.cos(phi), np.sin(phi), np.zeros(count)], axis=-1)
-
-
-def test_winding_helper_counts_every_row():
-    curves = np.stack([_circle(32), _circle(32, -2), _circle(32)[::-1]])
-    thetas = np.array([0.1, 0.2, 0.3])
-    ok = np.zeros(curves.shape[:2], dtype=bool)
-    x, y = np.eye(3)[0], np.eye(3)[1]
-    assert list(_winding(curves, ok, x, y, thetas, PROJECTION_EPS)) == [1, -2, -1]
-
-
-def test_winding_helper_errors_name_the_theta():
-    x, y = np.eye(3)[0], np.eye(3)[1]
-    thetas = np.array([0.1, 0.2])
-    ok = np.zeros((2, 32), dtype=bool)
-
-    on_axis = np.stack([_circle(32), _circle(32)])
-    on_axis[1, 5] = [0.0, 0.0, 1.0]
-    with pytest.raises(ValidationError, match="theta = 0.2: image curve passes through the"):
-        _winding(on_axis, ok, x, y, thetas, PROJECTION_EPS)
-
-    coarse = np.stack([_circle(32), _circle(4)[[0, 2, 0, 2] * 8]])
-    with pytest.raises(NumericalContractError, match="theta = 0.2: grid too coarse"):
-        _winding(coarse, ok, x, y, thetas, PROJECTION_EPS)
-
-    degenerate = ok.copy()
-    degenerate[0, 3] = True
-    with pytest.raises(ValidationError, match="gapless parameters: theta = 0.1"):
-        _winding(np.stack([_circle(32)] * 2), degenerate, x, y, thetas, PROJECTION_EPS)

@@ -8,7 +8,7 @@ from dtqw.errors import ValidationError
 from dtqw.lattice import ThetaProfile, build_walk, diagonalize
 from dtqw.momentum import bloch_hamiltonian, special_points
 from dtqw.symmetry import (
-    PHS_DOMAIN_TOL,
+    DOMAIN_TOL,
     RESIDUAL_TOL,
     chiral_operator,
     chiral_residual,
@@ -243,8 +243,18 @@ def test_suite_omits_phs_where_the_gauge_misses_the_wrap(n, alpha):
 
 @pytest.mark.parametrize("n", [8, 16, 64, 512])
 def test_suite_keeps_phs_at_lattice_momenta(n):
-    assert PHS_DOMAIN_TOL < RESIDUAL_TOL / 2
+    assert DOMAIN_TOL < RESIDUAL_TOL / 2
     for alpha in (0.0, 2 * math.pi / n):
         p = CoinParams(0, alpha, 0.0 if n <= 64 else 0.3, 0.5)
         phs = [r for r in run_symmetry_suite(p, n_sites=n) if r.name == "PHS"]
         assert len(phs) == 1 and phs[0].passed
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("alpha, beta", [(0.0, 4e-14), (4e-14, 0.0), (0.0, -4e-14)])
+def test_suite_keeps_cs_and_time_shifts_inside_the_domain(n, alpha, beta):
+    # alpha N >= 3.2e-13 is off the PHS domain; every other relation stays
+    reports = run_symmetry_suite(CoinParams(0.3, alpha, beta, 0.5), n_sites=n)
+    names = {"SUB", "PHS", "PS", "CS", "TimeShiftV1", "TimeShiftV2"} - ({"PHS"} if alpha else set())
+    assert {r.name for r in reports} == names
+    assert all(r.passed for r in reports)
