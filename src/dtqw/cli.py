@@ -62,6 +62,8 @@ _CASES = {
 # A sweep of more points is refused: 1000 times the largest sweep in use, and
 # a bound on the memory the rows take.
 MAX_SWEEP_POINTS = 10**7
+# A larger --grid is refused before any array is built: 1024 times the largest in use.
+MAX_GRID = 2**20
 
 # Words argparse reads as a negative value, not as a flag.  Its own test takes
 # only -1 and -1.5, so a flag's value -1e-4, -inf or -nan would read as a flag.
@@ -181,8 +183,11 @@ def _config_echo(args: argparse.Namespace) -> dict:
 
 def _validate(args: argparse.Namespace) -> list[str]:
     problems = []
-    if getattr(args, "grid", 8) < 8:
+    grid = getattr(args, "grid", 8)
+    if grid < 8:
         problems.append("--grid must be at least 8")
+    elif grid > MAX_GRID:
+        problems.append(f"--grid must be at most {MAX_GRID}, got {grid}")
     ring = getattr(args, "ring_size", None)
     if ring is not None and (ring < 4 or ring % 2):
         problems.append("--ring-size must be even and at least 4")
@@ -212,7 +217,9 @@ def _write_table(args, name: str, header: list[str], rows) -> str:
     if args.format == "csv":
         io.write_csv(path, header, rows)
     else:
-        io.write_json(path, [dict(zip(header, row)) for row in rows])
+        # JSON has no NaN: a non-finite cell (omega at a degenerate k) is null
+        io.write_json(path, [{key: None if isinstance(x, float) and not math.isfinite(x) else x
+                              for key, x in zip(header, row)} for row in rows])
     io.write_sidecar(path, _config_echo(args), __version__)
     return path
 
@@ -286,8 +293,8 @@ def cmd_symmetry(args) -> int:
     reports = run_symmetry_suite(p, n_sites=args.ring_size, seed=args.seed)
     _write_record(args, "symmetry", reports_json(reports))
     for r in reports:
-        print(f"{r.name}: residual {r.residual:.3e} ({r.norm} norm) "
-              f"{'passed' if r.passed else 'FAILED'}")
+        verdict = "passed" if r.passed else f"FAILED (tolerance {r.tolerance:.0e})"
+        print(f"{r.name}: residual {r.residual:.3e} ({r.norm} norm) {verdict}")
     if not all(r.passed for r in reports):
         return 3
     return 0

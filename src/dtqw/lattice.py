@@ -354,7 +354,7 @@ def sublattice_blocks(u: WalkOperator) -> tuple[np.ndarray, np.ndarray, np.ndarr
     same = max(np.max(np.abs(blocks[:, 0, :, :, 0])), np.max(np.abs(blocks[:, 1, :, :, 1])))
     if same != 0.0:
         raise NumericalContractError(
-            f"walk couples sites of equal parity: largest entry {same:.3e}")
+            f"walk couples sites of equal parity: largest entry {same:.3e}, tolerance 0")
     return mat, blocks[:, 1, :, :, 0].reshape(n, n), blocks[:, 0, :, :, 1].reshape(n, n)
 
 

@@ -18,8 +18,10 @@ The normalization uses the exact identity
 sin(omega_k) = hypot(sin(theta), cos(theta) sin(k - a)), which keeps every digit
 near omega_k in {0, pi}, where arccos loses half of them.  The Bloch routine
 takes a block of theta values at once, and ``band_structure`` samples either
-one coin or such a block; the k-grid trig of a family is computed once and
-shared by every band of that family.
+one coin or such a block, each array when first read; the k-grid trig of a
+family is computed once and shared by every band of that family.  The band's
+extremes sit where cos(k - alpha) is largest and smallest, so ``gap_report``
+reads them there without sampling the band.
 """
 
 from __future__ import annotations
@@ -68,12 +70,12 @@ def dispersion(p: CoinParams, k) -> float | np.ndarray:
 
 
 def bloch_block(trig: KTrig, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bloch vectors of the coins theta (rows) at the trig's momenta (columns).
+    """Bloch vectors of the coins theta at the trig's K momenta (a last axis).
 
-    Returns (n, sin_omega, degenerate): n has shape (T, K, 3) and NaN rows at
-    degenerate points, where sin omega <= GAP_EPS.
+    Returns (n, sin_omega, degenerate): for thetas of shape S, n has shape
+    S + (K, 3) and NaN rows at degenerate points, where sin omega <= GAP_EPS.
     """
-    thetas = np.asarray(thetas, dtype=float)[:, None]
+    thetas = np.asarray(thetas, dtype=float)[..., None]
     st, ct = np.sin(thetas), np.cos(thetas)
     n_z = ct * trig.sin_a
     sin_w = np.sqrt(st * st + n_z * n_z)  # hypot(st, n_z), >= |st|
@@ -94,8 +96,7 @@ def bloch_vectors(p: CoinParams, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     Unlike ``bloch_vector`` this flags degenerate momenta instead of raising.
     """
-    n, sin_w, degenerate = bloch_block(k_trig(p.alpha, p.beta, k), [p.theta])
-    return n[0], sin_w[0], degenerate[0]
+    return bloch_block(k_trig(p.alpha, p.beta, k), p.theta)
 
 
 def _bloch_point(p: CoinParams, k: float) -> tuple[np.ndarray, float]:
@@ -145,16 +146,32 @@ class BandStructure:
 
     The band of one coin has arrays over k.  The band of a theta-block
     (``thetas`` set) has a leading theta axis on ``omega``, ``n`` and
-    ``degenerate``; ``band_table`` is for one coin only.
+    ``degenerate``; ``band_table`` is for one coin only.  Those three arrays
+    are computed from the family's grid trig when first read and then kept,
+    so a band whose gaps alone are read costs no (theta, k) pass.
     """
 
     params: CoinParams
     k: np.ndarray
-    omega: np.ndarray
-    n: np.ndarray  # (..., grid_size, 3); NaN rows at degenerate points
-    degenerate: np.ndarray  # bool mask
+    trig: KTrig
     grid_size: int
     thetas: np.ndarray | None = None
+
+    @property
+    def _theta(self) -> np.ndarray:
+        """The coin's theta (0-d) or the block's thetas (1-d)."""
+        return np.asarray(self.params.theta if self.thetas is None else self.thetas)
+
+    @functools.cached_property
+    def omega(self) -> np.ndarray:
+        return _omega(self._theta[..., None], self.trig.cos_a)
+
+    @functools.cached_property
+    def _bloch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return bloch_block(self.trig, self._theta)
+
+    n = property(lambda self: self._bloch[0])  # (..., grid_size, 3); NaN rows where degenerate
+    degenerate = property(lambda self: self._bloch[2])  # bool mask: sin omega <= GAP_EPS
 
     def quasienergies(self) -> tuple[np.ndarray, np.ndarray]:
         """Both bands delta +/- omega_k, wrapped to the first Floquet zone."""
@@ -192,29 +209,36 @@ def _family_grid(alpha: float, beta: float, grid_size: int) -> tuple[np.ndarray,
 
 
 def band_structure(p: CoinParams, grid_size: int = DEFAULT_GRID, thetas=None) -> BandStructure:
-    """Sample dispersion and Bloch vectors over the Brillouin zone.
+    """The dispersion and Bloch vectors over the Brillouin zone, sampled on read.
 
     With ``thetas`` the band is that of the block of coins p.with_theta(t),
     t in thetas, sampled in one broadcast pass; p.theta is then not used, and
     the thetas are taken as given, not wrapped as CoinParams wraps them.
-    Degenerate grid points (gap closings) are flagged, not fatal, so gapless
-    parameters can still be tabulated.
+    Building the band does O(grid_size) work at most (the family grid, cached);
+    each array costs its (theta, k) pass only when read.  Degenerate grid
+    points (gap closings) are flagged, not fatal, so gapless parameters can
+    still be tabulated.
     """
     if grid_size < 8:
         raise ValidationError(f"grid_size must be at least 8, got {grid_size}")
     ks, trig = _family_grid(p.alpha, p.beta, grid_size)
-    block = np.atleast_1d(np.asarray(p.theta if thetas is None else thetas, dtype=float))
-    omega = _omega(block[:, None], trig.cos_a)
-    n, _, degenerate = bloch_block(trig, block)
-    if thetas is None:
-        return BandStructure(p, ks, omega[0], n[0], degenerate[0], grid_size)
-    return BandStructure(p, ks, omega, n, degenerate, grid_size, block)
+    block = None if thetas is None else np.atleast_1d(np.asarray(thetas, dtype=float))
+    return BandStructure(p, ks, trig, grid_size, block)
 
 
 def gap_report(b: BandStructure) -> GapReport:
-    """Gap sizes 2*min(omega) and 2*(pi - max(omega)) from the sampled band."""
-    g0 = 2.0 * np.min(b.omega, axis=-1)
-    g1 = 2.0 * (np.pi - np.max(b.omega, axis=-1))
+    """Gap sizes 2*min(omega) and 2*(pi - max(omega)) of the sampled band, in O(T + K).
+
+    The sampled omega is arccos(clip(c * x)), c = cos(theta), x = cos(k - alpha)
+    on the grid.  Rounding c * x is monotone in x (decreasing where c < 0), clip
+    monotone and arccos decreasing, so the sampled min and max of omega, bit for
+    bit, are that formula at the grid's max and min of x (swapped where c < 0).
+    """
+    cos_a = b.trig.cos_a
+    top, bottom = np.max(cos_a), np.min(cos_a)
+    up = np.cos(b._theta) >= 0
+    g0 = 2.0 * _omega(b._theta, np.where(up, top, bottom))
+    g1 = 2.0 * (np.pi - _omega(b._theta, np.where(up, bottom, top)))
     if b.thetas is None:
         return GapReport(float(g0), float(g1), b.params.is_gapped)
     return GapReport(g0, g1, gapped(b.thetas))

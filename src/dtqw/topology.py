@@ -21,8 +21,9 @@ pole assignment, which yields a two-phase classification and predicts two
 interface-localized states (one per gap) between distinct phases.
 
 No k-grid enters the invariants; the numeric curve windings they replace are
-the test oracle.  ``classify_sweep`` still samples each theta-block's band
-for the gap columns.
+the test oracle.  ``classify_sweep`` takes its gap columns from the band's
+extremes, which sit at the grid's extremes of cos(k - alpha), so a sweep
+does no (theta, k) pass.
 """
 
 from __future__ import annotations
@@ -33,13 +34,9 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CoinParams, coin_matrix, gapped, wrap_angle, wrap_angles
+from .core import CoinParams, coin_matrix, wrap_angle, wrap_angles
 from .errors import ValidationError
 from .momentum import DEFAULT_GRID, band_structure, bloch_vectors, gap_report, k_grid
-
-# Thetas per block of classify_sweep: bounds its temporaries at a few
-# (SWEEP_BLOCK, grid, 3) arrays, whatever the length of the sweep.
-SWEEP_BLOCK = 32
 
 
 class FrameVariant(Enum):
@@ -218,22 +215,19 @@ class SweepResult:
 def classify_sweep(p: CoinParams, thetas, grid_size: int = DEFAULT_GRID) -> SweepResult:
     """Gaps and invariants of the coins ``p.with_theta(t)`` for every t in thetas.
 
-    Only p's family is used, not p.theta.  Each block of SWEEP_BLOCK thetas
-    is sampled by one ``band_structure`` pass over (theta, k) on the family's
-    k-grid, and the gap columns are that band's ``gap_report``.  Winding and
-    poles are the closed forms of winding_mt and pole_assignment: +1, and
-    (-sgn theta, sgn theta) at (k0, k1).
+    Only p's family is used, not p.theta.  The gap columns are the
+    ``gap_report`` of the whole theta array's ``band_structure``, which reads
+    the sampled band's extremes at the grid's extremes of cos(k - alpha): O(T +
+    K) work and memory, no (theta, k) array.  Winding and poles are the closed
+    forms of winding_mt and pole_assignment: +1, and (-sgn theta, sgn theta) at
+    (k0, k1).
     """
     thetas = wrap_angles(np.atleast_1d(thetas))
-    gaps = np.empty((2, len(thetas)))
-    for start in range(0, len(thetas), SWEEP_BLOCK):
-        rows = slice(start, start + SWEEP_BLOCK)
-        g = gap_report(band_structure(p, grid_size, thetas[rows]))
-        gaps[:, rows] = g.gap_at_delta, g.gap_at_delta_plus_pi
-    live = gapped(thetas)
-    at_k1 = np.where(live, np.where(thetas > 0, 1, -1), 0)
+    g = gap_report(band_structure(p, grid_size, thetas))
+    at_k1 = np.where(g.is_gapped, np.where(thetas > 0, 1, -1), 0)
     poles = np.stack([-at_k1, at_k1], axis=-1)
-    return SweepResult(thetas, gaps[0], gaps[1], live, live.astype(int), poles)
+    return SweepResult(thetas, g.gap_at_delta, g.gap_at_delta_plus_pi, g.is_gapped,
+                       g.is_gapped.astype(int), poles)
 
 
 def _same_family(p1: CoinParams, p2: CoinParams, tol: float = 1e-12) -> bool:

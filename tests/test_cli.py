@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dtqw import cli
+from dtqw import cli, momentum, topology
 from dtqw.cli import main
 from dtqw.errors import NumericalContractError
 
@@ -303,6 +303,42 @@ def test_sweep_refuses_more_than_the_point_cap(tmp_path, capsys, step, points):
     err = capsys.readouterr().err
     assert f"asks for {points} sweep points, more than 10000000" in err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def _refuse_non_finite(name):
+    raise AssertionError(f"{name} in JSON output")
+
+
+def test_json_tables_write_null_for_non_finite_cells(tmp_path, capsys):
+    # theta = 0 closes both gaps: the Bloch vector is undefined at k = alpha, alpha + pi
+    assert run(["band", "--theta", "0", "--grid", "8", "--format", "json",
+                "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "band.json").read_text()
+    rows = json.loads(text, parse_constant=_refuse_non_finite)
+    assert [i for i, row in enumerate(rows) if row["n_x"] is None] == [3, 7]
+    assert all(row["n_z"] is None for row in rows if row["n_x"] is None)
+    assert all(isinstance(row["omega_plus"], float) for row in rows)
+    run(["band", "--theta", "0", "--grid", "8", "--out", str(tmp_path)])
+    assert (tmp_path / "band.csv").read_text().count("nan") == 6  # CSV keeps nan
+
+
+@pytest.mark.parametrize("command", [["band", "--theta", "0.5"], ["map", "--theta", "0.5"],
+                                     ["sweep", "--theta-min", "0", "--theta-max", "1",
+                                      "--theta-step", "0.5"]])
+def test_grid_above_the_cap_is_refused_before_any_array(tmp_path, capsys, monkeypatch,
+                                                        command):
+    def no_grid(*args):
+        raise AssertionError("a k-grid was built")
+
+    for module, name in ((momentum, "k_grid"), (momentum, "_family_grid"),
+                         (topology, "k_grid")):
+        monkeypatch.setattr(module, name, no_grid)
+    too_big = str(cli.MAX_GRID + 1)
+    assert run([*command, "--grid", too_big, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: --grid must be at most 1048576, got {too_big}\n"
+    assert run([*command, "--grid", "7", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: --grid must be at least 8\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_error_contract_exit_codes_and_stderr(tmp_path, capsys, monkeypatch):

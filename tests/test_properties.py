@@ -4,7 +4,9 @@ identities of the time-shifted walks, and of angle wrapping.
 
 The closed-form windings and poles of ``dtqw.topology`` are checked against
 the numeric oracle: the winding of the sampled image curve, accumulated with
-np.unwrap, and the Bloch vector at the special momenta."""
+np.unwrap, and the Bloch vector at the special momenta.  The gap report,
+which reads the band's extremes without sampling it, is checked against the
+min and max of the sampled dispersion."""
 
 import math
 
@@ -14,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtqw.core import CoinParams, wrap_angle, wrap_angles
-from dtqw.momentum import (bloch_hamiltonian, bloch_vector, bloch_vectors, k_grid,
-                           momentum_step_matrix, special_points)
+from dtqw.momentum import (_omega, band_structure, bloch_hamiltonian, bloch_vector,
+                           bloch_vectors, gap_report, k_grid, momentum_step_matrix,
+                           special_points)
 from dtqw.symmetry import frame_conjugated_walk, timeshift_walk
 from dtqw.topology import (FrameVariant, bz_image_table, invariant_json_dict, manifold_frame,
                            pole_assignment, rel_homotopy_invariant, rotated_winding,
@@ -31,6 +34,16 @@ oracle_thetas = st.one_of(
     st.sampled_from([s * t for t in (1e-10, math.pi / 2, math.pi - 1e-10) for s in (1, -1)]),
     thetas)
 grids = st.sampled_from([8, 16, 512])
+
+# the gap closings, their subnormal and rounding-level neighbours, the flat band
+gap_thetas = st.one_of(
+    st.sampled_from([0.0, math.pi] + [s * t for t in (5e-324, 1e-16, 1e-8, math.pi / 2,
+                                                       math.pi - 1e-12) for s in (1, -1)]),
+    st.floats(-math.pi, math.pi))
+# grids odd and even, a k-point on alpha + pi or not
+gap_grids = st.sampled_from([8, 9, 16, 17, 63, 64, 100, 257, 512, 1024])
+# alpha on a multiple of pi/4 puts grid points on (or symmetric about) k = alpha
+gap_alphas = st.one_of(st.sampled_from([j * math.pi / 4 for j in range(-4, 5)]), angles)
 
 
 def _curve_winding(u: np.ndarray, w: np.ndarray) -> int:
@@ -134,3 +147,20 @@ def test_closed_form_frame_windings_match_the_curve_oracle(delta, theta, grid):
     for variant, (u, w) in ((FrameVariant.V1, (1, 2)), (FrameVariant.V2, (0, 1))):
         curve = np.array([row[1:4] for row in bz_image_table(p, variant, grid)])
         assert rotated_winding(p, variant) == _curve_winding(curve[:, u], curve[:, w])
+
+
+@PROPERTY_SETTINGS
+@given(gap_alphas, angles, st.lists(gap_thetas, min_size=1, max_size=20), gap_grids)
+def test_gap_report_equals_the_extremes_of_the_sampled_band(alpha, beta, block, grid):
+    family = CoinParams(0.3, alpha, beta, 0.0)
+    cos_a = np.cos(k_grid(grid) - family.alpha)
+    omega = _omega(np.array(block)[:, None], cos_a)
+    g = gap_report(band_structure(family, grid, block))
+    assert np.array_equal(g.gap_at_delta, 2.0 * np.min(omega, axis=-1))
+    assert np.array_equal(g.gap_at_delta_plus_pi, 2.0 * (np.pi - np.max(omega, axis=-1)))
+    for theta in block:
+        p = family.with_theta(theta)
+        omega = _omega(p.theta, cos_a)
+        g = gap_report(band_structure(p, grid))
+        assert g.gap_at_delta == 2.0 * np.min(omega)
+        assert g.gap_at_delta_plus_pi == 2.0 * (np.pi - np.max(omega))

@@ -1,21 +1,22 @@
-"""The blocked sweep kernel against a slow per-theta reference.
+"""The sweep kernel against a slow per-theta reference.
 
 The reference takes each Bloch vector from the Pauli decomposition of the
 momentum step matrix, not from the kernel's closed form, accumulates the
-winding with np.unwrap, and reads the gap columns from
-gap_report(band_structure(...)).  Rows are compared cell for cell as the
-CSV writer formats them.
+winding with np.unwrap, and reads the gap columns from the min and max of
+the dispersion sampled on the k-grid.  Rows are compared cell for cell as
+the CSV writer formats them.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dtqw.cli import SWEEP_CSV_HEADER, _sweep_row, main
 from dtqw.core import CoinParams, pauli_decompose
-from dtqw.momentum import band_structure, gap_report, k_grid, momentum_step_matrix, special_points
-from dtqw.topology import SWEEP_BLOCK, classify_sweep, manifold_frame
+from dtqw.momentum import dispersion, k_grid, momentum_step_matrix, special_points
+from dtqw.topology import classify_sweep, manifold_frame
 
 GRID = 64
 
@@ -28,8 +29,8 @@ def _pauli_bloch_vector(p: CoinParams, k: float) -> np.ndarray:
 
 
 def _reference_row(p: CoinParams, grid: int) -> list:
-    g = gap_report(band_structure(p, grid))
-    row = [p.theta, g.gap_at_delta, g.gap_at_delta_plus_pi]
+    omega = dispersion(p, k_grid(grid))
+    row = [p.theta, 2.0 * np.min(omega), 2.0 * (np.pi - np.max(omega))]
     if not p.is_gapped:
         return row + ["", "", "", "Gapless"]
     f = manifold_frame(p.beta)
@@ -53,10 +54,11 @@ def _families(seed: int, count: int):
     return [tuple(rng.uniform(-math.pi, math.pi, 3)) for _ in range(count)]
 
 
+# the set names keep the sizes of a former 32-theta block loop
 THETA_SETS = {
     "single": [0.7],
-    "block_plus_5": list(np.linspace(-3.0, 3.0, SWEEP_BLOCK + 5)),
-    "two_blocks_plus_1": list(np.linspace(0.05, 3.1, 2 * SWEEP_BLOCK + 1)),
+    "block_plus_5": list(np.linspace(-3.0, 3.0, 37)),
+    "two_blocks_plus_1": list(np.linspace(0.05, 3.1, 65)),
     "across_zero": [-0.5 + 0.1 * i for i in range(11)],
     "gap_closings": [-math.pi, -1e-4, 0.0, 1e-4, math.pi],
 }
@@ -86,3 +88,16 @@ def test_kernel_matches_reference_on_the_cli_sweep(tmp_path):
         p = CoinParams(2.0, 0.4, -1.3, -1 + i * 0.05)
         assert line == ",".join(_cells(_reference_row(p, GRID)))
 
+
+
+def test_sweep_memory_is_linear_in_thetas_and_grid():
+    # a (theta, k) pass over 10^5 thetas on a 4096-point grid would hold GBs
+    thetas = np.linspace(-3.0, 3.0, 10**5)
+    tracemalloc.start()
+    try:
+        sweep = classify_sweep(CoinParams(0.3, 0.7, -1.1, 0.0), thetas, 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sweep.theta) == 10**5
+    assert peak < 32 * 2**20
