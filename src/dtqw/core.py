@@ -25,14 +25,17 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
-# Tolerance of the pure 2x2 algebra identities.
-ALGEBRA_TOL = 1e-14
-
 # The one gap threshold.  A coin is gapped iff |sin theta| exceeds it.  Since
 # sin(omega_k) = hypot(sin theta, cos theta sin(k - alpha)) >= |sin theta|, the
 # same value marks degenerate momenta (sin omega_k at or below it): no momentum
-# of a gapped coin is degenerate.
+# of a gapped coin is degenerate, and sgn(theta) is taken only for |theta| > it.
 GAP_EPS = 1e-12
+
+# The one domain threshold: alpha N within it of 2 pi Z, alpha or beta within it
+# of 0, two families within it of each other.  There the residuals, which grow as
+# about 2 |remainder(alpha N, 2 pi)|, |alpha| and 2.65 |beta|, stay far below RESIDUAL_TOL.
+RESIDUAL_TOL = 1e-12  # a certified relation passes with its residual below it
+DOMAIN_TOL = RESIDUAL_TOL / 20
 
 _TWO_PI = 2.0 * math.pi
 
@@ -95,10 +98,10 @@ class CoinParams:
 
     @property
     def has_fixed_frames(self) -> bool:
-        """True iff alpha = beta = 0 (to 1e-12).  Only then do the frame
+        """True iff |alpha|, |beta| < DOMAIN_TOL.  Only then do the frame
         rotations V1 and V2 have fixed chiral planes, so the time-shifted walks
         and the frame windings are defined for these coins alone."""
-        return abs(self.alpha) <= 1e-12 and abs(self.beta) <= 1e-12
+        return abs(self.alpha) < DOMAIN_TOL and abs(self.beta) < DOMAIN_TOL
 
     def family(self) -> tuple[float, float, float]:
         """The (delta, alpha, beta) triple shared by a one-parameter theta family."""
@@ -149,9 +152,9 @@ def pauli_compose(c0: complex, c: np.ndarray) -> np.ndarray:
     return c0 * ID2 + c[0] * SIGMA_X + c[1] * SIGMA_Y + c[2] * SIGMA_Z
 
 
-def is_commensurate(alpha: float, n_sites: int, tol: float = 1e-9) -> bool:
-    """True iff alpha is a lattice momentum 2*pi*m/n_sites of the ring."""
-    return abs(math.remainder(alpha * n_sites, _TWO_PI)) < tol
+def is_commensurate(alpha: float, n_sites: int) -> bool:
+    """True iff alpha N is within DOMAIN_TOL of 2 pi Z: a lattice momentum of the ring."""
+    return abs(math.remainder(alpha * n_sites, _TWO_PI)) < DOMAIN_TOL
 
 
 @dataclass(frozen=True)
@@ -181,12 +184,11 @@ class PhsOperator:
         d[1::2] *= np.exp(-2j * self.beta)
         return d
 
-    def check_commensurate(self, n_sites: int, tol: float = 1e-9) -> None:
-        if not is_commensurate(self.alpha, n_sites, tol):
-            raise ValidationError(
-                f"incommensurate alpha = {self.alpha}: not a multiple of 2*pi/{n_sites}, "
-                "so the gauge phase is not single-valued on this ring"
-            )
+    def check_commensurate(self, n_sites: int) -> None:
+        if not is_commensurate(self.alpha, n_sites):
+            raise ValidationError(f"incommensurate alpha = {self.alpha}: not a multiple of "
+                                  f"2*pi/{n_sites} (tolerance {DOMAIN_TOL:g} on alpha N), so the "
+                                  "gauge phase is not single-valued on this ring")
 
 
 def phs_operator(alpha: float, beta: float) -> PhsOperator:

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CoinParams, wrap_angle
+from .core import DOMAIN_TOL, CoinParams, wrap_angle
 from .errors import ValidationError
 from .lattice import (
     ThetaProfile,
@@ -109,18 +109,27 @@ def analytic_edge_state(spec: InterfaceSpec, eta: float) -> EdgeState:
     """Closed-form interface eigenstate on the ring.
 
     Requires the ring long enough that the truncated geometric tails are
-    below 1e-12, so the wrap-around wall is invisible at working precision.
+    below TRUNCATION_EPS, so the wrap-around wall is invisible at working precision.
     """
     eta = wrap_angle(eta)
-    if not (abs(eta) < 1e-12 or abs(eta - math.pi) < 1e-12):
-        raise ValidationError(f"eta = {eta} must be 0 or pi")
+    if not (abs(eta) < DOMAIN_TOL or abs(eta - math.pi) < DOMAIN_TOL):
+        raise ValidationError(f"eta = {eta} must be 0 or pi (tolerance {DOMAIN_TOL:g})")
     a1 = decay_constant(spec.alpha, spec.theta1)
     a2 = decay_constant(spec.alpha, spec.theta2)
     q1 = 1.0 / a1  # |q1| < 1: stable left-side ratio
     n = spec.n_sites
-    if abs(a2) ** n >= TRUNCATION_EPS or abs(q1) ** n >= TRUNCATION_EPS:
+    r = max(abs(a2), abs(q1))
+    if r ** n >= TRUNCATION_EPS:
+        need = "no ring is long enough"
+        if r < 1.0:  # step from the estimate log(eps)/log(r) to the smallest even ring
+            m = 2 * max(2, math.ceil(math.log(TRUNCATION_EPS) / math.log(r) / 2))
+            while m > 4 and r ** (m - 2) < TRUNCATION_EPS:
+                m -= 2
+            while r ** m >= TRUNCATION_EPS:
+                m += 2
+            need = f"need n_sites >= {m}"
         raise ValidationError(f"ring of {n} sites too small: the geometric tails "
-                              "overlap the wrap-around wall")
+                              f"overlap the wrap-around wall ({need})")
 
     x = ring_sites(n)
     right = x >= 0

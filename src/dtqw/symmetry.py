@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ID2, CoinParams, coin_matrices, is_commensurate, pauli_compose,
-                   phs_operator, wrap_angle)
+from .core import (DOMAIN_TOL, GAP_EPS, ID2, RESIDUAL_TOL, CoinParams, coin_matrices,
+                   is_commensurate, pauli_compose, phs_operator, wrap_angle)
 from .errors import ValidationError
 from .lattice import SHIFT, ThetaProfile, WalkOperator, build_walk, eigenvalues, ring_sites
 from .momentum import bloch_hamiltonian, bloch_vectors
@@ -34,15 +34,7 @@ from .topology import FrameVariant, frame_angle, frame_rotation, frame_so3, mani
 # Spectral norm up to this matrix dimension, max-entry norm beyond.
 SPECTRAL_NORM_CAP = 64
 
-RESIDUAL_TOL = 1e-12
-SPECTRUM_TOL = 1e-10
-
-# How close the parameters must come to a relation's domain for the suite to
-# certify it: alpha N to a multiple of 2 pi for PHS, beta to 0 for CS, alpha
-# and beta to 0 for the time-shift pair.  Off the domain the residuals grow
-# as about 2 |remainder(alpha N, 2 pi)|, 2.65 |beta| and |alpha|, which must
-# stay far below RESIDUAL_TOL.
-DOMAIN_TOL = RESIDUAL_TOL / 20
+SPECTRUM_TOL = 1e-10  # the time-shift spectra; RESIDUAL_TOL for every other relation
 
 
 def norm_kind(dim: int) -> str:
@@ -127,13 +119,14 @@ def chiral_operator(theta: float) -> np.ndarray:
 
 def chiral_residual(p: CoinParams, k: float) -> float:
     """Anticommutation residual of the chiral operator with the traceless
-    Bloch Hamiltonian; defined only for beta = 0.
+    Bloch Hamiltonian; defined only for beta = 0 (|beta| < DOMAIN_TOL).
 
     The traceless part is used because the identity component delta*I commutes
     with everything and would fail anticommutation trivially for delta != 0.
     """
-    if abs(p.beta) > 1e-12:
-        raise ValidationError(f"chiral relation holds only for beta = 0, got beta = {p.beta}")
+    if abs(p.beta) >= DOMAIN_TOL:
+        raise ValidationError(f"chiral relation holds only for beta = 0, got beta = {p.beta} "
+                              f"(tolerance {DOMAIN_TOL:g})")
     gamma = chiral_operator(p.theta)
     h0 = bloch_hamiltonian(p, k) - p.delta * ID2
     return float(np.linalg.norm(gamma @ h0 @ gamma.conj().T + h0, 2))
@@ -148,9 +141,9 @@ def timeshift_walk(p: CoinParams, variant, n_sites: int) -> WalkOperator:
     walk's spectrum.
     """
     if not p.has_fixed_frames:
-        raise ValidationError("time-shifted products are defined for alpha = beta = 0, "
-                              f"got alpha = {p.alpha}, beta = {p.beta}")
-    if abs(p.theta) < 1e-12:
+        raise ValidationError("time-shifted products are defined for alpha = beta = 0, got "
+                              f"alpha = {p.alpha}, beta = {p.beta} (tolerance {DOMAIN_TOL:g})")
+    if abs(p.theta) <= GAP_EPS:
         raise ValidationError(f"theta = {p.theta} has no sign; time-shifted split undefined")
     if variant is FrameVariant.IDENTITY:
         return build_walk(p, n_sites=n_sites)
@@ -184,9 +177,9 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
     """Certify every relation applicable to the given parameters.
 
     Returns one report per check; reports for relations whose domain excludes
-    the parameters are simply omitted: particle-hole with alpha N farther than
-    DOMAIN_TOL from a multiple of 2 pi, chiral with |beta| >= DOMAIN_TOL, and
-    time-shifted with |alpha| or |beta| >= DOMAIN_TOL.
+    the parameters are omitted by the test its function refuses on: PHS unless
+    is_commensurate(alpha, N), CS for |beta| >= DOMAIN_TOL, the time shifts
+    unless p.has_fixed_frames and |theta| > GAP_EPS.
     """
     rng = np.random.default_rng(seed)
     reports = []
@@ -198,7 +191,7 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
                                   norm, _context(p, n_sites=n_sites)))
 
     omega_op = phs_operator(p.alpha, p.beta)
-    if is_commensurate(omega_op.alpha, n_sites, DOMAIN_TOL):
+    if is_commensurate(omega_op.alpha, n_sites):
         res, lam = phs_residual(u, p)
         probe = rng.standard_normal((n_sites, 2)) + 1j * rng.standard_normal((n_sites, 2))
         probe /= np.linalg.norm(probe)
@@ -221,7 +214,7 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
         reports.append(SymmetryReport("CS", res, RESIDUAL_TOL, res < RESIDUAL_TOL,
                                       "spectral", _context(p, k_samples=list(ks))))
 
-    if max(abs(p.alpha), abs(p.beta)) < DOMAIN_TOL and abs(p.theta) > 1e-12:
+    if p.has_fixed_frames and abs(p.theta) > GAP_EPS:
         u1 = timeshift_walk(p, FrameVariant.V1, n_sites)
         v1 = frame_conjugated_walk(p, FrameVariant.V1, n_sites)
         res = operator_norm(u1.dense() - v1)

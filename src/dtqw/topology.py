@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CoinParams, coin_matrix, wrap_angle, wrap_angles
+from .core import DOMAIN_TOL, GAP_EPS, CoinParams, coin_matrix, wrap_angle, wrap_angles
 from .errors import ValidationError
 from .momentum import DEFAULT_GRID, band_structure, bloch_vectors, gap_report, k_grid
 
@@ -134,14 +134,14 @@ def frame_angle(variant: FrameVariant, theta: float) -> float:
     """Angle phi of the frame rotation V = exp(i*phi*sigma_y) at coin angle theta.
 
     0 for the identity, theta/2 for V1 and theta/2 - sgn(theta)*pi/4 for V2,
-    which has no sign to take at theta = 0.
+    which has no sign to take at |theta| <= GAP_EPS.
     """
     theta = wrap_angle(theta)
     if variant is FrameVariant.IDENTITY:
         return 0.0
     if variant is FrameVariant.V1:
         return 0.5 * theta
-    if abs(theta) < 1e-12:
+    if abs(theta) <= GAP_EPS:
         raise ValidationError(f"V2 frame depends on sgn(theta); undefined at theta = {theta}")
     return 0.5 * theta - math.copysign(math.pi / 4.0, theta)
 
@@ -172,8 +172,8 @@ def rotated_winding(p: CoinParams, variant: FrameVariant) -> int:
     if variant is FrameVariant.IDENTITY:
         raise ValidationError("the identity frame has no chiral axis")
     if not p.has_fixed_frames:
-        raise ValidationError("frame windings are defined for alpha = beta = 0, "
-                              f"got alpha = {p.alpha}, beta = {p.beta}")
+        raise ValidationError("frame windings are defined for alpha = beta = 0, got "
+                              f"alpha = {p.alpha}, beta = {p.beta} (tolerance {DOMAIN_TOL:g})")
     if variant is FrameVariant.V2:
         return 1
     return -1 if p.theta > 0 else 1
@@ -230,10 +230,6 @@ def classify_sweep(p: CoinParams, thetas, grid_size: int = DEFAULT_GRID) -> Swee
                        g.is_gapped.astype(int), poles)
 
 
-def _same_family(p1: CoinParams, p2: CoinParams, tol: float = 1e-12) -> bool:
-    return all(abs(wrap_angle(a - b)) < tol for a, b in zip(p1.family(), p2.family()))
-
-
 def rel_homotopic(p1: CoinParams, p2: CoinParams) -> bool:
     """Whether two gapped coins of one family are deformable into each other
     with the special-momentum images pinned.
@@ -241,9 +237,9 @@ def rel_homotopic(p1: CoinParams, p2: CoinParams) -> bool:
     Equivalent to agreeing on the winding and on both pole assignments, which
     for this coin family reduces to sgn(theta1) == sgn(theta2).
     """
-    if not _same_family(p1, p2):
+    if any(abs(wrap_angle(a - b)) >= DOMAIN_TOL for a, b in zip(p1.family(), p2.family())):
         raise ValidationError(f"coins do not share (delta, alpha, beta): {p1.family()} "
-                              f"vs {p2.family()}")
+                              f"vs {p2.family()} (tolerance {DOMAIN_TOL:g})")
     i1, i2 = rel_homotopy_invariant(p1), rel_homotopy_invariant(p2)
     return (i1.winding_mt, i1.poles) == (i2.winding_mt, i2.poles)
 

@@ -249,6 +249,14 @@ def test_evolve_ring_too_small_exits_2(tmp_path, capsys):
     assert "ring of 64 sites too small: need n_sites >= 1011" in capsys.readouterr().err
 
 
+def test_edge_with_a_tail_that_never_decays_exits_2(tmp_path, capsys):
+    # cos(1e-17) / (1 + sin(1e-17)) rounds to 1, so no ring is long enough
+    for command in (["edge"], ["evolve", "--case", "overlap-one"]):
+        code = run([*command, "--theta1", "-0.5", "--theta2", "1e-17", "--out", str(tmp_path)])
+        assert code == 2
+        assert "overlap the wrap-around wall (no ring is long enough)" in capsys.readouterr().err
+
+
 def test_evolve_too_few_steps_exits_2(tmp_path, capsys):
     for steps in ("11", "-1"):  # negative steps take the same refusal
         code = run(["evolve", "--theta1", "-0.5", "--theta2", "0.5", "--case", "overlap-both",

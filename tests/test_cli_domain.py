@@ -123,6 +123,9 @@ EXAMPLES = [
     "--ring-size 512",
     "evolve --theta1 -0.7854 --theta2 0.7854 --case orthogonal-to-both --steps 0",
     "band --theta nan --grid 16",
+    "winding --theta 0.5 --alpha 1e-13",
+    "winding --theta 0.5 --beta -4e-14",
+    "symmetry --theta 0.5 --beta 1e-13 --ring-size 16",
 ]
 
 
@@ -153,3 +156,23 @@ def test_every_command_exits_0_2_or_3_and_writes_valid_json(argv):
         assert stderr.strip(), argv
     if argv[0] == "symmetry":
         assert "FAILED" not in stdout, (argv, stdout)
+
+
+def test_domain_tol_boundary_examples():
+    # DOMAIN_TOL = 5e-14: alpha = 1e-13 is off the fixed frames, beta = -4e-14
+    # on them, and beta = 1e-13 is off the chiral domain
+    with tempfile.TemporaryDirectory() as out:
+        code, stdout, _ = _run("winding --theta 0.5 --alpha 1e-13".split(), out)
+        assert code == 0
+        result = json.loads(stdout)
+        assert [result["rotated_v1_about_x"], result["rotated_v2_about_z"]] == [None, None]
+
+        code, stdout, _ = _run("winding --theta 0.5 --beta -4e-14".split(), out)
+        assert code == 0
+        result = json.loads(stdout)
+        assert [result["rotated_v1_about_x"], result["rotated_v2_about_z"]] == [-1, 1]
+
+        code, stdout, _ = _run("symmetry --theta 0.5 --beta 1e-13 --ring-size 16".split(), out)
+        assert code == 0
+        names = [line.split(":")[0] for line in stdout.splitlines()]
+        assert names == ["SUB", "PHS", "PS"]

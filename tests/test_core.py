@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from dtqw.core import (
-    ALGEBRA_TOL,
     ID2,
     SIGMA_X,
     CoinParams,
@@ -18,6 +17,9 @@ from dtqw.core import (
 )
 from dtqw.errors import ValidationError
 from dtqw.lattice import build_walk, ring_sites
+
+# Tolerance of the pure 2x2 algebra identities.
+ALGEBRA_TOL = 1e-14
 
 
 def test_wrap_angle_interval():
@@ -40,8 +42,9 @@ def test_coin_params_normalized_and_gapped():
 
 def test_fixed_frames_only_for_alpha_beta_zero():
     assert CoinParams(0.7, 0, 0, 0.3).has_fixed_frames
-    assert CoinParams(0.7, 2 * math.pi, -1e-13, 0.3).has_fixed_frames
+    assert CoinParams(0.7, 2 * math.pi, -4e-14, 0.3).has_fixed_frames
     assert not CoinParams(0, 1e-9, 0, 0.3).has_fixed_frames
+    assert not CoinParams(0.7, 2 * math.pi, -1e-13, 0.3).has_fixed_frames
     assert not CoinParams(0, 0, -0.2, 0.3).has_fixed_frames
 
 

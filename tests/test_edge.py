@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from dtqw.core import CoinParams, phs_operator
 from dtqw.edge import (
     InitialStateCase,
     InterfaceSpec,
+    TRUNCATION_EPS,
     analytic_edge_state,
     decay_constant,
     dynamics_experiment,
@@ -100,6 +102,36 @@ def test_edge_state_requires_large_ring():
         analytic_edge_state(InterfaceSpec(0, 0, 0, -0.1, 0.1, 16), 0.0)
     with pytest.raises(ValidationError, match="eta = 0.5 must be 0 or pi"):
         analytic_edge_state(InterfaceSpec(n_sites=64, **CAPTION_SPEC), 0.5)
+
+
+@pytest.mark.parametrize("theta1, theta2, alpha", [
+    (-math.pi / 4, math.pi / 4, 0.0), (-0.1, 0.1, 0.0), (-3.0, 3.0, 0.2), (-1.5, 0.2, 0.0),
+    (-0.3, 2.0, -0.7),
+])
+def test_ring_refusal_names_the_smallest_ring(theta1, theta2, alpha):
+    def spec(n):
+        return InterfaceSpec(0.0, alpha, 0.0, theta1, theta2, n)
+
+    with pytest.raises(ValidationError, match="overlap the wrap-around wall") as info:
+        analytic_edge_state(spec(4), 0.0)
+    m = int(re.search(r"\(need n_sites >= (\d+)\)$", str(info.value)).group(1))
+    assert m > 4
+    analytic_edge_state(spec(m), 0.0)
+    with pytest.raises(ValidationError, match=rf"ring of {m - 2} sites .*>= {m}\)$"):
+        analytic_edge_state(spec(m - 2), 0.0)
+
+
+def test_ring_refusal_near_a_gap_closing():
+    # the smallest ring is ~2.8e14 sites: r^M < TRUNCATION_EPS <= r^(M - 2)
+    with pytest.raises(ValidationError, match=r"need n_sites >= (\d+)\)") as info:
+        analytic_edge_state(InterfaceSpec(0.0, 0.0, 0.0, -1e-13, 1e-13, 64), 0.0)
+    m = int(re.search(r">= (\d+)", str(info.value)).group(1))
+    r = max(abs(decay_constant(0.0, 1e-13)), abs(1.0 / decay_constant(0.0, -1e-13)))
+    assert 2.7e14 < m < 2.9e14 and m % 2 == 0
+    assert r ** m < TRUNCATION_EPS <= r ** (m - 2)
+    # cos(theta) / (1 + sin(theta)) rounds to 1: the tail never decays
+    with pytest.raises(ValidationError, match=r"wall \(no ring is long enough\)$"):
+        analytic_edge_state(InterfaceSpec(0.0, 0.0, 0.0, -0.5, 1e-17, 64), 0.0)
 
 
 def test_eigen_residual_and_gap_identification():

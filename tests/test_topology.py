@@ -179,11 +179,12 @@ def test_rotated_winding_identity_frame_has_no_axis():
 
 def test_rotated_winding_refuses_complex_coins():
     # the frames' chiral planes are fixed only at alpha = beta = 0
-    for a, b in ((0.3, 0.0), (0.0, -1.2), (2.0, 0.7), (1e-11, 0.0), (0.0, -1e-11)):
+    for a, b in ((0.3, 0.0), (0.0, -1.2), (2.0, 0.7), (1e-11, 0.0), (0.0, -1e-11),
+                 (1e-13, -1e-13)):
         for v in (FrameVariant.V1, FrameVariant.V2):
             with pytest.raises(ValidationError, match="defined for alpha = beta = 0, got alpha"):
                 rotated_winding(CoinParams(0.4, a, b, 0.9), v)
-    assert rotated_winding(CoinParams(0.4, 1e-13, -1e-13, 0.9), FrameVariant.V2) == 1
+    assert rotated_winding(CoinParams(0.4, 4e-14, -4e-14, 0.9), FrameVariant.V2) == 1
 
 
 def test_rotated_curves_are_planar():
