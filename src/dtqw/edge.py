@@ -149,15 +149,16 @@ def analytic_edge_state(spec: InterfaceSpec, eta: float) -> EdgeState:
     return EdgeState(eta, WalkerState(amps), (a1, a2), norm_constant, spec)
 
 
-def eigen_residual(e: EdgeState) -> tuple[float, float]:
-    """(|| U psi - exp(-i w) psi ||, w) for the walk U of the state's interface,
-    with w from the Rayleigh quotient.
+def eigen_residual(u: WalkOperator, e: EdgeState) -> tuple[float, float]:
+    """(|| U psi - exp(-i w) psi ||, w) for the walk U = u of the state's
+    interface (``e.spec.walk()``, built once for both states of a wall), with w
+    from the Rayleigh quotient.
 
     The residual is limited by the second wall on the ring, so it shrinks
     exponentially as the ring grows.
     """
     psi = e.state.amps
-    upsi = e.spec.walk().apply(e.state).amps
+    upsi = u.apply(e.state).amps
     z = complex(np.vdot(psi, upsi))
     omega = wrap_angle(-np.angle(z))
     residual = float(np.linalg.norm(upsi - np.exp(-1j * omega) * psi))

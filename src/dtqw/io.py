@@ -6,18 +6,20 @@ timestamps, stable key order), so runs can be diffed and cached.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io as _io
 import json
 import os
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temporary file and rename, so failed runs leave no partial file."""
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A text file written at ``path + ".tmp"`` and renamed to ``path`` once
+    complete, so failed runs leave no partial file at ``path``."""
     path = os.fspath(path)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        yield fh
     os.replace(tmp, path)
 
 
@@ -26,18 +28,19 @@ def write_csv(path, header: list[str], rows) -> None:
 
     Cells are plain Python int, float or str: the writer gives repr(x) for a
     float, which round-trips ("nan" for NaN).  numpy scalars would repr
-    verbosely, so the table builders convert them first.
+    verbosely, so the table builders convert them first.  Rows stream to
+    the file; the whole text is never held in memory.
     """
-    buf = _io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    with _atomic_file(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_json(path, obj) -> None:
     """UTF-8 JSON with sorted keys."""
-    atomic_write_text(path, json_text(obj))
+    with _atomic_file(path) as fh:
+        fh.write(json_text(obj))
 
 
 def json_text(obj) -> str:

@@ -107,6 +107,52 @@ class WalkerState:
 SHIFT = object()
 
 
+def _coin_shift(layers: tuple | list, amps: np.ndarray, out: np.ndarray | None = None,
+                scratch: tuple = (None, None, None)) -> np.ndarray:
+    """Apply ``layers`` to amplitudes of shape (m, 2, ...), each coin layer
+    holding m per-site coins; SHIFT wraps periodically at the ends of the m
+    sites.  Trailing axes of ``amps`` are a batch.
+
+    A coin layer c maps (a, b) to (c00 a + c01 b, c10 a + c11 b) site by site,
+    each component computed as ``r = c00 * a; r += c01 * b``.  A coin followed
+    by SHIFT writes those products straight into their shifted slots: the
+    a-products one site up, the b-products one site down.
+
+    By default every layer allocates its results, and the step returns a new
+    array with the memory order of ``amps`` (``np.empty_like``).  Given
+    ``out`` (the shape of ``amps``, possibly ``amps`` itself) and ``scratch``
+    (three complex arrays of shape (m, ...)), the step writes into ``out``
+    and allocates nothing.
+    """
+    batch = (1,) * (amps.ndim - 2)
+    ra, rb, tmp = scratch
+    k = 0
+    while k < len(layers):
+        a, b = amps[:, 0], amps[:, 1]
+        if layers[k] is not SHIFT:
+            c = layers[k].reshape(layers[k].shape + batch)
+            pa = np.multiply(c[:, 0, 0], a, out=ra)
+            pa += np.multiply(c[:, 0, 1], b, out=tmp)
+            pb = np.multiply(c[:, 1, 0], a, out=rb)
+            pb += np.multiply(c[:, 1, 1], b, out=tmp)
+            a, b = pa, pb
+            k += 1
+        elif out is not None:  # ``out`` may be ``amps``: copy before shifting
+            ra[...], rb[...] = a, b
+            a, b = ra, rb
+        amps = np.empty_like(amps, dtype=complex) if out is None else out
+        if k < len(layers) and layers[k] is SHIFT:
+            amps[1:, 0] = a[:-1]
+            amps[0, 0] = a[-1]
+            amps[:-1, 1] = b[1:]
+            amps[-1, 1] = b[0]
+            k += 1
+        else:
+            amps[:, 0] = a
+            amps[:, 1] = b
+    return amps
+
+
 @dataclass(eq=False)
 class WalkOperator:
     """Unitary one-step operator on the ring: its layers, in application order.
@@ -125,42 +171,14 @@ class WalkOperator:
         return self.profile.n_sites
 
     def apply_array(self, amps: np.ndarray) -> np.ndarray:
-        """One step on amplitudes of shape (n_sites, 2, ...); trailing axes are a batch.
-
-        A coin layer c maps (a, b) to (c00 a + c01 b, c10 a + c11 b) site by site,
-        each component computed as ``r = c00 * a; r += c01 * b``.  A coin followed
-        by SHIFT writes those products straight into their shifted slots: the
-        a-products one site up the ring, the b-products one site down.  The
-        result keeps the memory order of ``amps`` (``np.empty_like``), so a
-        planar input, each component contiguous, gives a planar output.
-        """
+        """One step on amplitudes of shape (n_sites, 2, ...); trailing axes are a
+        batch.  The arithmetic is ``_coin_shift``'s on the walk's layers.  The
+        result keeps the memory order of ``amps``, so a planar input, each
+        component contiguous, gives a planar output."""
         if amps.shape[:2] != (self.n_sites, 2):
             raise ValidationError(f"amplitudes of shape {amps.shape}, walk of {self.n_sites} "
                                   f"sites needs ({self.n_sites}, 2, ...)")
-        batch = (1,) * (amps.ndim - 2)
-        layers = self.layers
-        k = 0
-        while k < len(layers):
-            a, b = amps[:, 0], amps[:, 1]
-            if layers[k] is not SHIFT:
-                c = layers[k].reshape(layers[k].shape + batch)
-                ra = c[:, 0, 0] * a
-                ra += c[:, 0, 1] * b
-                rb = c[:, 1, 0] * a
-                rb += c[:, 1, 1] * b
-                a, b = ra, rb
-                k += 1
-            amps = np.empty_like(amps, dtype=complex)
-            if k < len(layers) and layers[k] is SHIFT:
-                amps[1:, 0] = a[:-1]
-                amps[0, 0] = a[-1]
-                amps[:-1, 1] = b[1:]
-                amps[-1, 1] = b[0]
-                k += 1
-            else:
-                amps[:, 0] = a
-                amps[:, 1] = b
-        return amps
+        return _coin_shift(self.layers, amps)
 
     def apply(self, s: WalkerState) -> WalkerState:
         if s.n_sites != self.n_sites:
@@ -229,25 +247,33 @@ def window_sites(center: int, halfwidth: int, n_sites: int) -> np.ndarray:
     return np.unique(labels) - n_sites // 2
 
 
-def _observables(amps: np.ndarray, sites: np.ndarray, window_idx: np.ndarray,
-                 window_signs: np.ndarray, squares: np.ndarray, pairs: np.ndarray,
-                 probs: np.ndarray, dev: np.ndarray) -> tuple[float, float, float, float]:
+def _observables(amps: np.ndarray, lo: int, hi: int, sites: np.ndarray,
+                 window_idx: np.ndarray, window_signs: np.ndarray, squares: np.ndarray,
+                 pairs: np.ndarray, probs: np.ndarray,
+                 dev: np.ndarray) -> tuple[float, float, float, float]:
     """(window sum, staggered window sum, mean, spread) of planar amplitudes.
 
     ``squares`` (2, 2n), ``pairs`` (2n,), ``probs`` and ``dev`` (n,) are
     scratch buffers; on return ``squares`` holds the squared real and
     imaginary parts, which evolve's zeroing reads.  Each site probability is
     summed in one fixed order, (re_a^2 + re_b^2) + (im_a^2 + im_b^2).
+
+    Only ring indices lo..hi-1 are squared and summed.  Outside them the
+    amplitudes must be +0.0 and ``squares``, ``pairs`` and ``probs`` must hold
+    the zeros a pass over them would compute.  The two dot products and
+    ``dev`` run over the whole ring, so every sum groups its terms as a pass
+    over the whole ring does, bit for bit.
     """
-    np.square(amps.T.view(float), out=squares)  # rows a, b: re, im interleaved
-    np.add(squares[0], squares[1], out=pairs)
-    np.add(pairs[0::2], pairs[1::2], out=probs)
+    parts = slice(2 * lo, 2 * hi)
+    np.square(amps[lo:hi].T.view(float), out=squares[:, parts])  # rows a, b: re, im interleaved
+    np.add(squares[0, parts], squares[1, parts], out=pairs[parts])
+    np.add(pairs[2 * lo:2 * hi:2], pairs[2 * lo + 1:2 * hi:2], out=probs[lo:hi])
     mean = float(probs @ sites)
     np.subtract(sites, mean, out=dev)
     np.square(dev, out=dev)
     var = float(probs @ dev)
     in_win = probs[window_idx]
-    return (float(np.sum(in_win)), float(window_signs @ in_win), mean,
+    return (float(in_win.sum()), float(window_signs @ in_win), mean,
             float(np.sqrt(max(var, 0.0))))
 
 
@@ -261,8 +287,10 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
     spread every step, and state snapshots every ``record_every`` steps.
 
     The amplitudes are held in planar memory (each spinor component
-    contiguous), which ``apply_array`` preserves; snapshots are ordinary
-    ``WalkerState`` copies.  Site probabilities are summed as
+    contiguous), which the step preserves; a window step overwrites them in
+    place, in preallocated scratch.  Snapshots are ordinary ``WalkerState``
+    copies of the whole ring, so with ``record_every=1`` each step costs O(N)
+    however few sites are occupied.  Site probabilities are summed as
     (re_a^2 + re_b^2) + (im_a^2 + im_b^2).
 
     After each step's observables, every real or imaginary part whose square
@@ -272,6 +300,18 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
     states would otherwise keep the step on the slow subnormal path.  The
     observables of a step are taken before its zeroing; snapshots after t = 0
     hold the zeroed amplitudes.
+
+    Only the occupied window [lo, hi) of ring indices is stepped, squared and
+    zeroed: after the t = 0 zeroing, the smallest index range holding every
+    nonzero part, widened each step by the walk's number of SHIFT layers on
+    each side (coins are site-local).  ``apply_array``'s kernel steps it on
+    the window's coins; its wrap at the window's ends moves only zeros.  Once
+    the window would reach index 0 or N, the rest of the run steps the whole
+    ring with ``u.apply_array``, as a state that fills the ring, or a walk
+    with a coin that is not finite, does from the start.  Outside the window
+    a whole-ring step computes only zeros, some -0.0, that its zeroing turns
+    into the +0.0 the window leaves there, so every output is the same, bit
+    for bit, as stepping the whole ring.
     """
     n = u.n_sites
     if steps < 0:
@@ -291,6 +331,8 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
     sites = ring_sites(n).astype(float)
     buffers = (np.empty((2, 2 * n)), np.empty(2 * n), np.empty(n), np.empty(n))
     squares, small = buffers[0], np.empty((2, 2 * n), dtype=bool)
+    coins = [layer for layer in u.layers if layer is not SHIFT]
+    shifts = len(u.layers) - len(coins)
 
     times = np.arange(steps + 1)
     iprob = np.empty(steps + 1)
@@ -301,12 +343,28 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
     snapshots = [s0]
 
     amps = s0.amps.T.copy(order="C").T  # planar, and never a view of s0.amps
+    work = np.empty((3, n), dtype=complex)
+    lo, hi = 0, n
     for t in range(steps + 1):
-        if t:
+        if t and shifts < lo and hi + shifts < n:
+            lo, hi = lo - shifts, hi + shifts
+            layers = [c if c is SHIFT else c[lo:hi] for c in u.layers]
+            window = amps[lo:hi]
+            _coin_shift(layers, window, window, work[:, :hi - lo])
+        elif t:
+            lo, hi = 0, n
             amps = u.apply_array(amps)
-        iprob[t], stag[t], mean_x[t], sigma_x[t] = _observables(amps, sites, win, signs, *buffers)
-        np.less(squares, _TINY, out=small)
-        np.copyto(amps.T.view(float), 0.0, where=small)
+        iprob[t], stag[t], mean_x[t], sigma_x[t] = _observables(amps, lo, hi, sites, win,
+                                                                signs, *buffers)
+        parts = slice(2 * lo, 2 * hi)
+        np.less(squares[:, parts], _TINY, out=small[:, parts])
+        np.copyto(amps[lo:hi].T.view(float), 0.0, where=small[:, parts])
+        if not t:
+            occupied = np.flatnonzero(np.any(amps != 0, axis=1))
+            if occupied.size and all(np.isfinite(c).all() for c in coins):
+                lo, hi = int(occupied[0]), int(occupied[-1]) + 1
+                for buf in buffers[:3]:  # t = 0 left the tails' subnormal squares there
+                    buf.fill(0.0)
         if t and (t % record_every == 0 or t == steps):
             snapshot_times.append(t)
             snapshots.append(WalkerState(amps))

@@ -174,7 +174,7 @@ def test_criterion_6_edge_state_oracle_equivalence():
     omegas = []
     for eta in (0.0, math.pi):
         e = analytic_edge_state(spec, eta)
-        residual, omega = eigen_residual(e)
+        residual, omega = eigen_residual(u, e)
         ok &= residual < 1e-8
         omegas.append(omega)
     gap_centers = sorted(abs(w) for w in omegas)

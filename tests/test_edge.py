@@ -136,11 +136,12 @@ def test_ring_refusal_near_a_gap_closing():
 
 def test_eigen_residual_and_gap_identification():
     spec = InterfaceSpec(n_sites=64, **CAPTION_SPEC)
-    sd = diagonalize(spec.walk())
+    u = spec.walk()
+    sd = diagonalize(u)
     got = {}
     for eta in (0.0, math.pi):
         e = analytic_edge_state(spec, eta)
-        residual, omega = eigen_residual(e)
+        residual, omega = eigen_residual(u, e)
         assert residual < 1e-8
         # the dense spectrum contains this quasienergy
         assert np.min(np.abs(sd.eigenphases - omega)) < 1e-8
@@ -156,7 +157,7 @@ def test_eigen_residual_decreases_with_ring_size():
     for n in (32, 64, 128):
         spec = InterfaceSpec(0, 0, math.pi / 2, -1.0, math.pi / 4, n)
         e = analytic_edge_state(spec, 0.0)
-        r, _ = eigen_residual(e)
+        r, _ = eigen_residual(spec.walk(), e)
         residuals.append(r)
     assert residuals[0] > residuals[1] > residuals[2]
 

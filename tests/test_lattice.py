@@ -4,10 +4,10 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dtqw import io
+from dtqw import io, lattice
 from dtqw.core import CoinParams, coin_matrix, wrap_angles
 from dtqw.edge import InitialStateCase, InterfaceSpec, analytic_edge_state, initial_state
 from dtqw.errors import NumericalContractError, ValidationError
@@ -435,6 +435,132 @@ def test_evolve_window_deep_in_an_edge_tail_reads_zero():
     assert np.all((old > 0.0) & (old < np.finfo(float).tiny))
     assert traj.interface_prob[0] == old[0]
     assert np.all(traj.interface_prob[1:] == 0.0)
+
+
+def _full_ring_evolve(u, s0, steps, record_every, center, hw):
+    """evolve's trajectory columns and snapshots from a loop that treats the
+    whole ring every step: _reference_step, then the observables, then the
+    zeroing, in evolve's order."""
+    labels = window_sites(center, hw, u.n_sites)
+    win, signs = labels + u.n_sites // 2, 1.0 - 2.0 * (labels & 1)
+    sites = s0.sites.astype(float)
+    rows, snapshots = [], [(0, s0.amps)]
+    amps = s0.amps.copy()
+    for t in range(steps + 1):
+        if t:
+            amps = _reference_step(u, amps)
+        rows.append(_reference_observables(amps, sites, win, signs))
+        parts = amps.view(float)
+        parts[parts * parts < np.finfo(float).tiny] = 0.0
+        if t and (t % record_every == 0 or t == steps):
+            snapshots.append((t, amps.copy()))
+    return np.array(rows).reshape(-1, 4).T, snapshots
+
+
+def _oracle_start(kind, n, rng):
+    """(walk, initial state) for one draw of the window oracle."""
+    d, a, b = rng.uniform(-math.pi, math.pi, 3)
+    if kind in ("wall", "closing"):
+        lo, hi = (1.1, math.pi - 1.1) if kind == "wall" else (0.05, 0.06)
+        t2 = rng.uniform(lo, hi)
+        t2 = t2 if kind == "wall" or rng.random() < 0.5 else math.pi - t2
+        spec = InterfaceSpec(d, a, b, -rng.uniform(1.1, math.pi - 1.1), t2, n)
+        s0, _ = initial_state(spec, list(InitialStateCase)[rng.integers(3)])
+        return spec.walk(), s0
+    if kind in ("timeshift_v1", "timeshift_v2"):
+        variant = FrameVariant.V1 if kind == "timeshift_v1" else FrameVariant.V2
+        u = timeshift_walk(CoinParams(d, 0, 0, rng.uniform(0.1, 3.0)), variant, n)
+    else:
+        u = build_walk(CoinParams(d, a, b, 0), ThetaProfile(rng.uniform(-math.pi, math.pi, n)))
+    if kind == "two_shifts":
+        u = WalkOperator(d, a, b, u.profile, layers=(u.layers[0], SHIFT, u.layers[0], SHIFT))
+    if kind == "shift_first":  # the window step shifts in place before any coin
+        u = WalkOperator(d, a, b, u.profile, layers=(SHIFT, u.layers[0]))
+    amps = np.zeros((n, 2), dtype=complex)
+    if kind == "random":
+        amps = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        amps /= np.linalg.norm(amps)
+    elif kind != "zero":
+        where = {"site_0": 0, "site_last": n - 1}.get(kind, int(rng.integers(n)))
+        amps[where] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return u, WalkerState(amps)
+
+
+_ORACLE_KINDS = ("wall", "closing", "site_0", "site_last", "site", "random", "zero",
+                 "timeshift_v1", "timeshift_v2", "two_shifts", "shift_first")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_ORACLE_KINDS), st.integers(2, 256), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.25), st.sampled_from([1, 2, 7, 50, 10**6]),
+       st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 6))
+@example("closing", 2, 0, 1.0, 7, 0.5, 5)
+@example("wall", 256, 1, 1.25, 50, 0.5, 5)
+@example("site", 256, 2, 1.25, 1, 0.9, 6)
+@example("two_shifts", 200, 3, 1.0, 1, 0.3, 2)
+@example("shift_first", 128, 4, 0.5, 7, 0.5, 3)
+def test_evolve_window_is_byte_identical_to_full_ring_steps(kind, half, seed, reach, record_every,
+                                                            where, hw):
+    # The tails of a wall with 1.1 <= |theta| <= pi - 1.1 fall below 2^-511
+    # within 248 sites, so on 512 sites or more they end inside the ring.  A
+    # wall near a gap closing (theta2 within 0.06 of 0 or pi) needs a ring of
+    # 554 sites, and its tails then fill the ring at t = 0.
+    n = {"closing": 560, "wall": 512 + 2 * half}.get(kind, 2 * half)
+    rng = np.random.default_rng(seed)
+    u, s0 = _oracle_start(kind, n, rng)
+    steps = int(reach * n)
+    center = int(where * n) - n // 2
+    traj = evolve(u, s0, steps, record_every=record_every, window_center=center,
+                  window_halfwidth=hw)
+    columns, snapshots = _full_ring_evolve(u, s0, steps, record_every, center, hw)
+    got = (traj.interface_prob, traj.staggered_prob, traj.mean_x, traj.sigma_x)
+    for column, want in zip(got, columns):
+        assert column.tobytes() == want.tobytes()
+    assert traj.snapshot_times == [t for t, _ in snapshots]
+    for snap, (_, want) in zip(traj.snapshots, snapshots):
+        assert snap.amps.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["site", "timeshift_v1", "two_shifts", "shift_first"])
+def test_evolve_steps_only_the_occupied_window(kind, monkeypatch):
+    n, steps = 512, 100
+    u, _ = _oracle_start(kind, n, np.random.default_rng(5))
+    s0 = WalkerState.localized(n, 0, (0.6, 0.8j))
+    shifts = sum(layer is SHIFT for layer in u.layers)
+    support = 1
+    widths = []
+
+    def recording(layers, amps, *buffers):
+        widths.append(amps.shape[0])
+        return kernel(layers, amps, *buffers)
+
+    kernel = lattice._coin_shift
+    monkeypatch.setattr(lattice, "_coin_shift", recording)
+    traj = evolve(u, s0, steps, record_every=steps)
+    assert len(widths) == steps
+    for t, width in enumerate(widths, start=1):
+        assert width <= support + 2 * t * shifts < n
+    monkeypatch.undo()
+    columns, snapshots = _full_ring_evolve(u, s0, steps, steps, 0, 5)
+    assert traj.interface_prob.tobytes() == columns[0].tobytes()
+    assert traj.snapshots[-1].amps.tobytes() == snapshots[-1][1].tobytes()
+
+
+def test_evolve_steps_the_whole_ring_when_a_coin_is_not_finite():
+    # A NaN coin spreads NaN from its own site on the first whole-ring step,
+    # however far the state is from it.
+    thetas = np.full(64, 0.7)
+    thetas[3] = np.nan
+    u = build_walk(CoinParams(0.2, 0.1, -0.4, 0), ThetaProfile(thetas))
+    s0 = WalkerState.localized(64, 0)
+    traj = evolve(u, s0, 10)
+    columns, snapshots = _full_ring_evolve(u, s0, 10, 1, 0, 5)
+    assert np.all(np.isnan(traj.mean_x[1:]))
+    for column, want in zip((traj.interface_prob, traj.staggered_prob, traj.mean_x,
+                             traj.sigma_x), columns):
+        assert np.array_equal(column, want, equal_nan=True)
+    for snap, (_, want) in zip(traj.snapshots, snapshots):
+        assert np.array_equal(snap.amps, want, equal_nan=True)
 
 
 def test_diagonalize_matches_dispersion():
