@@ -303,22 +303,22 @@ def cmd_symmetry(args) -> int:
 def cmd_edge(args) -> int:
     spec = InterfaceSpec(args.delta, args.alpha, args.beta,
                          args.theta1, args.theta2, args.ring_size)
-    states = [analytic_edge_state(spec, eta) for eta in (0.0, math.pi)]
+    result = {"norm_constant": None, "states": []}
+    states = []
     u = spec.walk()
-    residuals = [eigen_residual(u, e) for e in states]
-    overlap = abs(states[0].state.overlap(states[1].state))
-    del u  # the walk and each written state are not held while the tables are written
-    result = {"norm_constant": states[0].norm_constant, "states": []}
-    for (residual, omega), tag in zip(residuals, ("eta0", "eta_pi")):
-        e = states.pop(0)
+    for eta, tag in ((0.0, "eta0"), (math.pi, "eta_pi")):
+        e = analytic_edge_state(spec, eta)
+        states.append(e)
+        residual, omega = eigen_residual(u, e)
         _write_table(args, f"edge_{tag}", STATE_CSV_HEADER, state_table(e.state))
+        result["norm_constant"] = e.norm_constant
         result["states"].append({
-            "eta": e.eta,
+            "eta": eta,
             "quasienergy": omega,
             "residual": residual,
             "decay_constants": [io.json_complex(a) for a in e.decay_constants],
         })
-    result["mutual_overlap"] = overlap
+    result["mutual_overlap"] = abs(states[0].state.overlap(states[1].state))
     _write_record(args, "edge", result)
     print(io.json_text(result), end="")
     return 0

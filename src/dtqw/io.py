@@ -39,8 +39,9 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def write_json(path, obj) -> None:
     """UTF-8 JSON with sorted keys."""
+    text = json_text(obj)  # a value json cannot encode fails before any file is made
     with _atomic_file(path) as fh:
-        fh.write(json_text(obj))
+        fh.write(text)
 
 
 def json_text(obj) -> str:

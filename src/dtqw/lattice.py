@@ -107,22 +107,21 @@ class WalkerState:
 SHIFT = object()
 
 
-def _coin_shift(layers: tuple | list, amps: np.ndarray, out: np.ndarray | None = None,
-                scratch: tuple = (None, None, None)) -> np.ndarray:
+def _coin_shift(layers: tuple | list, amps: np.ndarray, out: np.ndarray,
+                scratch: np.ndarray | list) -> np.ndarray:
     """Apply ``layers`` to amplitudes of shape (m, 2, ...), each coin layer
-    holding m per-site coins; SHIFT wraps periodically at the ends of the m
-    sites.  Trailing axes of ``amps`` are a batch.
+    holding m per-site coins, writing the result into ``out``; SHIFT wraps
+    periodically at the ends of the m sites.  Trailing axes of ``amps`` are
+    a batch.
 
     A coin layer c maps (a, b) to (c00 a + c01 b, c10 a + c11 b) site by site,
     each component computed as ``r = c00 * a; r += c01 * b``.  A coin followed
     by SHIFT writes those products straight into their shifted slots: the
     a-products one site up, the b-products one site down.
 
-    By default every layer allocates its results, and the step returns a new
-    array with the memory order of ``amps`` (``np.empty_like``).  Given
-    ``out`` (the shape of ``amps``, possibly ``amps`` itself) and ``scratch``
-    (three complex arrays of shape (m, ...)), the step writes into ``out``
-    and allocates nothing.
+    ``out`` has the shape of ``amps`` and is either ``amps`` itself or
+    does not overlap it; ``scratch`` is three complex arrays of shape
+    (m, ...).  The step allocates nothing.
     """
     batch = (1,) * (amps.ndim - 2)
     ra, rb, tmp = scratch
@@ -137,10 +136,11 @@ def _coin_shift(layers: tuple | list, amps: np.ndarray, out: np.ndarray | None =
             pb += np.multiply(c[:, 1, 1], b, out=tmp)
             a, b = pa, pb
             k += 1
-        elif out is not None:  # ``out`` may be ``amps``: copy before shifting
-            ra[...], rb[...] = a, b
+        elif amps is out:  # a shift must not read what it overwrites
+            np.copyto(ra, a)
+            np.copyto(rb, b)
             a, b = ra, rb
-        amps = np.empty_like(amps, dtype=complex) if out is None else out
+        amps = out
         if k < len(layers) and layers[k] is SHIFT:
             amps[1:, 0] = a[:-1]
             amps[0, 0] = a[-1]
@@ -172,13 +172,14 @@ class WalkOperator:
 
     def apply_array(self, amps: np.ndarray) -> np.ndarray:
         """One step on amplitudes of shape (n_sites, 2, ...); trailing axes are a
-        batch.  The arithmetic is ``_coin_shift``'s on the walk's layers.  The
-        result keeps the memory order of ``amps``, so a planar input, each
-        component contiguous, gives a planar output."""
+        batch.  The arithmetic is ``_coin_shift``'s on the walk's layers, into a
+        new array with the memory order of ``amps`` (``np.empty_like``), so a
+        planar input, each component contiguous, gives a planar output."""
         if amps.shape[:2] != (self.n_sites, 2):
             raise ValidationError(f"amplitudes of shape {amps.shape}, walk of {self.n_sites} "
                                   f"sites needs ({self.n_sites}, 2, ...)")
-        return _coin_shift(self.layers, amps)
+        scratch = [np.empty_like(amps[:, 0], dtype=complex) for _ in range(3)]
+        return _coin_shift(self.layers, amps, np.empty_like(amps, dtype=complex), scratch)
 
     def apply(self, s: WalkerState) -> WalkerState:
         if s.n_sites != self.n_sites:
@@ -287,8 +288,8 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
     spread every step, and state snapshots every ``record_every`` steps.
 
     The amplitudes are held in planar memory (each spinor component
-    contiguous), which the step preserves; a window step overwrites them in
-    place, in preallocated scratch.  Snapshots are ordinary ``WalkerState``
+    contiguous), and each step overwrites them in place through preallocated
+    scratch.  Snapshots are ordinary ``WalkerState``
     copies of the whole ring, so with ``record_every=1`` each step costs O(N)
     however few sites are occupied.  Site probabilities are summed as
     (re_a^2 + re_b^2) + (im_a^2 + im_b^2).
@@ -306,12 +307,13 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
     nonzero part, widened each step by the walk's number of SHIFT layers on
     each side (coins are site-local).  ``apply_array``'s kernel steps it on
     the window's coins; its wrap at the window's ends moves only zeros.  Once
-    the window would reach index 0 or N, the rest of the run steps the whole
-    ring with ``u.apply_array``, as a state that fills the ring, or a walk
-    with a coin that is not finite, does from the start.  Outside the window
-    a whole-ring step computes only zeros, some -0.0, that its zeroing turns
-    into the +0.0 the window leaves there, so every output is the same, bit
-    for bit, as stepping the whole ring.
+    the window would reach index 0 or N, it is the whole ring [0, N) for the
+    rest of the run, where the kernel's wrap is the ring's; a state that
+    fills the ring, or a walk with a coin that is not finite, is stepped that
+    way from the start.  Outside the window a whole-ring step computes only
+    zeros, some -0.0, that its zeroing turns into the +0.0 the window leaves
+    there, so every output is the same, bit for bit, as stepping the whole
+    ring.
     """
     n = u.n_sites
     if steps < 0:
@@ -346,14 +348,11 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
     work = np.empty((3, n), dtype=complex)
     lo, hi = 0, n
     for t in range(steps + 1):
-        if t and shifts < lo and hi + shifts < n:
-            lo, hi = lo - shifts, hi + shifts
-            layers = [c if c is SHIFT else c[lo:hi] for c in u.layers]
+        if t:
+            lo, hi = (0, n) if lo - shifts <= 0 or hi + shifts >= n else (lo - shifts, hi + shifts)
             window = amps[lo:hi]
-            _coin_shift(layers, window, window, work[:, :hi - lo])
-        elif t:
-            lo, hi = 0, n
-            amps = u.apply_array(amps)
+            _coin_shift([c if c is SHIFT else c[lo:hi] for c in u.layers], window, window,
+                        work[:, :hi - lo])
         iprob[t], stag[t], mean_x[t], sigma_x[t] = _observables(amps, lo, hi, sites, win,
                                                                 signs, *buffers)
         parts = slice(2 * lo, 2 * hi)
