@@ -1,30 +1,39 @@
-"""The benchmark's tracer still fits the library.
+"""The benchmark's tracer and workloads still fit the library.
 
 ``bench/spans.py`` wraps the functions in ``spans.TARGETS`` and, for the
-entries of ``spans._COUNTERS``, reads named arguments of each call.  A renamed
-function or parameter would otherwise surface only in ``bench/selftest.py``.
-The module is executed from its source file, and nothing there is changed.
+entries of ``spans._COUNTERS``, reads named arguments of each call;
+``bench/workloads.py`` drives the CLI with its flags.  A renamed function,
+parameter or flag would otherwise surface only in ``bench/selftest.py``.
+The modules are executed from their source files, so no bytecode is written
+under ``bench/``, and nothing there is changed.
 """
 
 import ast
 import inspect
+import sys
 import types
 from pathlib import Path
 
 import dtqw.cli  # noqa: F401  (loads every module a target lives in)
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS_PATH = BENCH / "spans.py"
 
 
-def _load_spans():
-    """The module, executed from its source; no bytecode cache is written."""
-    module = types.ModuleType("bench_spans")
-    module.__file__ = str(SPANS_PATH)
-    exec(compile(SPANS_PATH.read_text(encoding="utf-8"), module.__file__, "exec"), vars(module))
+def _load(name: str):
+    """bench/<name>.py, executed from its source; no bytecode cache is written."""
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), module.__file__, "exec"), vars(module))
+    finally:
+        del sys.modules[module.__name__]
     return module
 
 
-spans = _load_spans()
+spans = _load("spans")
 
 
 def _bound_names() -> dict[str, set[str]]:
@@ -81,3 +90,35 @@ def test_the_bound_names_are_found():
         "lattice.WalkOperator.dense": {"self"},
         "io.write_json": {"path"},
     }
+
+
+def _attributes(namespaces) -> dict:
+    """(namespace, attribute) -> object for every dtqw module and class attribute."""
+    found = {}
+    for ns in namespaces:
+        for key, value in vars(ns).items():
+            found[(ns, key)] = value
+            if isinstance(value, type) and value.__module__.startswith("dtqw"):
+                found.update(((value, k), v) for k, v in vars(value).items())
+    return found
+
+
+def test_both_workloads_pass_at_their_tiny_size_under_the_tracer(tmp_path, monkeypatch):
+    workloads = _load("workloads")
+    monkeypatch.chdir(tmp_path)
+    namespaces = spans._dtqw_namespaces()
+    before = _attributes(namespaces)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        passes = [workloads.run_pass(name, workloads.draw(name, 1), workloads.SIZES["tiny"])
+                  for name in workloads.WORKLOADS]
+    finally:
+        tracer.uninstall()
+    for p in passes:
+        assert (p.failed, p.wrong) == (0, 0), f"{p.workload}: {p.notes}"
+    traced = {span[1] for span in tracer.spans}
+    assert {f"{m}.{p}" for m, p in spans.TARGETS} <= traced
+    after = _attributes(namespaces)
+    assert [key for key, value in before.items() if after.get(key) is not value] == []
+    assert spans.leaked_wrappers() == []

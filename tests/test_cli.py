@@ -447,6 +447,27 @@ def _readme_outputs_tool():
     return module
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden" / "outputs.txt"
+
+
+def _golden_mismatch(tool, got: list[str], want: list[str]) -> str:
+    """Which paths and exit lines differ, and whether the environment does."""
+    def split(lines):
+        env = next(line for line in lines if line.startswith(tool.ENV_PREFIX))
+        files = dict(reversed(line.split("  ", 1)) for line in lines
+                     if not line.startswith(("#", "exit ")))
+        return env, files, [line for line in lines if line.startswith("exit ")]
+
+    (env_got, files_got, exits_got), (env_want, files_want, exits_want) = split(got), split(want)
+    paths = sorted(p for p in files_got.keys() | files_want.keys()
+                   if files_got.get(p) != files_want.get(p))
+    exits = sorted(set(exits_got) ^ set(exits_want))
+    env = ("in the recorded environment" if env_got == env_want else
+           f"in another environment than the recorded one: {env_got} against {env_want}")
+    return (f"{len(paths)} output files differ from {GOLDEN.name} {env}: {paths}; "
+            f"exit lines not in both: {exits}")
+
+
 def test_readme_examples_all_exit_0(tmp_path):
     tool = _readme_outputs_tool()
     results = tool.run_examples(str(tmp_path))
@@ -456,3 +477,9 @@ def test_readme_examples_all_exit_0(tmp_path):
     assert [code for _, code in results] == [0] * len(results)
     written = {Path(path).parts[0] for _, path in tool.digests(str(tmp_path))}
     assert written == {f"{i:02d}" for i in range(1, len(results) + 1)}
+
+    # every output of those examples and of the extra cases, byte for byte
+    lines, ok = tool.oracle_lines(str(tmp_path / "all"))
+    assert ok
+    want = GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert lines == want, _golden_mismatch(tool, lines, want)
