@@ -69,9 +69,6 @@ MAX_GRID = 2**20
 # only -1 and -1.5, so a flag's value -1e-4, -inf or -nan would read as a flag.
 _NEGATIVE_VALUE = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
-# --grid of winding and invariant: kept so their sidecars keep their bytes.
-_UNUSED_GRID_HELP = "accepted; the windings are closed forms, so it changes no value"
-
 SWEEP_CSV_HEADER = ["theta", "gap_delta", "gap_delta_plus_pi", "winding",
                     "pole_k0", "pole_k1", "phase_label"]
 
@@ -88,8 +85,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="format of tabular outputs")
     parser.add_argument("--degrees", action="store_true",
                         help="interpret all angle flags in degrees")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized probe states")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("winding", help="winding numbers of the image curve")
     p.add_argument("--theta", type=float, required=True)
     _family_flags(p)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID, help=_UNUSED_GRID_HELP)
     _common_flags(p)
     p.set_defaults(func=cmd_winding)
 
@@ -128,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta1", type=float)
     p.add_argument("--theta2", type=float)
     _family_flags(p)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID, help=_UNUSED_GRID_HELP)
     _common_flags(p)
     p.set_defaults(func=cmd_invariant)
 
@@ -136,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     _family_flags(p)
     p.add_argument("--ring-size", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0, help="seed of the PHS involution probe")
     _common_flags(p)
     p.set_defaults(func=cmd_symmetry)
 

@@ -236,8 +236,8 @@ class ExperimentRecord:
     trajectory: Trajectory
 
 
-def dynamics_experiment(spec: InterfaceSpec, case: InitialStateCase, steps: int,
-                        window_halfwidth: int = WINDOW_HALFWIDTH) -> ExperimentRecord:
+def dynamics_experiment(spec: InterfaceSpec, case: InitialStateCase,
+                        steps: int) -> ExperimentRecord:
     """Evolve the case's initial state and compare the late-time interface
     probability with the weight the edge-state pair puts inside the window.
 
@@ -253,7 +253,7 @@ def dynamics_experiment(spec: InterfaceSpec, case: InitialStateCase, steps: int,
     """
     if steps < MIN_STEPS:
         raise ValidationError(f"steps = {steps}: the experiment needs at least {MIN_STEPS} steps")
-    window_width = 2 * window_halfwidth + 1
+    window_width = 2 * WINDOW_HALFWIDTH + 1
     if spec.n_sites < 2 * steps + window_width:
         raise ValidationError(
             f"ring of {spec.n_sites} sites too small: need n_sites >= "
@@ -261,13 +261,12 @@ def dynamics_experiment(spec: InterfaceSpec, case: InitialStateCase, steps: int,
         )
     state, edges = initial_state(spec, case)
     projections, _ = overlap_decomposition(state, edges)
-    window = window_sites(0, window_halfwidth, spec.n_sites) + spec.n_sites // 2
+    window = window_sites(0, WINDOW_HALFWIDTH, spec.n_sites) + spec.n_sites // 2
     edge_weight = float(np.sum(edges[0].state.site_probabilities()[window]))
     predicted = float(np.sum(np.abs(projections) ** 2)) * edge_weight
 
     u = spec.walk()
-    traj = evolve(u, state, steps, record_every=max(1, steps // 8),
-                  window_center=0, window_halfwidth=window_halfwidth)
+    traj = evolve(u, state, steps, window_center=0, window_halfwidth=WINDOW_HALFWIDTH)
 
     tail = steps // 4
     plateau = float(np.mean(traj.interface_prob[-tail:]))

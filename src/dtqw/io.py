@@ -15,12 +15,19 @@ import os
 @contextlib.contextmanager
 def _atomic_file(path):
     """A text file written at ``path + ".tmp"`` and renamed to ``path`` once
-    complete, so failed runs leave no partial file at ``path``."""
+    complete; if anything fails after the open, the temporary file is removed
+    and the error re-raised, so a failed run leaves neither file."""
     path = os.fspath(path)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        yield fh
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -86,7 +86,11 @@ class WalkerState:
             raise ValidationError(f"site x = {x} is outside the ring's labels [{-half}, {half})")
         amps = np.zeros((n_sites, 2), dtype=complex)
         amps[x + half] = np.asarray(spinor, dtype=complex)
-        return cls(amps / np.linalg.norm(amps))
+        norm = np.linalg.norm(amps)
+        if not (norm > 0.0 and math.isfinite(norm)):
+            raise ValidationError(f"spinor {spinor!r} has norm {norm}: a localized state "
+                                  "needs a finite nonzero spinor")
+        return cls(amps / norm)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -224,11 +228,12 @@ def build_walk(p: CoinParams, profile: ThetaProfile | None = None,
 
 @dataclass(eq=False)
 class Trajectory:
-    """Observables recorded every step plus periodic state snapshots.
+    """Observables recorded every step, and the state after the last step.
 
     ``staggered_prob`` is the parity-signed window sum of site probabilities,
     sum_x (-1)^x p_x; a plain window sum can miss period-2 interference of two
-    gap states whose density profile balances even and odd sites.
+    gap states whose density profile balances even and odd sites.  ``final``
+    is ``s0`` itself when no step was taken.
     """
 
     times: np.ndarray
@@ -236,8 +241,7 @@ class Trajectory:
     staggered_prob: np.ndarray
     mean_x: np.ndarray
     sigma_x: np.ndarray
-    snapshot_times: list
-    snapshots: list
+    final: WalkerState
     window_center: int
     window_halfwidth: int
 
@@ -282,25 +286,24 @@ def _observables(amps: np.ndarray, lo: int, hi: int, sites: np.ndarray,
 _TINY = np.finfo(float).tiny
 
 
-def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
+def evolve(u: WalkOperator, s0: WalkerState, steps: int,
            window_center: int = 0, window_halfwidth: int = 5) -> Trajectory:
     """Evolve ``steps`` steps, recording window probability, mean position and
-    spread every step, and state snapshots every ``record_every`` steps.
+    spread every step, and keeping the state after the last step.
 
     The amplitudes are held in planar memory (each spinor component
     contiguous), and each step overwrites them in place through preallocated
-    scratch.  Snapshots are ordinary ``WalkerState``
-    copies of the whole ring, so with ``record_every=1`` each step costs O(N)
-    however few sites are occupied.  Site probabilities are summed as
-    (re_a^2 + re_b^2) + (im_a^2 + im_b^2).
+    scratch; only the final state is copied out, as a ``WalkerState``.  Site
+    probabilities are summed as (re_a^2 + re_b^2) + (im_a^2 + im_b^2).
 
     After each step's observables, every real or imaginary part whose square
     is below ``np.finfo(float).tiny`` (|x| < 2^-511) is set to 0.0 in place,
     in the copy ``evolve`` owns, never in ``s0``.  Such a part adds nothing
     representable to a site probability, but the underflowing tails of edge
     states would otherwise keep the step on the slow subnormal path.  The
-    observables of a step are taken before its zeroing; snapshots after t = 0
-    hold the zeroed amplitudes.
+    observables of a step are taken before its zeroing; the final state after
+    at least one step holds the zeroed amplitudes, and with ``steps == 0`` it
+    is ``s0`` itself.
 
     Only the occupied window [lo, hi) of ring indices is stepped, squared and
     zeroed: after the t = 0 zeroing, the smallest index range holding every
@@ -318,8 +321,6 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
     n = u.n_sites
     if steps < 0:
         raise ValidationError(f"steps = {steps} must be nonnegative")
-    if record_every < 1:
-        raise ValidationError(f"record_every = {record_every} must be at least 1")
     if window_halfwidth < 0:
         raise ValidationError(f"window_halfwidth = {window_halfwidth} must be nonnegative")
     if not -(n // 2) <= window_center < n // 2:
@@ -341,8 +342,6 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
     stag = np.empty(steps + 1)
     mean_x = np.empty(steps + 1)
     sigma_x = np.empty(steps + 1)
-    snapshot_times = [0]
-    snapshots = [s0]
 
     amps = s0.amps.T.copy(order="C").T  # planar, and never a view of s0.amps
     work = np.empty((3, n), dtype=complex)
@@ -364,11 +363,9 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int, record_every: int = 1,
                 lo, hi = int(occupied[0]), int(occupied[-1]) + 1
                 for buf in buffers[:3]:  # t = 0 left the tails' subnormal squares there
                     buf.fill(0.0)
-        if t and (t % record_every == 0 or t == steps):
-            snapshot_times.append(t)
-            snapshots.append(WalkerState(amps))
-    return Trajectory(times, iprob, stag, mean_x, sigma_x, snapshot_times, snapshots,
-                      window_center, window_halfwidth)
+    final = WalkerState(amps) if steps else s0
+    return Trajectory(times, iprob, stag, mean_x, sigma_x, final, window_center,
+                      window_halfwidth)
 
 
 @dataclass(eq=False)
@@ -382,7 +379,6 @@ class SpectralData:
 
     eigenphases: np.ndarray
     vectors: np.ndarray  # (2N, 2N), columns aligned with eigenphases
-    participation_ratios: np.ndarray
     max_residual: float
 
     @property
@@ -460,9 +456,7 @@ def diagonalize(u: WalkOperator) -> SpectralData:
 
     stepped = u.apply_array(vectors.reshape(n, 2, 2 * n)).reshape(2 * n, 2 * n)
     residual = float(np.max(np.linalg.norm(stepped - vectors * eigvals[None, :], axis=0)))
-    probs = np.sum(np.abs(vectors.reshape(n, 2, -1)) ** 2, axis=1)
-    ipr = np.sum(probs**2, axis=0)
-    return SpectralData(omega, vectors, ipr, residual)
+    return SpectralData(omega, vectors, residual)
 
 
 STATE_CSV_HEADER = ["x", "re_a", "im_a", "re_b", "im_b", "prob"]

@@ -35,6 +35,9 @@ from .topology import FrameVariant, frame_angle, frame_rotation, frame_so3, mani
 SPECTRAL_NORM_CAP = 64
 
 SPECTRUM_TOL = 1e-10  # the time-shift spectra; RESIDUAL_TOL for every other relation
+# Momenta of the PS and CS checks; those where the coin or its parity partner
+# is degenerate are skipped, and the reports echo the rest as k_samples.
+K_SAMPLES = (-2.0, -0.7, 0.4, 1.3, 2.6)
 
 
 def norm_kind(dim: int) -> str:
@@ -172,8 +175,7 @@ def _context(p: CoinParams, **extra) -> dict:
     return ctx
 
 
-def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
-                       k_samples=(-2.0, -0.7, 0.4, 1.3, 2.6)) -> list[SymmetryReport]:
+def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0) -> list[SymmetryReport]:
     """Certify every relation applicable to the given parameters.
 
     Returns one report per check; reports for relations whose domain excludes
@@ -203,7 +205,7 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0,
             _context(p, n_sites=n_sites, global_phase=[lam.real, lam.imag],
                      involution_residual=involution, seed=seed)))
 
-    ks = [k for k in k_samples
+    ks = [k for k in K_SAMPLES
           if not bloch_vectors(p, [k, wrap_angle(2 * p.alpha - k)])[2].any()]
     res = max(parity_residual_bloch(p, k) for k in ks)
     reports.append(SymmetryReport("PS", res, RESIDUAL_TOL, res < RESIDUAL_TOL,

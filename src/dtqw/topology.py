@@ -115,18 +115,17 @@ def _require_gapped(p: CoinParams) -> None:
         raise ValidationError(f"gapless parameters: theta = {p.theta} closes both gaps")
 
 
-def winding_mt(p: CoinParams, band: int = +1, grid_size: int = DEFAULT_GRID) -> int:
-    """Winding of the band's image curve around the retraction circle: +1.
+def winding_mt(p: CoinParams, grid_size: int = DEFAULT_GRID) -> int:
+    """Winding of either band's image curve around the retraction circle: +1.
 
     Positive values are counterclockwise in the (n_beta, e_w) basis viewed
     from +Z.  The retraction angle of the upper band is k - alpha (plus pi
-    where sin theta > 0), and the band -1 curve is -n with the angle shifted
-    by pi, so the value is +1 for every gapped coin and both bands.
-    ``grid_size`` does not change the value.
+    where sin theta > 0), and the lower band's curve is -n with the angle
+    shifted by pi, so the value is +1 for every gapped coin and both bands;
+    no band argument is needed.  ``grid_size`` does not change the value;
+    ``bench/spans.py`` reads it.
     """
     _require_gapped(p)
-    if band not in (+1, -1):
-        raise ValidationError(f"band must be +1 or -1, got {band}")
     return 1
 
 

@@ -87,22 +87,35 @@ def test_winding_values(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("theta", ["1e-7", "3.14159"])
-def test_winding_on_an_odd_grid_near_a_gap_closing(tmp_path, capsys, theta):
-    # a 9-point grid misses k = 0 and k = pi, where the frame-rotated curve
-    # turns fastest near a closing; the closed forms need no grid
-    assert run(["winding", "--theta", theta, "--grid", "9", "--out", str(tmp_path)]) == 0
+def test_winding_near_a_gap_closing(tmp_path, capsys, theta):
+    # the frame-rotated curve turns fastest at k = 0 and k = pi near a
+    # closing; the closed forms need no k-grid
+    assert run(["winding", "--theta", theta, "--out", str(tmp_path)]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result == {"winding_mt": 1, "rotated_v1_about_x": -1, "rotated_v2_about_z": 1}
 
 
-def test_grid_changes_no_winding_or_invariant(tmp_path, capsys):
-    for command, theta in (("winding", "0.5"), ("invariant", "-0.5")):
-        printed = set()
-        for grid in ("8", "9", "512"):
-            assert run([command, "--theta", theta, "--grid", grid,
-                        "--out", str(tmp_path / grid)]) == 0
-            printed.add(capsys.readouterr().out)
-        assert len(printed) == 1
+_VALID_ARGS = {
+    "band": ["band", "--theta", "0.5"],
+    "map": ["map", "--theta", "0.5"],
+    "winding": ["winding", "--theta", "0.5"],
+    "invariant": ["invariant", "--theta", "0.5"],
+    "edge": ["edge", "--theta1", "-0.5", "--theta2", "0.5"],
+    "evolve": ["evolve", "--theta1", "-0.5", "--theta2", "0.5", "--case", "overlap-one"],
+    "sweep": ["sweep", "--theta-min", "0", "--theta-max", "1", "--theta-step", "0.5"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, "--seed") for command in _VALID_ARGS),
+    ("winding", "--grid"), ("invariant", "--grid")])
+def test_flags_that_change_no_value_are_refused(tmp_path, capsys, command, flag):
+    # --grid changes no closed-form winding, and only symmetry draws a probe
+    with pytest.raises(SystemExit) as exc:
+        run([*_VALID_ARGS[command], flag, "3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _outputs(out: Path) -> dict:

@@ -26,7 +26,11 @@ DOMAIN_ERRORS = {
     "evolve": (lambda: evolve(build_walk(COIN, n_sites=8), WalkerState.localized(8, 0), -1),
                "steps = -1 must be nonnegative"),
     "band_structure": (lambda: band_structure(COIN, 4), "grid_size must be at least 8, got 4"),
-    "winding_mt": (lambda: winding_mt(COIN, band=0), "band must be +1 or -1, got 0"),
+    "winding_mt": (lambda: winding_mt(CoinParams(0, 0, 0, 0)),
+                   "gapless parameters: theta = 0.0 closes both gaps"),
+    "WalkerState.localized": (lambda: WalkerState.localized(8, 0, (0.0, 0.0)),
+                              "spinor (0.0, 0.0) has norm 0.0: a localized state needs a "
+                              "finite nonzero spinor"),
     "rotated_winding": (lambda: rotated_winding(COIN, FrameVariant.IDENTITY),
                         "the identity frame has no chiral axis"),
 }

@@ -40,9 +40,9 @@ print(json.dumps({"before": before, "linalg_after": "scipy.linalg" in sys.module
 SMALL_EXAMPLES = [
     ["band", "--theta", "0.7854", "--grid", "16"],
     ["map", "--theta", "0.7854", "--frame", "v1", "--grid", "16"],
-    ["winding", "--theta", "0.5", "--grid", "16"],
-    ["invariant", "--theta", "0.5", "--grid", "16"],
-    ["invariant", "--theta1", "0.5", "--theta2", "-0.5", "--grid", "16"],
+    ["winding", "--theta", "0.5"],
+    ["invariant", "--theta", "0.5"],
+    ["invariant", "--theta1", "0.5", "--theta2", "-0.5"],
     ["symmetry", "--theta", "0.7854", "--ring-size", "8"],
     ["edge", "--theta1", "-0.7854", "--theta2", "0.7854", "--beta", "1.5708"],
     ["evolve", "--theta1", "-0.7854", "--theta2", "0.7854", "--beta", "1.5708",

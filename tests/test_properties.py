@@ -129,8 +129,8 @@ def test_closed_form_windings_and_poles_match_the_curve_oracle(delta, alpha, bet
     f = manifold_frame(p.beta)
     n, _, degenerate = bloch_vectors(p, k_grid(grid))
     assert not degenerate.any()
-    for band in (+1, -1):  # the band -1 image is -n
-        assert winding_mt(p, band) == _curve_winding(band * n @ f.n_beta, band * n @ f.e_w)
+    for band in (+1, -1):  # the band -1 image is -n; one closed form serves both
+        assert winding_mt(p) == _curve_winding(band * n @ f.n_beta, band * n @ f.e_w)
     # The rounded special momenta sit a few 1e-16 off, and n turns at up to
     # 1/|sin theta| per unit k there.
     poles = pole_assignment(p)

@@ -5,7 +5,7 @@ import pytest
 
 from dtqw.core import PAULI, CoinParams
 from dtqw.errors import ValidationError
-from dtqw.momentum import k_grid
+from dtqw.momentum import bloch_vectors, k_grid
 from dtqw.topology import (
     FrameVariant,
     PhaseLabel,
@@ -60,9 +60,14 @@ def test_winding_mt_reference_case():
 
 
 def test_winding_mt_same_for_both_signs_and_bands():
-    assert winding_mt(CoinParams(0, 0, 0, -math.pi / 4)) == 1
-    p = CoinParams(0.3, 1.0, -0.4, 0.6)
-    assert winding_mt(p, band=+1) == winding_mt(p, band=-1)
+    # the lower band's image is -n, and its curve winds as the upper band's
+    for p in (CoinParams(0, 0, 0, -math.pi / 4), CoinParams(0.3, 1.0, -0.4, 0.6)):
+        n = bloch_vectors(p, k_grid(64))[0]
+        f = manifold_frame(p.beta)
+        for band in (+1, -1):
+            phis = np.arctan2(band * n @ f.e_w, band * n @ f.n_beta)
+            closed = np.unwrap(np.append(phis, phis[0]))
+            assert round((closed[-1] - closed[0]) / (2 * math.pi)) == winding_mt(p) == 1
 
 
 def test_winding_mt_constant_over_theta_ladder():
