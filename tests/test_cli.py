@@ -483,16 +483,14 @@ def _golden_mismatch(tool, got: list[str], want: list[str]) -> str:
 
 def test_readme_examples_all_exit_0(tmp_path):
     tool = _readme_outputs_tool()
-    results = tool.run_examples(str(tmp_path))
-    commands = [argv[0] for argv, _ in results]
+    lines, ok = tool.oracle_lines(str(tmp_path))
+    assert ok
+    readme = [argv[0] for sub, argv in tool.examples() if not sub.startswith("x")]
     assert {"band", "map", "winding", "invariant", "symmetry", "edge", "evolve",
-            "sweep"} <= set(commands)
-    assert [code for _, code in results] == [0] * len(results)
+            "sweep"} <= set(readme)
     written = {Path(path).parts[0] for _, path in tool.digests(str(tmp_path))}
-    assert written == {f"{i:02d}" for i in range(1, len(results) + 1)}
+    assert written == {sub for sub, _ in tool.examples()}
 
     # every output of those examples and of the extra cases, byte for byte
-    lines, ok = tool.oracle_lines(str(tmp_path / "all"))
-    assert ok
     want = GOLDEN.read_text(encoding="utf-8").splitlines()
     assert lines == want, _golden_mismatch(tool, lines, want)

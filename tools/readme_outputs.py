@@ -83,25 +83,29 @@ def readme_examples(readme: str) -> list[list[str]]:
     return examples
 
 
-def run_examples(outdir: str, examples: list[list[str]] | None = None,
-                 prefix: str = "") -> list[tuple[list[str], int]]:
-    """Run every example, README's by default, into outdir/<prefix>NN; returns
-    (argv, exit code) pairs."""
+def examples() -> list[tuple[str, list[str]]]:
+    """(subdirectory, argument list) of every README example, NN, then of
+    every extra case, xNN."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = readme_examples(fh.read())
+    return ([(f"{i:02d}", argv) for i, argv in enumerate(readme, 1)]
+            + [(f"x{i:02d}", argv) for i, argv in enumerate(EXTRA_EXAMPLES, 1)])
+
+
+def run_examples(outdir: str) -> list[tuple[list[str], int]]:
+    """Run every example into its subdirectory of outdir; returns (argv, exit
+    code) pairs."""
     src = os.path.join(ROOT, "src")
     if src not in sys.path:
         sys.path.insert(0, src)
     from dtqw.cli import main
 
-    if examples is None:
-        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-            examples = readme_examples(fh.read())
     os.makedirs(outdir, exist_ok=True)
     cwd = os.getcwd()
     os.chdir(outdir)
     results = []
     try:
-        for i, argv in enumerate(examples, 1):
-            sub = f"{prefix}{i:02d}"
+        for sub, argv in examples():
             argv = [sub if prev == "--out" else a for prev, a in zip([""] + argv, argv)]
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
@@ -142,7 +146,7 @@ def environment() -> dict:
 def oracle_lines(outdir: str) -> tuple[list[str], bool]:
     """The environment line, the digest lines and the exit lines of every
     example run into outdir, and whether every example exited 0."""
-    results = run_examples(outdir) + run_examples(outdir, EXTRA_EXAMPLES, "x")
+    results = run_examples(outdir)
     lines = [ENV_PREFIX + json.dumps(environment(), sort_keys=True)]
     lines += [f"{digest}  {path}" for digest, path in digests(outdir)]
     lines += [f"exit {code}  dtqw {shlex.join(argv)}" for argv, code in results]
