@@ -73,7 +73,7 @@ def argvs(draw):
         alpha = draw(family_angles)
     argv += ["--delta", _word(draw(family_angles)), "--alpha", _word(alpha),
              "--beta", _word(draw(family_angles))]
-    if command in ("band", "map", "winding", "invariant", "sweep"):
+    if command in ("band", "map", "sweep"):
         argv += ["--grid", str(draw(grids))]
     if command == "map":
         argv += ["--frame", draw(st.sampled_from(["identity", "v1", "v2"]))]
@@ -104,13 +104,14 @@ def _run(argv, out):
 
 
 # Known classes, run on every draw: gapless JSON tables, walls that pass,
-# relations just off their domains, odd grids near a closing, non-finite input.
+# relations just off their domains, windings near a closing, non-finite input.
 EXAMPLES = [
     "band --theta 0 --grid 8 --format json",
     "sweep --theta-min -3.141592653589793 --theta-max 3.141592653589793 --theta-step 0.5 "
     "--format json",
     "map --theta -1e-7 --frame v2 --grid 17 --format json",
-    "winding --theta 1e-7 --grid 9",
+    "winding --theta 1e-7",
+    "winding --theta 3.14159",
     "invariant --theta1 -1e-13 --theta2 6.283185307179586",
     "symmetry --theta 0.5 --alpha 1e-12 --ring-size 8",
     "symmetry --theta 0.5 --beta 5e-13 --ring-size 16",
@@ -154,6 +155,8 @@ def test_every_command_exits_0_2_or_3_and_writes_valid_json(argv):
                          re.S), (argv, stdout, stderr)
     if code == 2:
         assert stderr.strip(), argv
+        # every drawn flag exists, so a draw reaches its command's own checks
+        assert "unrecognized arguments" not in stderr, (argv, stderr)
     if argv[0] == "symmetry":
         assert "FAILED" not in stdout, (argv, stdout)
 

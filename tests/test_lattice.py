@@ -309,8 +309,11 @@ def test_evolve_conserves_probability():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"window_halfwidth": -2}, "window_halfwidth = -2 must be nonnegative"),
-    ({"window_center": -100}, r"window_center = -100 is outside the ring's labels \[-4, 4\)"),
+    # both window arguments bad: the halfwidth is checked first
+    ({"window_halfwidth": -2, "window_center": -100}, "window_halfwidth = -2 must be nonnegative"),
+    # a halfwidth wider than the ring is allowed, and does not hide a bad center
+    ({"window_center": -100, "window_halfwidth": 100},
+     r"window_center = -100 is outside the ring's labels \[-4, 4\)"),
     ({"window_halfwidth": -1}, "window_halfwidth = -1 must be nonnegative"),
     ({"window_center": 100}, r"window_center = 100 is outside the ring's labels \[-4, 4\)"),
     ({"window_center": 4}, r"window_center = 4 is outside the ring's labels \[-4, 4\)"),
