@@ -15,13 +15,14 @@ where a = alpha and a' = alpha + beta.  The quasienergy bands are
 delta +/- omega_k, each defined modulo 2*pi.
 
 The normalization uses the exact identity
-sin(omega_k) = hypot(sin(theta), cos(theta) sin(k - a)), which keeps every digit
-near omega_k in {0, pi}, where arccos loses half of them.  The Bloch routine
-takes a block of theta values at once, and ``band_structure`` samples either
-one coin or such a block, each array when first read; the k-grid trig of a
-family is computed once and shared by every band of that family.  The band's
-extremes sit where cos(k - alpha) is largest and smallest, so ``gap_report``
-reads them there without sampling the band.
+sin(omega_k) = hypot(sin(theta), cos(theta) sin(k - a)), and omega_k is
+atan2(sin omega_k, cos(theta) cos(k - a)) everywhere; both keep every digit
+near omega_k in {0, pi}.  The Bloch routine takes a block of theta values at
+once, and ``band_structure`` samples either one coin or such a block, each
+array (the k-grid too) when first read.  The band's extremes sit at the
+special momenta k = a and a + pi, where omega is |theta| and pi - |theta|, so
+both gaps are 2 min(|theta|, pi - |theta|) and ``gap_report`` takes that
+closed form without sampling the band.
 """
 
 from __future__ import annotations
@@ -58,17 +59,6 @@ def k_trig(alpha: float, beta: float, k) -> KTrig:
     return KTrig(np.cos(ka), np.sin(ka), np.cos(kab), np.sin(kab))
 
 
-def _omega(theta, cos_a):
-    """omega in [0, pi] from cos(omega) = cos(theta) cos(k - alpha); broadcasts."""
-    return np.arccos(np.clip(np.cos(theta) * cos_a, -1.0, 1.0))
-
-
-def dispersion(p: CoinParams, k) -> float | np.ndarray:
-    """Quasienergy omega_k in [0, pi]; accepts scalar or array k."""
-    w = _omega(p.theta, np.cos(np.asarray(k, dtype=float) - p.alpha))
-    return float(w) if np.isscalar(k) or np.ndim(k) == 0 else w
-
-
 def bloch_block(trig: KTrig, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bloch vectors of the coins theta at the trig's K momenta (a last axis).
 
@@ -89,6 +79,19 @@ def bloch_block(trig: KTrig, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if degenerate.any():
         n[degenerate] = np.nan
     return n, sin_w, degenerate
+
+
+def _omega(trig: KTrig, thetas, sin_w: np.ndarray) -> np.ndarray:
+    """omega = atan2(sin_w, cos theta cos(k - alpha)) in [0, pi], as ``bloch_block`` broadcasts."""
+    return np.arctan2(sin_w, np.cos(np.asarray(thetas, dtype=float))[..., None] * trig.cos_a)
+
+
+def dispersion(p: CoinParams, k) -> float | np.ndarray:
+    """Quasienergy omega_k in [0, pi]; accepts scalar or array k."""
+    k = np.asarray(k, dtype=float)
+    trig = k_trig(p.alpha, p.beta, k)
+    w = _omega(trig, p.theta, bloch_block(trig, p.theta)[1]).reshape(k.shape)
+    return float(w) if k.ndim == 0 else w
 
 
 def bloch_vectors(p: CoinParams, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,7 +122,8 @@ def bloch_vector(p: CoinParams, k: float) -> np.ndarray:
 def bloch_hamiltonian(p: CoinParams, k: float) -> np.ndarray:
     """H_k = delta*I + omega_k n_k . sigma (Hermitian, eigenvalues delta +/- omega_k).
 
-    omega_k is atan2(sin omega_k, cos omega_k) here, exact near 0 and pi.
+    omega_k is ``dispersion``'s atan2(sin omega_k, cos theta cos(k - alpha)),
+    here in scalar arithmetic.
     """
     n, sin_w = _bloch_point(p, k)
     omega = math.atan2(sin_w, math.cos(p.theta) * math.cos(k - p.alpha))
@@ -135,9 +139,16 @@ def momentum_step_matrix(p: CoinParams, k: float) -> np.ndarray:
     return np.diag([np.exp(-1j * k), np.exp(1j * k)]) @ coin_matrix(p)
 
 
+def _checked_grid(grid_size: int) -> int:
+    """The one k-grid rule: at least 8 points, else ValidationError."""
+    if grid_size < 8:
+        raise ValidationError(f"grid_size must be at least 8, got {grid_size}")
+    return grid_size
+
+
 def k_grid(grid_size: int) -> np.ndarray:
     """Uniform Brillouin-zone grid over (-pi, pi], endpoint -pi excluded."""
-    return -np.pi + 2.0 * np.pi * np.arange(1, grid_size + 1) / grid_size
+    return -np.pi + 2.0 * np.pi * np.arange(1, _checked_grid(grid_size) + 1) / grid_size
 
 
 @dataclass(eq=False)
@@ -146,14 +157,12 @@ class BandStructure:
 
     The band of one coin has arrays over k.  The band of a theta-block
     (``thetas`` set) has a leading theta axis on ``omega``, ``n`` and
-    ``degenerate``; ``band_table`` is for one coin only.  Those three arrays
-    are computed from the family's grid trig when first read and then kept,
-    so a band whose gaps alone are read costs no (theta, k) pass.
+    ``degenerate``; ``band_table`` is for one coin only.  Every array, the
+    grid ``k`` and its family trig included, is computed when first read and
+    then kept, so a band whose gaps alone are read does no work over k.
     """
 
     params: CoinParams
-    k: np.ndarray
-    trig: KTrig
     grid_size: int
     thetas: np.ndarray | None = None
 
@@ -163,8 +172,16 @@ class BandStructure:
         return np.asarray(self.params.theta if self.thetas is None else self.thetas)
 
     @functools.cached_property
+    def k(self) -> np.ndarray:
+        return k_grid(self.grid_size)
+
+    @functools.cached_property
+    def trig(self) -> KTrig:
+        return k_trig(self.params.alpha, self.params.beta, self.k)
+
+    @functools.cached_property
     def omega(self) -> np.ndarray:
-        return _omega(self._theta[..., None], self.trig.cos_a)
+        return _omega(self.trig, self._theta, self._bloch[1])
 
     @functools.cached_property
     def _bloch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,8 +202,8 @@ class BandStructure:
 class GapReport:
     """Sizes of the two quasienergy gaps (around delta and around delta + pi).
 
-    ``is_gapped`` is the coin's own ``CoinParams.is_gapped`` (the one threshold
-    GAP_EPS), not a test on the sampled sizes, which arccos floors near 1e-8.
+    Both are 2 min(|theta|, pi - |theta|) whatever the grid, and ``is_gapped``
+    is the coin's own ``CoinParams.is_gapped`` (the one threshold GAP_EPS).
     For a theta-block band every field is an array over the block.
     """
 
@@ -195,53 +212,33 @@ class GapReport:
     is_gapped: bool
 
 
-@functools.lru_cache(maxsize=8)
-def _family_grid(alpha: float, beta: float, grid_size: int) -> tuple[np.ndarray, KTrig]:
-    """The k-grid and its family trig, computed once per (alpha, beta, grid).
-
-    Every band of the family shares these arrays, so they are read-only.
-    """
-    ks = k_grid(grid_size)
-    trig = k_trig(alpha, beta, ks)
-    for a in (ks, trig.cos_a, trig.sin_a, trig.cos_ab, trig.sin_ab):
-        a.flags.writeable = False
-    return ks, trig
-
-
 def band_structure(p: CoinParams, grid_size: int = DEFAULT_GRID, thetas=None) -> BandStructure:
     """The dispersion and Bloch vectors over the Brillouin zone, sampled on read.
 
     With ``thetas`` the band is that of the block of coins p.with_theta(t),
     t in thetas, sampled in one broadcast pass; p.theta is then not used, and
     the thetas are taken as given, not wrapped as CoinParams wraps them.
-    Building the band does O(grid_size) work at most (the family grid, cached);
-    each array costs its (theta, k) pass only when read.  Degenerate grid
-    points (gap closings) are flagged, not fatal, so gapless parameters can
-    still be tabulated.
+    Building the band checks the grid size and does no work over k; each
+    array costs its pass only when read.  Degenerate grid points (gap
+    closings) are flagged, not fatal, so gapless parameters can still be
+    tabulated.
     """
-    if grid_size < 8:
-        raise ValidationError(f"grid_size must be at least 8, got {grid_size}")
-    ks, trig = _family_grid(p.alpha, p.beta, grid_size)
     block = None if thetas is None else np.atleast_1d(np.asarray(thetas, dtype=float))
-    return BandStructure(p, ks, trig, grid_size, block)
+    return BandStructure(p, _checked_grid(grid_size), block)
 
 
 def gap_report(b: BandStructure) -> GapReport:
-    """Gap sizes 2*min(omega) and 2*(pi - max(omega)) of the sampled band, in O(T + K).
+    """Both gaps 2 min(|theta|, pi - |theta|), theta wrapped, of the band's coin or block.
 
-    The sampled omega is arccos(clip(c * x)), c = cos(theta), x = cos(k - alpha)
-    on the grid.  Rounding c * x is monotone in x (decreasing where c < 0), clip
-    monotone and arccos decreasing, so the sampled min and max of omega, bit for
-    bit, are that formula at the grid's max and min of x (swapped where c < 0).
+    The band's extremes sit at k = alpha and alpha + pi, where omega is |theta|
+    and pi - |theta|, so no grid enters: |theta| is exact and pi - |theta|
+    takes one rounding.  The sampled band is this value's test oracle.
     """
-    cos_a = b.trig.cos_a
-    top, bottom = np.max(cos_a), np.min(cos_a)
-    up = np.cos(b._theta) >= 0
-    g0 = 2.0 * _omega(b._theta, np.where(up, top, bottom))
-    g1 = 2.0 * (np.pi - _omega(b._theta, np.where(up, bottom, top)))
+    t = np.abs(wrap_angles(b._theta))
+    g = 2.0 * np.minimum(t, np.pi - t)
     if b.thetas is None:
-        return GapReport(float(g0), float(g1), b.params.is_gapped)
-    return GapReport(g0, g1, gapped(b.thetas))
+        return GapReport(float(g), float(g), b.params.is_gapped)
+    return GapReport(g, g, gapped(b.thetas))
 
 
 def special_points(alpha: float) -> tuple[float, float]:

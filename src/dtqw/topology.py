@@ -21,9 +21,9 @@ pole assignment, which yields a two-phase classification and predicts two
 interface-localized states (one per gap) between distinct phases.
 
 No k-grid enters the invariants; the numeric curve windings they replace are
-the test oracle.  ``classify_sweep`` takes its gap columns from the band's
-extremes, which sit at the grid's extremes of cos(k - alpha), so a sweep
-does no (theta, k) pass.
+the test oracle.  Nor does one enter the gaps: ``classify_sweep`` takes its
+gap columns from ``gap_report``'s closed form 2 min(|theta|, pi - |theta|), so
+a sweep does no work over k.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _require_gapped(p: CoinParams) -> None:
         raise ValidationError(f"gapless parameters: theta = {p.theta} closes both gaps")
 
 
-def winding_mt(p: CoinParams, grid_size: int = DEFAULT_GRID) -> int:
+def winding_mt(p: CoinParams, *, grid_size: int = DEFAULT_GRID) -> int:
     """Winding of either band's image curve around the retraction circle: +1.
 
     Positive values are counterclockwise in the (n_beta, e_w) basis viewed
@@ -215,11 +215,10 @@ def classify_sweep(p: CoinParams, thetas, grid_size: int = DEFAULT_GRID) -> Swee
     """Gaps and invariants of the coins ``p.with_theta(t)`` for every t in thetas.
 
     Only p's family is used, not p.theta.  The gap columns are the
-    ``gap_report`` of the whole theta array's ``band_structure``, which reads
-    the sampled band's extremes at the grid's extremes of cos(k - alpha): O(T +
-    K) work and memory, no (theta, k) array.  Winding and poles are the closed
-    forms of winding_mt and pole_assignment: +1, and (-sgn theta, sgn theta) at
-    (k0, k1).
+    ``gap_report`` of the whole theta array's ``band_structure``, the closed
+    form 2 min(|theta|, pi - |theta|): O(T) work and memory, and ``grid_size``
+    changes no value.  Winding and poles are the closed forms of winding_mt and
+    pole_assignment: +1, and (-sgn theta, sgn theta) at (k0, k1).
     """
     thetas = wrap_angles(np.atleast_1d(thetas))
     g = gap_report(band_structure(p, grid_size, thetas))

@@ -351,8 +351,7 @@ def test_grid_above_the_cap_is_refused_before_any_array(tmp_path, capsys, monkey
     def no_grid(*args):
         raise AssertionError("a k-grid was built")
 
-    for module, name in ((momentum, "k_grid"), (momentum, "_family_grid"),
-                         (topology, "k_grid")):
+    for module, name in ((momentum, "k_grid"), (topology, "k_grid")):
         monkeypatch.setattr(module, name, no_grid)
     too_big = str(cli.MAX_GRID + 1)
     assert run([*command, "--grid", too_big, "--out", str(tmp_path)]) == 2

@@ -151,10 +151,11 @@ def test_gap_report_values_and_theta_sign():
 
 
 def test_gap_converges_under_grid_refinement():
-    p = CoinParams(0.0, 0.37, 0.0, 0.9)  # alpha off-grid on purpose
-    g1 = gap_report(band_structure(p, 512)).gap_at_delta
-    g2 = gap_report(band_structure(p, 1024)).gap_at_delta
-    assert abs(g1 - g2) < 1e-3
+    # the closed form does not depend on the grid at all, alpha off-grid or not
+    p = CoinParams(0.0, 0.37, 0.0, 0.9)
+    gaps = {(g.gap_at_delta, g.gap_at_delta_plus_pi)
+            for g in (gap_report(band_structure(p, n)) for n in (8, 9, 512, 1024))}
+    assert gaps == {(1.8, 1.8)}
 
 
 def test_special_points_wrap():

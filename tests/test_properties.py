@@ -4,9 +4,9 @@ identities of the time-shifted walks, and of angle wrapping.
 
 The closed-form windings and poles of ``dtqw.topology`` are checked against
 the numeric oracle: the winding of the sampled image curve, accumulated with
-np.unwrap, and the Bloch vector at the special momenta.  The gap report,
-which reads the band's extremes without sampling it, is checked against the
-min and max of the sampled dispersion."""
+np.unwrap, and the Bloch vector at the special momenta.  The gap report's
+closed form is checked against the min and max of the sampled dispersion,
+and against the one gap threshold within 1e-6 of either closing."""
 
 import math
 
@@ -15,14 +15,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtqw.core import CoinParams, wrap_angle, wrap_angles
-from dtqw.momentum import (_omega, band_structure, bloch_hamiltonian, bloch_vector,
-                           bloch_vectors, gap_report, k_grid, momentum_step_matrix,
+from dtqw.core import GAP_EPS, CoinParams, wrap_angle, wrap_angles
+from dtqw.momentum import (band_structure, bloch_hamiltonian, bloch_vector, bloch_vectors,
+                           dispersion, gap_report, k_grid, momentum_step_matrix,
                            special_points)
 from dtqw.symmetry import frame_conjugated_walk, timeshift_walk
-from dtqw.topology import (FrameVariant, bz_image_table, invariant_json_dict, manifold_frame,
-                           pole_assignment, rel_homotopy_invariant, rotated_winding,
-                           winding_mt)
+from dtqw.topology import (FrameVariant, bz_image_table, classify_sweep, invariant_json_dict,
+                           manifold_frame, pole_assignment, rel_homotopy_invariant,
+                           rotated_winding, winding_mt)
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -44,6 +44,25 @@ gap_thetas = st.one_of(
 gap_grids = st.sampled_from([8, 9, 16, 17, 63, 64, 100, 257, 512, 1024])
 # alpha on a multiple of pi/4 puts grid points on (or symmetric about) k = alpha
 gap_alphas = st.one_of(st.sampled_from([j * math.pi / 4 for j in range(-4, 5)]), angles)
+
+
+def _neighbours(x: float, count: int) -> list[float]:
+    """x and the count floats next to it on either side (np.nextafter steps)."""
+    out = [x]
+    for toward in (-math.inf, math.inf):
+        y = x
+        for _ in range(count):
+            y = float(np.nextafter(y, toward))
+            out.append(y)
+    return out
+
+
+# within 1e-6 of a closing; |sin theta| = GAP_EPS lies a few steps off pi - GAP_EPS
+near_closing_thetas = st.one_of(
+    st.sampled_from([s * t for t in _neighbours(GAP_EPS, 4) + _neighbours(math.pi - GAP_EPS, 8)
+                     for s in (1, -1)]),
+    st.builds(lambda c, d: c + d, st.sampled_from([0.0, math.pi, -math.pi]),
+              st.floats(-1e-6, 1e-6)))
 
 
 def _curve_winding(u: np.ndarray, w: np.ndarray) -> int:
@@ -149,18 +168,46 @@ def test_closed_form_frame_windings_match_the_curve_oracle(delta, theta, grid):
         assert rotated_winding(p, variant) == _curve_winding(curve[:, u], curve[:, w])
 
 
+def _on_grid(alpha: float, grid: int) -> bool:
+    """Whether alpha and alpha + pi are points of the grid, to rounding."""
+    ks = k_grid(grid)
+    return all(np.min(np.abs(wrap_angles(ks - a))) < 1e-15 for a in (alpha, alpha + math.pi))
+
+
 @PROPERTY_SETTINGS
 @given(gap_alphas, angles, st.lists(gap_thetas, min_size=1, max_size=20), gap_grids)
 def test_gap_report_equals_the_extremes_of_the_sampled_band(alpha, beta, block, grid):
+    # The sampled band's gaps are never below the closed form, and equal it
+    # when the special momenta are grid points; both up to 1e-15.
     family = CoinParams(0.3, alpha, beta, 0.0)
-    cos_a = np.cos(k_grid(grid) - family.alpha)
-    omega = _omega(np.array(block)[:, None], cos_a)
-    g = gap_report(band_structure(family, grid, block))
-    assert np.array_equal(g.gap_at_delta, 2.0 * np.min(omega, axis=-1))
-    assert np.array_equal(g.gap_at_delta_plus_pi, 2.0 * (np.pi - np.max(omega, axis=-1)))
-    for theta in block:
+    on_grid = _on_grid(family.alpha, grid)
+    g_block = gap_report(band_structure(family, grid, block))
+    for i, theta in enumerate(block):
         p = family.with_theta(theta)
-        omega = _omega(p.theta, cos_a)
+        omega = dispersion(p, k_grid(grid))
         g = gap_report(band_structure(p, grid))
-        assert g.gap_at_delta == 2.0 * np.min(omega)
-        assert g.gap_at_delta_plus_pi == 2.0 * (np.pi - np.max(omega))
+        closed = (g.gap_at_delta, g.gap_at_delta_plus_pi)
+        assert closed == (g_block.gap_at_delta[i], g_block.gap_at_delta_plus_pi[i])
+        for gap, sampled in zip(closed, (2.0 * np.min(omega), 2.0 * (np.pi - np.max(omega)))):
+            assert gap <= sampled + 1e-15
+            if on_grid:
+                assert abs(gap - sampled) <= 1e-15
+
+
+@PROPERTY_SETTINGS
+@given(angles, angles, angles, st.lists(near_closing_thetas, min_size=1, max_size=20),
+       gap_grids)
+def test_gaps_near_a_closing_agree_with_the_gap_threshold(delta, alpha, beta, block, grid):
+    # gapped iff |sin theta| > GAP_EPS iff both gaps exceed 2 GAP_EPS, up to
+    # the one rounding of sin theta near pi (pi - theta is off by about 1.2e-16)
+    def agrees(gap, is_gapped):
+        return gap > 2 * GAP_EPS - 4e-16 if is_gapped else gap <= 2 * GAP_EPS + 4e-16
+
+    sweep = classify_sweep(CoinParams(delta, alpha, beta, 0.0), block, grid)
+    for i, theta in enumerate(block):
+        p = CoinParams(delta, alpha, beta, theta)
+        g = gap_report(band_structure(p, grid))
+        assert g.is_gapped == p.is_gapped == sweep.gapped[i]
+        for gap in (g.gap_at_delta, g.gap_at_delta_plus_pi, sweep.gap_at_delta[i],
+                    sweep.gap_at_delta_plus_pi[i]):
+            assert agrees(gap, g.is_gapped), (theta, gap)

@@ -4,7 +4,9 @@ The reference takes each Bloch vector from the Pauli decomposition of the
 momentum step matrix, not from the kernel's closed form, accumulates the
 winding with np.unwrap, and reads the gap columns from the min and max of
 the dispersion sampled on the k-grid.  Rows are compared cell for cell as
-the CSV writer formats them.
+the CSV writer formats them, except the gaps: the kernel's closed form is at
+most the sampled gap, and equal to it when alpha and alpha + pi are grid
+points, both up to 1e-15.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from dtqw.cli import SWEEP_CSV_HEADER, _sweep_row, main
-from dtqw.core import CoinParams, pauli_decompose
+from dtqw.core import CoinParams, pauli_decompose, wrap_angles
 from dtqw.momentum import dispersion, k_grid, momentum_step_matrix, special_points
 from dtqw.topology import classify_sweep, manifold_frame
 
@@ -49,9 +51,29 @@ def _cells(row: list) -> list[str]:
     return [repr(float(x)) if isinstance(x, float) else str(x) for x in row]
 
 
+def _on_grid(alpha: float, grid: int) -> bool:
+    """Whether alpha and alpha + pi are points of the grid, to rounding."""
+    ks = k_grid(grid)
+    return all(np.min(np.abs(wrap_angles(ks - a))) < 1e-15 for a in (alpha, alpha + math.pi))
+
+
+def _assert_row_matches(cells: list[str], p: CoinParams, grid: int) -> None:
+    expected = _reference_row(p, grid)
+    want = _cells(expected)
+    assert (cells[0], cells[3:]) == (want[0], want[3:]), f"theta = {p.theta}"
+    for cell, sampled in zip(cells[1:3], expected[1:3]):
+        assert float(cell) <= sampled + 1e-15, f"theta = {p.theta}"
+        if _on_grid(p.alpha, grid):
+            assert abs(float(cell) - sampled) <= 1e-15, f"theta = {p.theta}"
+
+
 def _families(seed: int, count: int):
     rng = np.random.default_rng(seed)
     return [tuple(rng.uniform(-math.pi, math.pi, 3)) for _ in range(count)]
+
+
+# two random families, and one whose alpha = pi/4 puts both special momenta on the grid
+FAMILIES = _families(5, 2) + [(0.9, math.pi / 4, -2.0)]
 
 
 # the set names keep the sizes of a former 32-theta block loop
@@ -65,15 +87,16 @@ THETA_SETS = {
 
 
 @pytest.mark.parametrize("name", sorted(THETA_SETS))
-@pytest.mark.parametrize("family", _families(5, 2))
+@pytest.mark.parametrize("family", FAMILIES)
 def test_kernel_rows_match_slow_reference(name, family):
     thetas = THETA_SETS[name]
     delta, alpha, beta = family
+    assert _on_grid(alpha, GRID) == (alpha == math.pi / 4)
     sweep = classify_sweep(CoinParams(delta, alpha, beta, 0.0), thetas, GRID)
     assert len(sweep.theta) == len(thetas)
     for i, theta in enumerate(thetas):
-        expected = _reference_row(CoinParams(delta, alpha, beta, theta), GRID)
-        assert _cells(_sweep_row(sweep, i)) == _cells(expected), f"theta = {theta}"
+        _assert_row_matches(_cells(_sweep_row(sweep, i)), CoinParams(delta, alpha, beta, theta),
+                            GRID)
 
 
 def test_kernel_matches_reference_on_the_cli_sweep(tmp_path):
@@ -85,9 +108,7 @@ def test_kernel_matches_reference_on_the_cli_sweep(tmp_path):
     assert lines[0] == ",".join(SWEEP_CSV_HEADER)
     assert len(lines) == 42
     for i, line in enumerate(lines[1:]):
-        p = CoinParams(2.0, 0.4, -1.3, -1 + i * 0.05)
-        assert line == ",".join(_cells(_reference_row(p, GRID)))
-
+        _assert_row_matches(line.split(","), CoinParams(2.0, 0.4, -1.3, -1 + i * 0.05), GRID)
 
 
 def test_sweep_memory_is_linear_in_thetas_and_grid():

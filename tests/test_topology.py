@@ -89,6 +89,15 @@ def test_winding_mt_rejects_gapless():
         winding_mt(CoinParams(0, 0, 0, math.pi))
 
 
+def test_winding_mt_takes_grid_size_by_keyword_only():
+    # a stale positional call, such as the former winding_mt(p, band), fails
+    # instead of returning 1
+    p = CoinParams(0, 0, 0, 0.5)
+    assert winding_mt(p, grid_size=16) == 1
+    with pytest.raises(TypeError):
+        winding_mt(p, 1)
+
+
 def test_image_curve_stays_on_the_punctured_sphere():
     # The in-plane projection has length |sin theta| / sin omega_k, which stays
     # in [|sin theta|, 1]: the curve meets the excluded circle only at poles,
@@ -199,6 +208,15 @@ def test_rotated_curves_are_planar():
     rows_v2 = np.array([r[1:4] for r in bz_image_table(
         CoinParams(0, 0, 0, 0.6), FrameVariant.V2, 128)])
     assert np.max(np.abs(rows_v2[:, 2])) < 1e-12  # XY-plane
+
+
+def test_bz_image_table_refuses_grids_below_8_points():
+    # the k-grid rule of band_structure, from k_grid itself
+    p = CoinParams(0, 0, 0, 0.6)
+    for grid in (0, 3, 7):
+        with pytest.raises(ValidationError, match=f"grid_size must be at least 8, got {grid}"):
+            bz_image_table(p, grid_size=grid)
+    assert len(bz_image_table(p, grid_size=8)) == 8
 
 
 def test_pole_assignment_matches_sign_of_theta():
