@@ -39,8 +39,13 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENV_PREFIX = "# environment "
 
+_WALL = ["--theta1", "-0.5154553822854311", "--theta2", "1.0241841198285735",
+         "--delta", "-1.0563769171455983", "--alpha", "0.7030631375429572",
+         "--beta", "0.0479574164907306"]
+
 # Cases the README does not cover: every subcommand in both --format values,
-# the degree flag, a gapless band, the near-closing sweep; each under 0.5 s.
+# the degree flag, a gapless band, the near-closing sweep, the large edge
+# tables; each under 0.5 s.
 EXTRA_EXAMPLES = [
     ["band", "--theta", "-2.2", "--delta", "0.3", "--alpha", "0.4", "--beta", "-1.1",
      "--grid", "16", "--format", "json", "--out", "x"],
@@ -67,6 +72,11 @@ EXTRA_EXAMPLES = [
      "--format", "json", "--out", "x"],
     ["sweep", "--theta-min", "-3.1", "--theta-max", "3.1", "--theta-step", "0.31",
      "--delta", "-2", "--alpha", "1.1", "--beta", "0.5", "--grid", "33", "--out", "x"],
+    # the seed-1 benchmark wall at the benchmark's ring: its state tables hold
+    # underflowed tails, -0.0 and subnormal cells
+    ["edge", *_WALL, "--ring-size", "16384", "--out", "x"],
+    ["evolve", *_WALL, "--case", "overlap-both", "--steps", "200", "--ring-size", "1024",
+     "--out", "x"],
 ]
 
 
@@ -157,6 +167,10 @@ def main() -> int:
     if len(sys.argv) != 2:
         print("usage: python3 tools/readme_outputs.py OUTDIR", file=sys.stderr)
         return 2
+    # one BLAS thread, as the test session and the benchmark have: the edge
+    # residuals' sums at N = 16384 group their terms by the thread count
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     lines, ok = oracle_lines(sys.argv[1])
     print("\n".join(lines))
     return 0 if ok else 1
