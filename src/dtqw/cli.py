@@ -87,80 +87,84 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="interpret all angle flags in degrees")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dtqw",
-        description="one-dimensional coined quantum walks: bands, topology, "
-                    "symmetries, interface edge states",
-    )
-    parser.add_argument("--version", action="version", version=f"dtqw {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("band", help="band structure CSV plus gap report")
+def _band_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, required=True)
     _family_flags(p)
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    _common_flags(p)
-    p.set_defaults(func=cmd_band)
 
-    p = sub.add_parser("map", help="Brillouin-zone image curve, optionally frame-rotated")
+
+def _map_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, required=True)
     _family_flags(p)
     p.add_argument("--frame", choices=sorted(_FRAMES), default="identity")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    _common_flags(p)
-    p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("winding", help="winding numbers of the image curve")
+
+def _winding_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, required=True)
     _family_flags(p)
-    _common_flags(p)
-    p.set_defaults(func=cmd_winding)
 
-    p = sub.add_parser("invariant", help="phase classification of one coin or a pair")
+
+def _invariant_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float)
     p.add_argument("--theta1", type=float)
     p.add_argument("--theta2", type=float)
     _family_flags(p)
-    _common_flags(p)
-    p.set_defaults(func=cmd_invariant)
 
-    p = sub.add_parser("symmetry", help="certify the symmetry relations numerically")
+
+def _symmetry_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, required=True)
     _family_flags(p)
     p.add_argument("--ring-size", type=int, default=8)
     p.add_argument("--seed", type=int, default=0, help="seed of the PHS involution probe")
-    _common_flags(p)
-    p.set_defaults(func=cmd_symmetry)
 
-    p = sub.add_parser("edge", help="closed-form interface states and their residuals")
+
+def _edge_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta1", type=float, required=True)
     p.add_argument("--theta2", type=float, required=True)
     _family_flags(p)
     p.add_argument("--ring-size", type=int, default=64)
-    _common_flags(p)
-    p.set_defaults(func=cmd_edge)
 
-    p = sub.add_parser("evolve", help="interface dynamics experiment")
+
+def _evolve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta1", type=float, required=True)
     p.add_argument("--theta2", type=float, required=True)
     _family_flags(p)
     p.add_argument("--case", choices=sorted(_CASES), required=True)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--ring-size", type=int, default=512)
-    _common_flags(p)
-    p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("sweep", help="phase classification over a theta range")
+
+def _sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta-min", type=float, required=True)
     p.add_argument("--theta-max", type=float, required=True)
     p.add_argument("--theta-step", type=float, required=True)
     _family_flags(p)
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    _common_flags(p)
-    p.set_defaults(func=cmd_sweep)
-    for each in (parser, *sub.choices.values()):
-        each._negative_number_matcher = _NEGATIVE_VALUE
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``dtqw`` parser.  Every subcommand is registered with its name and
+    help, so the top-level usage and errors list all of them; one gets its
+    flags only if it is named in ``argv`` (all do when ``argv`` is None).
+    argparse reads only the flags of the subcommand it selects, and that one
+    is named in ``argv``, so parsing ``argv`` gives what the full parser gives.
+    """
+    parser = argparse.ArgumentParser(
+        prog="dtqw",
+        description="one-dimensional coined quantum walks: bands, topology, "
+                    "symmetries, interface edge states",
+    )
+    parser.add_argument("--version", action="version", version=f"dtqw {__version__}")
+    parser._negative_number_matcher = _NEGATIVE_VALUE
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags, func) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_VALUE
+        if argv is None or name in argv:
+            flags(p)
+            _common_flags(p)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -354,9 +358,23 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# name: (help, flags of its own, command), in the order of the usage line
+_SUBCOMMANDS = {
+    "band": ("band structure CSV plus gap report", _band_flags, cmd_band),
+    "map": ("Brillouin-zone image curve, optionally frame-rotated", _map_flags, cmd_map),
+    "winding": ("winding numbers of the image curve", _winding_flags, cmd_winding),
+    "invariant": ("phase classification of one coin or a pair", _invariant_flags,
+                  cmd_invariant),
+    "symmetry": ("certify the symmetry relations numerically", _symmetry_flags, cmd_symmetry),
+    "edge": ("closed-form interface states and their residuals", _edge_flags, cmd_edge),
+    "evolve": ("interface dynamics experiment", _evolve_flags, cmd_evolve),
+    "sweep": ("phase classification over a theta range", _sweep_flags, cmd_sweep),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     if args.degrees:
         _convert_degrees(args)
     problems = _validate(args)

@@ -16,6 +16,7 @@ squared-amplitude sum of the unstaggered profile telescopes to
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -79,6 +80,47 @@ class InterfaceSpec:
     def walk(self) -> WalkOperator:
         return build_walk(self.right_params(), self.profile())
 
+    @functools.cached_property
+    def edge_profile(self) -> tuple[complex, complex, float, np.ndarray]:
+        """(A1, A2, norm constant, unstaggered profile) of the wall's edge
+        states, the profile's rows (a_x, b_x) not yet normalized; computed on
+        first read and kept, as both states share it.
+
+        Requires the ring long enough that the truncated geometric tails are
+        below TRUNCATION_EPS, so the wrap-around wall is invisible at working
+        precision.
+        """
+        a1 = decay_constant(self.alpha, self.theta1)
+        a2 = decay_constant(self.alpha, self.theta2)
+        q1 = 1.0 / a1  # |q1| < 1: stable left-side ratio
+        n = self.n_sites
+        r = max(abs(a2), abs(q1))
+        if r ** n >= TRUNCATION_EPS:
+            need = "no ring is long enough"
+            if r < 1.0:  # step from the estimate log(eps)/log(r) to the smallest even ring
+                m = 2 * max(2, math.ceil(math.log(TRUNCATION_EPS) / math.log(r) / 2))
+                while m > 4 and r ** (m - 2) < TRUNCATION_EPS:
+                    m -= 2
+                while r ** m >= TRUNCATION_EPS:
+                    m += 2
+                need = f"need n_sites >= {m}"
+            raise ValidationError(f"ring of {n} sites too small: the geometric tails "
+                                  f"overlap the wrap-around wall ({need})")
+
+        x = ring_sites(n)
+        right = x >= 0
+        a = np.empty(n, dtype=complex)
+        b = np.empty(n, dtype=complex)
+        a[right] = a2 ** x[right]
+        b[right] = -(a2 ** (x[right] + 1))
+        a[~right] = q1 ** (-x[~right])
+        b[~right] = -(q1 ** (-x[~right] - 1))
+        b *= np.exp(-1j * (self.alpha + self.beta))
+        norm_constant = 1.0 / math.sin(self.theta2) - 1.0 / math.sin(self.theta1)
+        profile = np.stack([a, b], axis=1)
+        profile.setflags(write=False)
+        return a1, a2, norm_constant, profile
+
 
 def decay_constant(alpha: float, theta: float) -> complex:
     """A = exp(i alpha) (1 - sin theta)/cos theta, on the stable branch.
@@ -106,44 +148,15 @@ class EdgeState:
 
 
 def analytic_edge_state(spec: InterfaceSpec, eta: float) -> EdgeState:
-    """Closed-form interface eigenstate on the ring.
-
-    Requires the ring long enough that the truncated geometric tails are
-    below TRUNCATION_EPS, so the wrap-around wall is invisible at working precision.
+    """Closed-form interface eigenstate on the ring: the wall's geometric
+    profile (``spec.edge_profile``, computed once for both states) times the
+    staggering phase exp(i eta x), normalized.
     """
     eta = wrap_angle(eta)
     if not (abs(eta) < DOMAIN_TOL or abs(eta - math.pi) < DOMAIN_TOL):
         raise ValidationError(f"eta = {eta} must be 0 or pi (tolerance {DOMAIN_TOL:g})")
-    a1 = decay_constant(spec.alpha, spec.theta1)
-    a2 = decay_constant(spec.alpha, spec.theta2)
-    q1 = 1.0 / a1  # |q1| < 1: stable left-side ratio
-    n = spec.n_sites
-    r = max(abs(a2), abs(q1))
-    if r ** n >= TRUNCATION_EPS:
-        need = "no ring is long enough"
-        if r < 1.0:  # step from the estimate log(eps)/log(r) to the smallest even ring
-            m = 2 * max(2, math.ceil(math.log(TRUNCATION_EPS) / math.log(r) / 2))
-            while m > 4 and r ** (m - 2) < TRUNCATION_EPS:
-                m -= 2
-            while r ** m >= TRUNCATION_EPS:
-                m += 2
-            need = f"need n_sites >= {m}"
-        raise ValidationError(f"ring of {n} sites too small: the geometric tails "
-                              f"overlap the wrap-around wall ({need})")
-
-    x = ring_sites(n)
-    right = x >= 0
-    a = np.empty(n, dtype=complex)
-    b = np.empty(n, dtype=complex)
-    a[right] = a2 ** x[right]
-    b[right] = -(a2 ** (x[right] + 1))
-    a[~right] = q1 ** (-x[~right])
-    b[~right] = -(q1 ** (-x[~right] - 1))
-    phase = np.exp(-1j * (spec.alpha + spec.beta))
-    b *= phase
-
-    norm_constant = 1.0 / math.sin(spec.theta2) - 1.0 / math.sin(spec.theta1)
-    amps = np.stack([a, b], axis=1) * np.exp(1j * eta * x)[:, None]
+    a1, a2, norm_constant, profile = spec.edge_profile
+    amps = profile * np.exp(1j * eta * ring_sites(spec.n_sites))[:, None]
     amps /= math.sqrt(norm_constant)
     amps /= np.linalg.norm(amps)  # ring correction, < 1e-10 by the size check
     return EdgeState(eta, WalkerState(amps), (a1, a2), norm_constant, spec)

@@ -7,9 +7,19 @@ timestamps, stable key order), so runs can be diffed and cached.
 from __future__ import annotations
 
 import contextlib
-import csv
+import itertools
 import json
 import os
+import re
+
+import numpy as np
+
+# Rows formatted and written at a time: the CSV text of one block is held in
+# memory, never that of the whole table.
+BLOCK_ROWS = 2048
+
+# A cell holding one of these is quoted, as csv's QUOTE_MINIMAL does.
+_SPECIAL = re.compile(r'[,"\r\n]')
 
 
 @contextlib.contextmanager
@@ -30,18 +40,98 @@ def _atomic_file(path):
         raise
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """RFC-4180-style CSV with a header row and '.' decimal separator.
+class Table:
+    """A table held by column: equal-length 1-d numpy arrays of float64, int
+    or str.
 
-    Cells are plain Python int, float or str: the writer gives repr(x) for a
-    float, which round-trips ("nan" for NaN).  numpy scalars would repr
-    verbosely, so the table builders convert them first.  Rows stream to
-    the file; the whole text is never held in memory.
+    ``len`` is the number of rows, and ``table[i]`` and iteration give rows as
+    tuples of plain Python scalars.  ``write_csv`` formats the columns
+    directly, a block of rows at a time, and builds no row.
     """
+
+    def __init__(self, *columns: np.ndarray):
+        self.columns = tuple(np.asarray(c) for c in columns)
+        shapes = {c.shape for c in self.columns}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise ValueError(f"table columns of shapes {sorted(shapes)}, not one length")
+
+    def __len__(self) -> int:
+        return self.columns[0].shape[0]
+
+    def __getitem__(self, i: int) -> tuple:
+        return tuple(c[i].item() for c in self.columns)
+
+    def __iter__(self):
+        for block in self.blocks():
+            yield from zip(*(c.tolist() for c in block))
+
+    def blocks(self):
+        """The columns sliced into blocks of ``BLOCK_ROWS`` rows."""
+        for lo in range(0, len(self), BLOCK_ROWS):
+            yield [c[lo:lo + BLOCK_ROWS] for c in self.columns]
+
+
+def _cells(column) -> list[str]:
+    """The CSV text of each cell of one column block.
+
+    A float64 array gives repr of each float, with an exact zero written
+    "0.0" or "-0.0" by its sign bit and repr called only on the others
+    ("nan", "inf" included).  Any other cell (a Python int, float or str) is
+    written with ``str``, and a text holding a comma, quote, CR or LF is
+    quoted, its quotes doubled.
+    """
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            text = np.full(column.shape[0], "0.0", dtype=object)
+            text[np.signbit(column)] = "-0.0"
+            nonzero = np.flatnonzero(column)
+            text[nonzero] = list(map(repr, column[nonzero].tolist()))
+            return text.tolist()
+        column = column.tolist()
+    text = list(map(str, column))
+    if _SPECIAL.search("".join(text)):
+        text = ['"' + t.replace('"', '""') + '"' if _SPECIAL.search(t) else t for t in text]
+    return text
+
+
+def _block_text(columns) -> str:
+    """CSV text of a block of rows given by column, CRLF after each row."""
+    cells = [_cells(c) for c in columns]
+    if len(cells) == 1:  # csv quotes a row that is a single empty field
+        cells = [['""' if t == "" else t for t in cells[0]]]
+    return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+
+
+def _row_blocks(rows, width: int):
+    """A row iterable transposed a block of ``BLOCK_ROWS`` rows at a time."""
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, BLOCK_ROWS)):
+        for row in block:
+            if len(row) != width:
+                raise ValueError(f"row of {len(row)} cells under a header of {width}: {row!r}")
+        yield list(zip(*block))
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """RFC-4180-style CSV with a header row, '.' decimal separator and CRLF
+    line ends, byte for byte what ``csv.writer`` writes for the same rows.
+
+    ``rows`` is a ``Table`` or an iterable of rows, each as long as the
+    header, of plain Python int, float or str cells.  Either is formatted by
+    column (see ``_cells``), ``BLOCK_ROWS`` rows at a time, and each block is
+    joined once and written, so the text of the whole table is never held.
+    """
+    width = len(header)
+    if isinstance(rows, Table):
+        if len(rows.columns) != width:
+            raise ValueError(f"table of {len(rows.columns)} columns under a header of {width}")
+        blocks = rows.blocks()
+    else:
+        blocks = _row_blocks(rows, width)
     with _atomic_file(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_block_text([(name,) for name in header]))
+        for block in blocks:
+            fh.write(_block_text(block))
 
 
 def write_json(path, obj) -> None:

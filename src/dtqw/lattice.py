@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import CoinParams, coin_matrices, wrap_angles
 from .errors import NumericalContractError, ValidationError
+from .io import Table
 
 # Dense materialization / eigensolve cap (2N x 2N matrices).
 DENSE_CAP = 512
@@ -463,14 +464,12 @@ STATE_CSV_HEADER = ["x", "re_a", "im_a", "re_b", "im_b", "prob"]
 TRAJECTORY_CSV_HEADER = ["t", "interface_prob", "mean_x", "sigma_x"]
 
 
-def state_table(s: WalkerState) -> list[list[float]]:
+def state_table(s: WalkerState) -> Table:
+    """Columns x, re_a, im_a, re_b, im_b, prob of a state (STATE_CSV_HEADER)."""
     a, b = s.amps[:, 0], s.amps[:, 1]
-    columns = (s.sites, a.real, a.imag, b.real, b.imag, s.site_probabilities())
-    return [list(row) for row in zip(*(c.tolist() for c in columns))]
+    return Table(s.sites, a.real, a.imag, b.real, b.imag, s.site_probabilities())
 
 
-def trajectory_table(traj: Trajectory) -> list[list[float]]:
-    return [
-        [int(t), float(p), float(m), float(s)]
-        for t, p, m, s in zip(traj.times, traj.interface_prob, traj.mean_x, traj.sigma_x)
-    ]
+def trajectory_table(traj: Trajectory) -> Table:
+    """Columns t, interface_prob, mean_x, sigma_x (TRAJECTORY_CSV_HEADER)."""
+    return Table(traj.times, traj.interface_prob, traj.mean_x, traj.sigma_x)

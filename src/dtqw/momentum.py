@@ -36,6 +36,7 @@ import numpy as np
 from .core import (GAP_EPS, ID2, CoinParams, coin_matrix, gapped, pauli_compose, wrap_angle,
                    wrap_angles)
 from .errors import ValidationError
+from .io import Table
 
 DEFAULT_GRID = 512
 
@@ -252,10 +253,8 @@ def special_points(alpha: float) -> tuple[float, float]:
 BAND_CSV_HEADER = ["k", "omega_plus", "omega_minus", "n_x", "n_y", "n_z"]
 
 
-def band_table(b: BandStructure) -> list[list[float]]:
-    """Rows for the band-structure CSV (one row per grid point)."""
+def band_table(b: BandStructure) -> Table:
+    """Columns k, omega_plus, omega_minus, n_x, n_y, n_z (BAND_CSV_HEADER),
+    one row per grid point."""
     wp, wm = b.quasienergies()
-    return [
-        [float(k), float(p_), float(m_), float(v[0]), float(v[1]), float(v[2])]
-        for k, p_, m_, v in zip(b.k, wp, wm, b.n)
-    ]
+    return Table(b.k, wp, wm, *b.n.T)

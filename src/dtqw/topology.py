@@ -36,6 +36,7 @@ import numpy as np
 
 from .core import DOMAIN_TOL, GAP_EPS, CoinParams, coin_matrix, wrap_angle, wrap_angles
 from .errors import ValidationError
+from .io import Table
 from .momentum import DEFAULT_GRID, band_structure, bloch_vectors, gap_report, k_grid
 
 
@@ -267,14 +268,12 @@ BZ_IMAGE_CSV_HEADER = ["k", "n_x", "n_y", "n_z", "frame"]
 
 def bz_image_table(
     p: CoinParams, variant: FrameVariant = FrameVariant.IDENTITY, grid_size: int = DEFAULT_GRID
-) -> list[list]:
-    """Rows (k, n_x, n_y, n_z, frame tag) of the (optionally rotated) image curve."""
+) -> Table:
+    """Columns k, n_x, n_y, n_z, frame tag (BZ_IMAGE_CSV_HEADER) of the
+    (optionally rotated) image curve."""
     _require_gapped(p)
     rot = frame_so3(variant, p.theta)
     ks = k_grid(grid_size)
     n, _, _ = bloch_vectors(p, ks)
     curve = n @ rot.T
-    return [
-        [float(k), float(v[0]), float(v[1]), float(v[2]), variant.value]
-        for k, v in zip(ks, curve)
-    ]
+    return Table(ks, *curve.T, np.full(ks.shape, variant.value))
