@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -498,3 +499,55 @@ def test_readme_examples_all_exit_0(tmp_path):
         return [line for line in found if not line.startswith(tool.ENV_PREFIX)]
 
     assert outputs(lines) == outputs(want), _golden_mismatch(tool, lines, want)
+
+
+# Arguments every subcommand accepts, a negative exponent value among them.
+_PARSER_ARGV = {
+    "band": ["--theta", "-1e-4", "--grid", "16"],
+    "map": ["--theta", "0.6", "--frame", "v2"],
+    "winding": ["--theta", "1", "--beta", "-2"],
+    "invariant": ["--theta1", "-1", "--theta2", "1"],
+    "symmetry": ["--theta", "0.5", "--seed", "3", "--degrees"],
+    "edge": ["--theta1", "-1", "--theta2", "1", "--ring-size", "32", "--format", "json"],
+    "evolve": ["--theta1", "-1", "--theta2", "1", "--case", "overlap-one", "--steps", "20"],
+    "sweep": ["--theta-min", "-1", "--theta-max", "1", "--theta-step", "0.5"],
+}
+
+
+def _parsed(parser, argv, capsys):
+    """(namespace or exit code, stdout, stderr) of one parse."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("command", sorted(_PARSER_ARGV))
+def test_the_invoked_subcommands_parser_parses_as_the_full_one(command, capsys):
+    good = [command, *_PARSER_ARGV[command]]
+    cases = [good, [command, "--help"], [command], good + ["--format", "xml"],
+             good + ["--bogus"], good + ["--out"], good + ["--theta", "x"],
+             ["--version"], ["-h"], [], ["nope", *_PARSER_ARGV[command]]]
+    full = cli.build_parser()
+    for argv in cases:
+        want = _parsed(full, argv, capsys)
+        assert _parsed(cli.build_parser(argv), argv, capsys) == want, argv
+    namespace = cli.build_parser(good).parse_args(good)
+    assert cli._config_echo(namespace) == cli._config_echo(full.parse_args(good))
+    assert namespace.func is cli._SUBCOMMANDS[command][2]
+
+
+def test_edge_at_the_benchmark_ring_holds_no_table_in_memory(tmp_path, capsys):
+    # the row lists of both 16384-row state tables took the traced peak to 7.31 MiB
+    tool = _readme_outputs_tool()
+    argv = ["edge", *tool._WALL, "--ring-size", "16384", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"
