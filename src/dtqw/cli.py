@@ -159,12 +159,14 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     parser._negative_number_matcher = _NEGATIVE_VALUE
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, func) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p._negative_number_matcher = _NEGATIVE_VALUE
         if argv is None or name in argv:
+            p = sub.add_parser(name, help=help_text)
+            p._negative_number_matcher = _NEGATIVE_VALUE
             flags(p)
             _common_flags(p)
             p.set_defaults(func=func)
+        else:  # never selected: only its name and help are read
+            sub.add_parser(name, help=help_text, add_help=False)
     return parser
 
 

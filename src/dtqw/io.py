@@ -82,11 +82,16 @@ def _cells(column) -> list[str]:
     """
     if isinstance(column, np.ndarray):
         if column.dtype == np.float64:
-            text = np.full(column.shape[0], "0.0", dtype=object)
-            text[np.signbit(column)] = "-0.0"
             nonzero = np.flatnonzero(column)
-            text[nonzero] = list(map(repr, column[nonzero].tolist()))
-            return text.tolist()
+            reprs = map(repr, column[nonzero].tolist())
+            if nonzero.size == column.size:
+                return list(reprs)
+            text = ["0.0"] * column.size
+            for i in np.flatnonzero(np.signbit(column)).tolist():
+                text[i] = "-0.0"
+            for i, t in zip(nonzero.tolist(), reprs):
+                text[i] = t
+            return text
         column = column.tolist()
     text = list(map(str, column))
     if _SPECIAL.search("".join(text)):

@@ -104,6 +104,21 @@ def test_edge_state_requires_large_ring():
         analytic_edge_state(InterfaceSpec(n_sites=64, **CAPTION_SPEC), 0.5)
 
 
+def test_both_edge_states_of_a_wall_share_one_profile(monkeypatch):
+    from dtqw import edge
+
+    calls = []
+    monkeypatch.setattr(edge, "decay_constant",
+                        lambda *args: calls.append(args) or decay_constant(*args))
+    spec = InterfaceSpec(n_sites=64, **CAPTION_SPEC)
+    _, edges = initial_state(spec, InitialStateCase.OVERLAP_BOTH)
+    assert len(calls) == 2  # A1 and A2, once for both states
+    again = [analytic_edge_state(spec, eta) for eta in (0.0, math.pi)]
+    assert len(calls) == 2
+    for e, f in zip(edges, again):
+        assert e.state.amps.tobytes() == f.state.amps.tobytes()
+
+
 @pytest.mark.parametrize("theta1, theta2, alpha", [
     (-math.pi / 4, math.pi / 4, 0.0), (-0.1, 0.1, 0.0), (-3.0, 3.0, 0.2), (-1.5, 0.2, 0.0),
     (-0.3, 2.0, -0.7),
