@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from dtqw import io
 from dtqw.lattice import STATE_CSV_HEADER, WalkerState, state_table
 
-PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 # the zeros, the non-finite values, the subnormal and normal extremes, the
 # exponents where repr switches notation, then any float
