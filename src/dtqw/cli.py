@@ -217,9 +217,7 @@ def _write_table(args, name: str, header: list[str], rows) -> str:
     if args.format == "csv":
         io.write_csv(path, header, rows)
     else:
-        # JSON has no NaN: a non-finite cell (omega at a degenerate k) is null
-        io.write_json(path, [{key: None if isinstance(x, float) and not math.isfinite(x) else x
-                              for key, x in zip(header, row)} for row in rows])
+        io.write_json_table(path, header, rows)
     io.write_sidecar(path, _config_echo(args), __version__)
     return path
 

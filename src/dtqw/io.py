@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import os
 import re
 
@@ -45,8 +46,8 @@ class Table:
     or str.
 
     ``len`` is the number of rows, and ``table[i]`` and iteration give rows as
-    tuples of plain Python scalars.  ``write_csv`` formats the columns
-    directly, a block of rows at a time, and builds no row.
+    tuples of plain Python scalars.  ``write_csv`` and ``write_json_table``
+    format the columns directly, a block of rows at a time, and build no row.
     """
 
     def __init__(self, *columns: np.ndarray):
@@ -117,6 +118,17 @@ def _row_blocks(rows, width: int):
         yield list(zip(*block))
 
 
+def _table_blocks(header: list[str], rows):
+    """The blocks of ``BLOCK_ROWS`` rows of a ``Table`` or a row iterable, by
+    column; a table or row that does not fit the header raises ValueError."""
+    width = len(header)
+    if isinstance(rows, Table):
+        if len(rows.columns) != width:
+            raise ValueError(f"table of {len(rows.columns)} columns under a header of {width}")
+        return rows.blocks()
+    return _row_blocks(rows, width)
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """RFC-4180-style CSV with a header row, '.' decimal separator and CRLF
     line ends, byte for byte what ``csv.writer`` writes for the same rows.
@@ -126,17 +138,57 @@ def write_csv(path, header: list[str], rows) -> None:
     column (see ``_cells``), ``BLOCK_ROWS`` rows at a time, and each block is
     joined once and written, so the text of the whole table is never held.
     """
-    width = len(header)
-    if isinstance(rows, Table):
-        if len(rows.columns) != width:
-            raise ValueError(f"table of {len(rows.columns)} columns under a header of {width}")
-        blocks = rows.blocks()
-    else:
-        blocks = _row_blocks(rows, width)
+    blocks = _table_blocks(header, rows)
     with _atomic_file(path) as fh:
         fh.write(_block_text([(name,) for name in header]))
         for block in blocks:
             fh.write(_block_text(block))
+
+
+def _json_scalar(x) -> str:
+    if isinstance(x, float):
+        return float.__repr__(x) if math.isfinite(x) else "null"
+    if type(x) is int:
+        return int.__repr__(x)
+    return json.dumps(x, ensure_ascii=False)
+
+
+def _json_cells(column) -> list[str]:
+    """The JSON text of each cell of one column block, a non-finite float
+    written null.  A float64 array's finite cells are ``_cells``' CSV text,
+    which is their repr, as json writes them."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        text = _cells(column)
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            text[i] = "null"
+        return text
+    return list(map(_json_scalar, column.tolist() if isinstance(column, np.ndarray) else column))
+
+
+def write_json_table(path, header: list[str], rows) -> None:
+    """The table as a JSON list of one object per row, keyed by the header:
+    byte for byte ``json_text`` of that list, with every non-finite float cell
+    None (JSON has no NaN).
+
+    ``rows`` is what ``write_csv`` takes, and is written the same way: by
+    column, ``BLOCK_ROWS`` rows at a time, so no row object and not the text
+    of the whole table is ever held.
+    """
+    blocks = _table_blocks(header, rows)
+    # a key named twice keeps its last column, as a dict built from the row does
+    last = {name: i for i, name in enumerate(header)}
+    keys = sorted(last)
+    prefixes = [f"    {json.dumps(k, ensure_ascii=False)}: " for k in keys]
+    with _atomic_file(path) as fh:
+        fh.write("[")
+        empty = True
+        for block in blocks:
+            cells = [[p + t for t in _json_cells(block[last[k]])] for p, k in zip(prefixes, keys)]
+            text = ",\n".join("  {\n" + ",\n".join(row) + "\n  }" for row in zip(*cells))
+            if text:
+                fh.write(("\n" if empty else ",\n") + text)
+                empty = False
+        fh.write("]\n" if empty else "\n]\n")
 
 
 def write_json(path, obj) -> None:

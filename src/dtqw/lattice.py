@@ -426,24 +426,23 @@ def eigenvalues(u: WalkOperator) -> np.ndarray:
 
 
 def diagonalize(u: WalkOperator) -> SpectralData:
-    """Dense eigendecomposition from the complex Schur form of the N x N block
-    BA of U^2 on the even sites (see sublattice_blocks).
+    """Dense eigendecomposition from the N x N block BA of U^2 on the even
+    sites (see sublattice_blocks).
 
-    BA is unitary, so its Schur transform is diagonal up to round-off and the
-    orthonormal Schur vectors z are eigenvectors, BA z = lambda z.  Each gives
-    the two eigenvectors (z, A z / mu) / sqrt(2) of U, mu = +/- sqrt(lambda),
-    on the even and odd sites; they are orthonormal because A is unitary.
+    BA is unitary, hence normal: ``np.linalg.eig`` gives its eigenvalues
+    lambda, and eigenvectors of distinct eigenvalues are orthogonal to
+    round-off.  The QR factor z of those eigenvectors is orthonormal and only
+    mixes columns within a degenerate cluster (k and 2 alpha - k on a
+    homogeneous ring), so BA z = lambda z still holds.  Each column gives the
+    two eigenvectors (z, A z / mu) / sqrt(2) of U, mu = +/- sqrt(lambda), on
+    the even and odd sites; they are orthonormal because A is unitary.
     ``max_residual`` is measured by stepping every eigenvector with
     ``u.apply_array``, not by a dense product.
-
-    scipy is imported here, on the first call, and nowhere else in dtqw, so no
-    CLI subcommand pays for loading it.
     """
-    import scipy.linalg
-
     _, a, b = sublattice_blocks(u)
-    t, z = scipy.linalg.schur(b @ a, output="complex")
-    eigvals = _paired_roots(np.diag(t))
+    lam, z = np.linalg.eig(b @ a)
+    z, _ = np.linalg.qr(z)
+    eigvals = _paired_roots(lam)
     n = u.n_sites
     z = np.concatenate([z, z], axis=1)
     even = z.reshape(n // 2, 2, 2 * n)

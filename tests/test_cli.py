@@ -539,15 +539,26 @@ def test_the_invoked_subcommands_parser_parses_as_the_full_one(command, capsys):
     assert namespace.func is cli._SUBCOMMANDS[command][2]
 
 
-def test_edge_at_the_benchmark_ring_holds_no_table_in_memory(tmp_path, capsys):
-    # the row lists of both 16384-row state tables took the traced peak to 7.31 MiB
+def _edge_peak_at_the_benchmark_ring(out, fmt: str) -> int:
+    """Traced peak of a second ``dtqw edge --ring-size 16384`` run, in bytes."""
     tool = _readme_outputs_tool()
-    argv = ["edge", *tool._WALL, "--ring-size", "16384", "--out", str(tmp_path)]
+    argv = ["edge", *tool._WALL, "--ring-size", "16384", "--format", fmt, "--out", str(out)]
     assert main(argv) == 0
     tracemalloc.start()
     try:
         assert main(argv) == 0
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_edge_at_the_benchmark_ring_holds_no_table_in_memory(tmp_path, capsys):
+    # the row lists of both 16384-row state tables took the traced peak to 7.31 MiB
+    peak = _edge_peak_at_the_benchmark_ring(tmp_path, "csv")
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_json_edge_at_the_benchmark_ring_holds_no_table_in_memory(tmp_path, capsys):
+    # a dict per row and the whole indented text took the traced peak to 27.7 MiB
+    peak = _edge_peak_at_the_benchmark_ring(tmp_path, "json")
     assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"

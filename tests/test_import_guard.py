@@ -1,8 +1,8 @@
-"""scipy stays off every command-line import path.
+"""No dtqw code path loads scipy.
 
-Only lattice.diagonalize (the dense Schur oracle) needs scipy, and it imports
-it on its first call.  The suite itself loads scipy, so each case runs in a
-fresh interpreter and reports which scipy modules it ended up with.
+dtqw needs numpy alone at run time; scipy is a test dependency, the dense
+Schur oracle of the tests.  The suite itself loads scipy, so each case runs in
+a fresh interpreter and reports which scipy modules it ended up with.
 """
 
 import importlib.util
@@ -26,14 +26,18 @@ print(json.dumps({"code": code,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
-DIAGONALIZE_PROBE = """
+# The dense spectra, which no subcommand calls, and the symmetry suite, at N = 8.
+SPECTRA_PROBE = """
 import json, sys
 from dtqw.core import CoinParams
-from dtqw.lattice import build_walk, diagonalize
-before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-sd = diagonalize(build_walk(CoinParams(0.0, 0.0, 0.0, 0.5), n_sites=8))
-print(json.dumps({"before": before, "linalg_after": "scipy.linalg" in sys.modules,
-                  "residual": sd.max_residual}))
+from dtqw.lattice import build_walk, diagonalize, eigenvalues
+from dtqw.symmetry import run_symmetry_suite
+p = CoinParams(0.0, 0.0, 0.0, 0.5)
+sd = diagonalize(build_walk(p, n_sites=8))
+eigenvalues(build_walk(p, n_sites=8))
+run_symmetry_suite(p, n_sites=8)
+print(json.dumps({"residual": sd.max_residual,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 # Every README example of the "Command line" section, on small sizes.
@@ -79,8 +83,7 @@ def test_small_examples_cover_every_readme_example():
     assert [argv[0] for argv in readme] == [argv[0] for argv in SMALL_EXAMPLES]
 
 
-def test_diagonalize_loads_scipy_on_first_call():
-    result = _probe(DIAGONALIZE_PROBE)
-    assert result["before"] == []
-    assert result["linalg_after"] is True
+def test_spectra_and_symmetry_suite_load_no_scipy():
+    result = _probe(SPECTRA_PROBE)
+    assert result["scipy"] == []
     assert result["residual"] < 1e-12

@@ -1,10 +1,14 @@
-"""The CSV writer against ``csv.writer``, its failures, and its memory bound.
+"""The table writers against their oracles, their failures, and their memory
+bound.
 
-``csv.writer`` is the oracle: ``io.write_csv`` must write its bytes for the
-same rows, whether they come as a column ``Table`` or as a row iterable."""
+``csv.writer`` is the oracle of ``io.write_csv``, and ``io.json_text`` of the
+list of row dicts, non-finite cells None, that of ``io.write_json_table``:
+each writer must write the oracle's bytes for the same rows, whether they come
+as a column ``Table`` or as a row iterable."""
 
 import csv
 import io as _stdio
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -82,6 +86,36 @@ def test_mixed_rows_write_what_csv_writer_writes(tmp_path_factory, table, block)
         assert _written(path, header, iter(rows)) == _oracle(header, rows)
 
 
+def _json_oracle(header, rows) -> bytes:
+    objects = [{key: None if isinstance(x, float) and not math.isfinite(x) else x
+                for key, x in zip(header, row)} for row in rows]
+    return io.json_text(objects).encode("utf-8")
+
+
+def _written_json(path, header, rows) -> bytes:
+    io.write_json_table(path, header, rows)
+    return path.read_bytes()
+
+
+@PROPERTY_SETTINGS
+@given(column_tables(), st.integers(1, 5))
+def test_json_tables_write_what_json_dumps_writes(tmp_path_factory, table, block):
+    header, kinds, columns = table
+    rows = list(zip(*columns))
+    want = _json_oracle(header, rows)
+    json.loads(want)  # valid JSON: no NaN, no Infinity
+    path = tmp_path_factory.mktemp("t") / "t.json"
+    arrays = [np.array(c, dtype=DTYPES[k]) for k, c in zip(kinds, columns)]
+    with mock.patch.object(io, "BLOCK_ROWS", block):
+        assert _written_json(path, header, io.Table(*arrays)) == want
+        assert _written_json(path, header, iter(rows)) == want
+
+
+def test_an_empty_json_table_is_an_empty_list(tmp_path):
+    assert _written_json(tmp_path / "t.json", ["x"], io.Table(np.arange(0))) == b"[]\n"
+    assert _written_json(tmp_path / "t.json", ["x", "y"], []) == b"[]\n"
+
+
 @pytest.mark.parametrize("extra", [-2, 0, 2, io.BLOCK_ROWS + 2])
 def test_state_tables_around_the_block_size(tmp_path, extra):
     rng = np.random.default_rng(19)
@@ -123,9 +157,10 @@ def test_a_column_table_failing_mid_write_leaves_no_file(tmp_path):
     ([[1, 2.0], [3]], "row of 1 cells under a header of 2"),
 ])
 def test_a_table_that_does_not_fit_its_header_leaves_no_file(tmp_path, rows, message):
-    with pytest.raises(ValueError, match=message):
-        io.write_csv(tmp_path / "t.csv", ["x", "y"], rows)
-    assert list(tmp_path.iterdir()) == []
+    for write in (io.write_csv, io.write_json_table):
+        with pytest.raises(ValueError, match=message):
+            write(tmp_path / "t.out", ["x", "y"], rows)
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_writing_a_large_state_table_holds_one_block(tmp_path):

@@ -12,6 +12,7 @@ from dtqw.core import CoinParams, coin_matrix, wrap_angles
 from dtqw.edge import InitialStateCase, InterfaceSpec, analytic_edge_state, initial_state
 from dtqw.errors import NumericalContractError, ValidationError
 from dtqw.lattice import (
+    DENSE_CAP,
     SHIFT,
     STATE_CSV_HEADER,
     TRAJECTORY_CSV_HEADER,
@@ -586,7 +587,7 @@ def test_diagonalize_orthonormal_vectors():
     u = build_walk(CoinParams(0, 0, 0, 0.6), ThetaProfile.sharp_interface(-0.6, 0.6, 12))
     sd = diagonalize(u)
     gram = sd.vectors.conj().T @ sd.vectors
-    assert np.max(np.abs(gram - np.eye(24))) < 1e-10
+    assert np.max(np.abs(gram - np.eye(24))) < 1e-13
 
 
 def _schur_reference(u):
@@ -622,6 +623,56 @@ def test_sublattice_split_matches_full_schur(n):
         assert np.max(np.abs(gram - np.eye(2 * n))) <= 1e-13
         from_eigvals = np.sort(wrap_angles(-np.angle(eigenvalues(u))))
         assert np.max(np.abs(wrap_angles(from_eigvals - ref_phases))) <= 1e-13
+
+
+def _assert_matches_schur(u):
+    """diagonalize(u) against the full 2N x 2N Schur oracle: eigenphases within
+    1e-13 on the circle, residual and |V^dagger V - I| at most 1e-13."""
+    ref_phases, _ = _schur_reference(u)
+    sd = diagonalize(u)
+    # sort both from the middle of the reference spectrum's widest gap, so a
+    # phase at -pi + eps on one side and pi - eps on the other still pair up
+    gaps = np.diff(np.append(ref_phases, ref_phases[0] + 2 * math.pi))
+    cut = ref_phases[np.argmax(gaps)] + gaps.max() / 2
+    got = np.sort(wrap_angles(sd.eigenphases - cut))
+    want = np.sort(wrap_angles(ref_phases - cut))
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert sd.max_residual <= 1e-13
+    gram = sd.vectors.conj().T @ sd.vectors
+    assert np.max(np.abs(gram - np.eye(2 * u.n_sites))) <= 1e-13
+
+
+# Coin angles with the gap closings and theta = +/- pi/2 drawn often.
+_coin_thetas = st.one_of(
+    _angles,
+    st.floats(-1e-6, 1e-6),
+    st.floats(0.0, 1e-6).map(lambda e: math.pi - e),
+    st.floats(0.0, 1e-6).map(lambda e: e - math.pi),
+    st.sampled_from([math.pi / 2, -math.pi / 2]),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["ring", "wall", "V1", "V2"]), st.integers(2, 64), _angles, _angles,
+       _coin_thetas, _coin_thetas, st.sampled_from(["zero", "lattice", "random"]),
+       st.integers(0, 127), _angles)
+def test_diagonalize_matches_full_schur(kind, half, d, b, t1, t2, alpha_kind, m, a):
+    n = 2 * half
+    if kind == "ring":
+        alpha = {"zero": 0.0, "lattice": 2 * math.pi * (m % n) / n, "random": a}[alpha_kind]
+        u = build_walk(CoinParams(d, alpha, b, t1), n_sites=n)
+    elif kind == "wall":
+        u = build_walk(CoinParams(d, a, b, 0), ThetaProfile.sharp_interface(t1, t2, n))
+    else:
+        u = timeshift_walk(CoinParams(d, 0, 0, t1 if abs(t1) > 1e-12 else 1e-6),
+                           FrameVariant[kind], n)
+    _assert_matches_schur(u)
+
+
+def test_diagonalize_matches_full_schur_on_the_most_degenerate_ring():
+    # alpha = 0 and theta = 0: U is the bare shift, every eigenvalue of BA has
+    # multiplicity 2 or 4
+    _assert_matches_schur(build_walk(CoinParams(0, 0, 0, 0), n_sites=DENSE_CAP))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
