@@ -19,6 +19,10 @@ import numpy as np
 # memory, never that of the whole table.
 BLOCK_ROWS = 2048
 
+# Rows encoded as JSON at a time: json.dumps holds every small piece of the
+# text until it joins them, about 1 KB a row of a state table.
+JSON_ROWS = 256
+
 # A cell holding one of these is quoted, as csv's QUOTE_MINIMAL does.
 _SPECIAL = re.compile(r'[,"\r\n]')
 
@@ -46,8 +50,8 @@ class Table:
     or str.
 
     ``len`` is the number of rows, and ``table[i]`` and iteration give rows as
-    tuples of plain Python scalars.  ``write_csv`` and ``write_json_table``
-    format the columns directly, a block of rows at a time, and build no row.
+    tuples of plain Python scalars.  ``write_csv`` formats the columns
+    directly, a block of rows at a time, and builds no row.
     """
 
     def __init__(self, *columns: np.ndarray):
@@ -145,50 +149,26 @@ def write_csv(path, header: list[str], rows) -> None:
             fh.write(_block_text(block))
 
 
-def _json_scalar(x) -> str:
-    if isinstance(x, float):
-        return float.__repr__(x) if math.isfinite(x) else "null"
-    if type(x) is int:
-        return int.__repr__(x)
-    return json.dumps(x, ensure_ascii=False)
-
-
-def _json_cells(column) -> list[str]:
-    """The JSON text of each cell of one column block, a non-finite float
-    written null.  A float64 array's finite cells are ``_cells``' CSV text,
-    which is their repr, as json writes them."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        text = _cells(column)
-        for i in np.flatnonzero(~np.isfinite(column)).tolist():
-            text[i] = "null"
-        return text
-    return list(map(_json_scalar, column.tolist() if isinstance(column, np.ndarray) else column))
-
-
 def write_json_table(path, header: list[str], rows) -> None:
-    """The table as a JSON list of one object per row, keyed by the header:
-    byte for byte ``json_text`` of that list, with every non-finite float cell
-    None (JSON has no NaN).
+    """The table as ``json_text`` of a list of one dict per row, keyed by the
+    header, with every non-finite float cell None (JSON has no NaN).
 
-    ``rows`` is what ``write_csv`` takes, and is written the same way: by
-    column, ``BLOCK_ROWS`` rows at a time, so no row object and not the text
-    of the whole table is ever held.
+    ``rows`` is what ``write_csv`` takes.  The dicts of one block of
+    ``BLOCK_ROWS`` rows are held at a time, and encoded ``JSON_ROWS`` at a
+    time, never the whole table's.
     """
     blocks = _table_blocks(header, rows)
-    # a key named twice keeps its last column, as a dict built from the row does
-    last = {name: i for i, name in enumerate(header)}
-    keys = sorted(last)
-    prefixes = [f"    {json.dumps(k, ensure_ascii=False)}: " for k in keys]
     with _atomic_file(path) as fh:
-        fh.write("[")
-        empty = True
+        sep = "[\n"
         for block in blocks:
-            cells = [[p + t for t in _json_cells(block[last[k]])] for p, k in zip(prefixes, keys)]
-            text = ",\n".join("  {\n" + ",\n".join(row) + "\n  }" for row in zip(*cells))
-            if text:
-                fh.write(("\n" if empty else ",\n") + text)
-                empty = False
-        fh.write("]\n" if empty else "\n]\n")
+            cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in block)
+            objects = [{key: None if isinstance(x, float) and not math.isfinite(x) else x
+                        for key, x in zip(header, row)} for row in zip(*cells)]
+            for lo in range(0, len(objects), JSON_ROWS):
+                # the text inside json_text's "[\n" and "\n]\n"
+                fh.write(sep + json_text(objects[lo:lo + JSON_ROWS])[2:-3])
+                sep = ",\n"
+        fh.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
 def write_json(path, obj) -> None:

@@ -501,6 +501,18 @@ def test_readme_examples_all_exit_0(tmp_path):
     assert outputs(lines) == outputs(want), _golden_mismatch(tool, lines, want)
 
 
+def test_the_environment_line_needs_no_scipy(monkeypatch):
+    tool = _readme_outputs_tool()
+    metadata = tool.importlib.metadata
+    with_scipy = tool.environment()
+
+    def numpy_only(name):
+        raise metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(metadata, "version", numpy_only)
+    assert tool.environment() == {k: v for k, v in with_scipy.items() if k != "scipy"}
+
+
 # Arguments every subcommand accepts, a negative exponent value among them.
 _PARSER_ARGV = {
     "band": ["--theta", "-1e-4", "--grid", "16"],

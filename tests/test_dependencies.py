@@ -8,16 +8,21 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")  # Python 3.11+
-
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "dtqw").glob("*.py"))
 
 
+def _name(requirement: str) -> str:
+    """The normalized distribution name of a requirement string."""
+    return re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")
+
+
 def _runtime_dependencies() -> set[str]:
-    with open(ROOT / "pyproject.toml", "rb") as fh:
-        declared = tomllib.load(fh)["project"]["dependencies"]
-    return {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_") for d in declared}
+    """The distribution names of pyproject.toml's ``dependencies = [...]``,
+    read by pattern: tomllib is not in Python 3.10."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.M | re.S).group(1)
+    return {_name(d) for d in re.findall(r'"([^"]*)"', declared)}
 
 
 def _imported_top_level(path: Path) -> set[str]:
@@ -34,6 +39,13 @@ def _imported_top_level(path: Path) -> set[str]:
 
 def test_runtime_dependencies_are_numpy_alone():
     assert _runtime_dependencies() == {"numpy"}
+
+
+def test_the_pattern_reads_the_dependencies_tomllib_reads():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    assert _runtime_dependencies() == {_name(d) for d in declared}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -98,15 +98,15 @@ def _written_json(path, header, rows) -> bytes:
 
 
 @PROPERTY_SETTINGS
-@given(column_tables(), st.integers(1, 5))
-def test_json_tables_write_what_json_dumps_writes(tmp_path_factory, table, block):
+@given(column_tables(), st.integers(1, 5), st.integers(1, 5))
+def test_json_tables_write_what_json_dumps_writes(tmp_path_factory, table, block, encoded):
     header, kinds, columns = table
     rows = list(zip(*columns))
     want = _json_oracle(header, rows)
     json.loads(want)  # valid JSON: no NaN, no Infinity
     path = tmp_path_factory.mktemp("t") / "t.json"
     arrays = [np.array(c, dtype=DTYPES[k]) for k, c in zip(kinds, columns)]
-    with mock.patch.object(io, "BLOCK_ROWS", block):
+    with mock.patch.object(io, "BLOCK_ROWS", block), mock.patch.object(io, "JSON_ROWS", encoded):
         assert _written_json(path, header, io.Table(*arrays)) == want
         assert _written_json(path, header, iter(rows)) == want
 

@@ -610,36 +610,30 @@ def _split_oracle_walks(n, rng):
         yield timeshift_walk(CoinParams(d, 0, 0, t), variant, n)
 
 
+def _assert_matches_schur(u):
+    """diagonalize(u) and eigenvalues(u) against the full 2N x 2N Schur oracle:
+    eigenphases within 1e-13 on the circle, and the oracle's residual,
+    diagonalize's residual and |V^dagger V - I| at most 1e-13."""
+    ref_phases, ref_residual = _schur_reference(u)
+    sd = diagonalize(u)
+    assert ref_residual <= 1e-13
+    # sort each spectrum from the middle of the oracle's widest gap, so a
+    # phase at -pi + eps on one side and pi - eps on the other still pair up
+    gaps = np.diff(np.append(ref_phases, ref_phases[0] + 2 * math.pi))
+    cut = ref_phases[np.argmax(gaps)] + gaps.max() / 2
+    want = np.sort(wrap_angles(ref_phases - cut))
+    for phases in (sd.eigenphases, -np.angle(eigenvalues(u))):
+        assert np.max(np.abs(np.sort(wrap_angles(phases - cut)) - want)) <= 1e-13
+    assert sd.max_residual <= 1e-13
+    gram = sd.vectors.conj().T @ sd.vectors
+    assert np.max(np.abs(gram - np.eye(2 * u.n_sites))) <= 1e-13
+
+
 @pytest.mark.parametrize("n", [4, 8, 16, 64])
 def test_sublattice_split_matches_full_schur(n):
     rng = np.random.default_rng(100 + n)
     for u in _split_oracle_walks(n, rng):
-        ref_phases, ref_residual = _schur_reference(u)
-        sd = diagonalize(u)
-        assert ref_residual <= 1e-13
-        assert np.max(np.abs(wrap_angles(sd.eigenphases - ref_phases))) <= 1e-13
-        assert sd.max_residual <= 1e-13
-        gram = sd.vectors.conj().T @ sd.vectors
-        assert np.max(np.abs(gram - np.eye(2 * n))) <= 1e-13
-        from_eigvals = np.sort(wrap_angles(-np.angle(eigenvalues(u))))
-        assert np.max(np.abs(wrap_angles(from_eigvals - ref_phases))) <= 1e-13
-
-
-def _assert_matches_schur(u):
-    """diagonalize(u) against the full 2N x 2N Schur oracle: eigenphases within
-    1e-13 on the circle, residual and |V^dagger V - I| at most 1e-13."""
-    ref_phases, _ = _schur_reference(u)
-    sd = diagonalize(u)
-    # sort both from the middle of the reference spectrum's widest gap, so a
-    # phase at -pi + eps on one side and pi - eps on the other still pair up
-    gaps = np.diff(np.append(ref_phases, ref_phases[0] + 2 * math.pi))
-    cut = ref_phases[np.argmax(gaps)] + gaps.max() / 2
-    got = np.sort(wrap_angles(sd.eigenphases - cut))
-    want = np.sort(wrap_angles(ref_phases - cut))
-    assert np.max(np.abs(got - want)) <= 1e-13
-    assert sd.max_residual <= 1e-13
-    gram = sd.vectors.conj().T @ sd.vectors
-    assert np.max(np.abs(gram - np.eye(2 * u.n_sites))) <= 1e-13
+        _assert_matches_schur(u)
 
 
 # Coin angles with the gap closings and theta = +/- pi/2 drawn often.

@@ -142,15 +142,17 @@ def digests(outdir: str) -> list[tuple[str, str]]:
 
 
 def environment() -> dict:
-    """What can change the last bits of an output: the Python, numpy and scipy
+    """What can change the last bits of an output: the Python and numpy
     versions and the BLAS build, as ``bench/worker.py`` records them, without
-    the build's directories."""
+    the build's directories, and the scipy version where scipy is installed."""
     import numpy
 
     blas = numpy.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return {"python": sys.version.split()[0], "numpy": numpy.__version__,
-            "scipy": importlib.metadata.version("scipy"),
-            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")}}
+    env = {"python": sys.version.split()[0], "numpy": numpy.__version__,
+           "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")}}
+    with contextlib.suppress(importlib.metadata.PackageNotFoundError):
+        env["scipy"] = importlib.metadata.version("scipy")
+    return env
 
 
 def oracle_lines(outdir: str) -> tuple[list[str], bool]:
