@@ -47,11 +47,10 @@ def _atomic_file(path):
 
 class Table:
     """A table held by column: equal-length 1-d numpy arrays of float64, int
-    or str.
+    or str, read as ``columns``.
 
-    ``len`` is the number of rows, and ``table[i]`` and iteration give rows as
-    tuples of plain Python scalars.  ``write_csv`` formats the columns
-    directly, a block of rows at a time, and builds no row.
+    ``len`` is the number of rows.  ``write_csv`` and ``write_json_table``
+    read the columns a block of rows at a time (``blocks``).
     """
 
     def __init__(self, *columns: np.ndarray):
@@ -62,13 +61,6 @@ class Table:
 
     def __len__(self) -> int:
         return self.columns[0].shape[0]
-
-    def __getitem__(self, i: int) -> tuple:
-        return tuple(c[i].item() for c in self.columns)
-
-    def __iter__(self):
-        for block in self.blocks():
-            yield from zip(*(c.tolist() for c in block))
 
     def blocks(self):
         """The columns sliced into blocks of ``BLOCK_ROWS`` rows."""

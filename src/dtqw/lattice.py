@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CoinParams, coin_matrices, wrap_angles
-from .errors import NumericalContractError, ValidationError
+from .errors import ValidationError
 from .io import Table
 
 # Dense materialization / eigensolve cap (2N x 2N matrices).
@@ -107,84 +107,81 @@ class WalkerState:
         return np.sum(np.abs(self.amps) ** 2, axis=1)
 
 
-# The coin-conditioned shift layer of a walk; every other layer is a
-# (n_sites, 2, 2) array of per-site coins.
-SHIFT = object()
+def _products(c: np.ndarray, a: np.ndarray, b: np.ndarray, scratch) -> tuple:
+    """The coin c applied to (a, b), into ``scratch[0]`` and ``scratch[1]``:
+    each component as ``r = c[i, 0] * a; r += c[i, 1] * b``."""
+    ra, rb, tmp = scratch
+    np.multiply(c[0, 0], a, out=ra)
+    ra += np.multiply(c[0, 1], b, out=tmp)
+    np.multiply(c[1, 0], a, out=rb)
+    rb += np.multiply(c[1, 1], b, out=tmp)
+    return ra, rb
 
 
-def _coin_shift(layers: tuple | list, amps: np.ndarray, out: np.ndarray,
-                scratch: np.ndarray | list) -> np.ndarray:
-    """Apply ``layers`` to amplitudes of shape (m, 2, ...), each coin layer
-    holding m per-site coins, writing the result into ``out``; SHIFT wraps
-    periodically at the ends of the m sites.  Trailing axes of ``amps`` are
-    a batch.
+def _step(c: np.ndarray, post: np.ndarray | None, amps: np.ndarray, out: np.ndarray,
+          scratch: np.ndarray | list) -> np.ndarray:
+    """One step of amplitudes of shape (m, 2, ...) into ``out``: the m per-site
+    coins, then the coin-conditioned shift, wrapping periodically at the ends
+    of the m sites, then the 2 x 2 coin ``post`` on every site unless it is
+    None.  Trailing axes of ``amps`` are a batch.
 
-    A coin layer c maps (a, b) to (c00 a + c01 b, c10 a + c11 b) site by site,
-    each component computed as ``r = c00 * a; r += c01 * b``.  A coin followed
-    by SHIFT writes those products straight into their shifted slots: the
-    a-products one site up, the b-products one site down.
+    ``c`` holds the coins entry-major, ``c[i, j]`` of shape (m, ...) (the
+    transpose (1, 2, 0) of the (m, 2, 2) coins).  Their products are written
+    straight into their shifted slots: the a-products one site up, the
+    b-products one site down.
 
     ``out`` has the shape of ``amps`` and is either ``amps`` itself or
     does not overlap it; ``scratch`` is three complex arrays of shape
     (m, ...).  The step allocates nothing.
     """
-    batch = (1,) * (amps.ndim - 2)
-    ra, rb, tmp = scratch
-    k = 0
-    while k < len(layers):
-        a, b = amps[:, 0], amps[:, 1]
-        if layers[k] is not SHIFT:
-            c = layers[k].reshape(layers[k].shape + batch)
-            pa = np.multiply(c[:, 0, 0], a, out=ra)
-            pa += np.multiply(c[:, 0, 1], b, out=tmp)
-            pb = np.multiply(c[:, 1, 0], a, out=rb)
-            pb += np.multiply(c[:, 1, 1], b, out=tmp)
-            a, b = pa, pb
-            k += 1
-        elif amps is out:  # a shift must not read what it overwrites
-            np.copyto(ra, a)
-            np.copyto(rb, b)
-            a, b = ra, rb
-        amps = out
-        if k < len(layers) and layers[k] is SHIFT:
-            amps[1:, 0] = a[:-1]
-            amps[0, 0] = a[-1]
-            amps[:-1, 1] = b[1:]
-            amps[-1, 1] = b[0]
-            k += 1
-        else:
-            amps[:, 0] = a
-            amps[:, 1] = b
-    return amps
+    ra, rb = _products(c, amps[:, 0], amps[:, 1], scratch)
+    out[1:, 0] = ra[:-1]
+    out[0, 0] = ra[-1]
+    out[:-1, 1] = rb[1:]
+    out[-1, 1] = rb[0]
+    if post is not None:
+        out[:, 0], out[:, 1] = _products(post, out[:, 0], out[:, 1], scratch)
+    return out
 
 
 @dataclass(eq=False)
 class WalkOperator:
-    """Unitary one-step operator on the ring: its layers, in application order.
+    """Unitary one-step operator on the ring: the per-site coins, then the
+    coin-conditioned shift, then the homogeneous 2 x 2 coin ``post`` if it is
+    not None (a time-shifted walk, ``symmetry.timeshift_walk``).
 
-    ``layers`` holds per-site coin arrays and the SHIFT marker.
+    ``coins`` has shape (n_sites, 2, 2).
     """
 
     delta: float
     alpha: float
     beta: float
     profile: ThetaProfile
-    layers: tuple = field(repr=False)
+    coins: np.ndarray = field(repr=False)
+    post: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_sites(self) -> int:
         return self.profile.n_sites
 
+    @property
+    def layers(self) -> tuple:
+        """(coins, "shift") or (coins, "shift", post): read only by
+        ``bench/spans.py``, whose dense counter takes its length."""
+        return (self.coins, "shift") + (() if self.post is None else (self.post,))
+
     def apply_array(self, amps: np.ndarray) -> np.ndarray:
         """One step on amplitudes of shape (n_sites, 2, ...); trailing axes are a
-        batch.  The arithmetic is ``_coin_shift``'s on the walk's layers, into a
-        new array with the memory order of ``amps`` (``np.empty_like``), so a
-        planar input, each component contiguous, gives a planar output."""
+        batch.  The arithmetic is ``_step``'s, into a new array with the memory
+        order of ``amps`` (``np.empty_like``), so a planar input, each
+        component contiguous, gives a planar output."""
         if amps.shape[:2] != (self.n_sites, 2):
             raise ValidationError(f"amplitudes of shape {amps.shape}, walk of {self.n_sites} "
                                   f"sites needs ({self.n_sites}, 2, ...)")
+        c = self.coins.transpose(1, 2, 0)
+        c = c.reshape(c.shape + (1,) * (amps.ndim - 2))
         scratch = [np.empty_like(amps[:, 0], dtype=complex) for _ in range(3)]
-        return _coin_shift(self.layers, amps, np.empty_like(amps, dtype=complex), scratch)
+        return _step(c, self.post, amps, np.empty_like(amps, dtype=complex), scratch)
 
     def apply(self, s: WalkerState) -> WalkerState:
         if s.n_sites != self.n_sites:
@@ -224,7 +221,7 @@ def build_walk(p: CoinParams, profile: ThetaProfile | None = None,
         raise ValidationError(f"n_sites = {n_sites} disagrees with the profile "
                               f"length {profile.n_sites}")
     coins = site_coins(p.delta, p.alpha, p.beta, profile)
-    return WalkOperator(p.delta, p.alpha, p.beta, profile, layers=(coins, SHIFT))
+    return WalkOperator(p.delta, p.alpha, p.beta, profile, coins)
 
 
 @dataclass(eq=False)
@@ -308,16 +305,16 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int,
 
     Only the occupied window [lo, hi) of ring indices is stepped, squared and
     zeroed: after the t = 0 zeroing, the smallest index range holding every
-    nonzero part, widened each step by the walk's number of SHIFT layers on
-    each side (coins are site-local).  ``apply_array``'s kernel steps it on
-    the window's coins; its wrap at the window's ends moves only zeros.  Once
-    the window would reach index 0 or N, it is the whole ring [0, N) for the
-    rest of the run, where the kernel's wrap is the ring's; a state that
-    fills the ring, or a walk with a coin that is not finite, is stepped that
-    way from the start.  Outside the window a whole-ring step computes only
-    zeros, some -0.0, that its zeroing turns into the +0.0 the window leaves
-    there, so every output is the same, bit for bit, as stepping the whole
-    ring.
+    nonzero part, widened each step by one site on each side (coins are
+    site-local, the shift moves a part one site).  ``apply_array``'s kernel
+    steps it on the window's coins; its wrap at the window's ends moves only
+    zeros.  Once the window would reach index 0 or N, it is the whole ring
+    [0, N) for the rest of the run, where the kernel's wrap is the ring's; a
+    state that fills the ring, or a walk with a coin that is not finite, is
+    stepped that way from the start.  Outside the window a whole-ring step
+    computes only zeros, some -0.0, that its zeroing turns into the +0.0 the
+    window leaves there, so every output is the same, bit for bit, as
+    stepping the whole ring.
     """
     n = u.n_sites
     if steps < 0:
@@ -335,8 +332,7 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int,
     sites = ring_sites(n).astype(float)
     buffers = (np.empty((2, 2 * n)), np.empty(2 * n), np.empty(n), np.empty(n))
     squares, small = buffers[0], np.empty((2, 2 * n), dtype=bool)
-    coins = [layer for layer in u.layers if layer is not SHIFT]
-    shifts = len(u.layers) - len(coins)
+    cols = u.coins.transpose(1, 2, 0)
 
     times = np.arange(steps + 1)
     iprob = np.empty(steps + 1)
@@ -349,10 +345,9 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int,
     lo, hi = 0, n
     for t in range(steps + 1):
         if t:
-            lo, hi = (0, n) if lo - shifts <= 0 or hi + shifts >= n else (lo - shifts, hi + shifts)
+            lo, hi = (0, n) if lo <= 1 or hi >= n - 1 else (lo - 1, hi + 1)
             window = amps[lo:hi]
-            _coin_shift([c if c is SHIFT else c[lo:hi] for c in u.layers], window, window,
-                        work[:, :hi - lo])
+            _step(cols[:, :, lo:hi], u.post, window, window, work[:, :hi - lo])
         iprob[t], stag[t], mean_x[t], sigma_x[t] = _observables(amps, lo, hi, sites, win,
                                                                 signs, *buffers)
         parts = slice(2 * lo, 2 * hi)
@@ -360,7 +355,8 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int,
         np.copyto(amps[lo:hi].T.view(float), 0.0, where=small[:, parts])
         if not t:
             occupied = np.flatnonzero(np.any(amps != 0, axis=1))
-            if occupied.size and all(np.isfinite(c).all() for c in coins):
+            if occupied.size and all(np.isfinite(c).all() for c in (u.coins, u.post)
+                                     if c is not None):
                 lo, hi = int(occupied[0]), int(occupied[-1]) + 1
                 for buf in buffers[:3]:  # t = 0 left the tails' subnormal squares there
                     buf.fill(0.0)
@@ -395,20 +391,15 @@ class SpectralData:
 def sublattice_blocks(u: WalkOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(U, A, B): the dense walk and its two N x N sublattice blocks.
 
-    With the sites ordered even then odd (ring index, not label), a walk with
-    one shift layer is U = [[0, B], [A, 0]]: A takes the even sites to the odd
-    ones and B the odd ones back, so U^2 = diag(BA, AB).  Raises
-    NumericalContractError, naming the largest entry, if U couples two sites of
-    the same parity.
+    With the sites ordered even then odd (ring index, not label), a walk is
+    U = [[0, B], [A, 0]], its one shift moving every part to a site of the
+    other parity: A takes the even sites to the odd ones and B the odd ones
+    back, so U^2 = diag(BA, AB).
     """
     mat = u.dense()
     n = u.n_sites
     # blocks[j, parity, coin, j', parity', coin'] couples site 2j'+parity' to 2j+parity
     blocks = mat.reshape(n // 2, 2, 2, n // 2, 2, 2)
-    same = max(np.max(np.abs(blocks[:, 0, :, :, 0])), np.max(np.abs(blocks[:, 1, :, :, 1])))
-    if same != 0.0:
-        raise NumericalContractError(
-            f"walk couples sites of equal parity: largest entry {same:.3e}, tolerance 0")
     return mat, blocks[:, 1, :, :, 0].reshape(n, n), blocks[:, 0, :, :, 1].reshape(n, n)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .core import (DOMAIN_TOL, GAP_EPS, ID2, RESIDUAL_TOL, CoinParams, coin_matrices,
                    is_commensurate, pauli_compose, phs_operator, wrap_angle)
 from .errors import ValidationError
-from .lattice import SHIFT, ThetaProfile, WalkOperator, build_walk, eigenvalues, ring_sites
+from .lattice import ThetaProfile, WalkOperator, build_walk, eigenvalues, ring_sites
 from .momentum import bloch_hamiltonian, bloch_vectors
 from .topology import FrameVariant, frame_angle, frame_rotation, frame_so3, manifold_frame
 
@@ -152,9 +152,9 @@ def timeshift_walk(p: CoinParams, variant, n_sites: int) -> WalkOperator:
         return build_walk(p, n_sites=n_sites)
     profile = ThetaProfile.homogeneous(p.theta, n_sites)
     phi = frame_angle(variant, p.theta)
-    coins = coin_matrices(p.delta / 2.0, 0.0, 0.0, [p.theta - phi, phi])
-    first, second = np.broadcast_to(coins[:, None], (2, n_sites, 2, 2))
-    return WalkOperator(p.delta, p.alpha, p.beta, profile, layers=(first, SHIFT, second))
+    first, second = coin_matrices(p.delta / 2.0, 0.0, 0.0, [p.theta - phi, phi])
+    return WalkOperator(p.delta, p.alpha, p.beta, profile,
+                        np.broadcast_to(first, (n_sites, 2, 2)), post=second)
 
 
 def spectrum_match_residual(u: WalkOperator, *others: WalkOperator) -> float:

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from dtqw import io, lattice
 from dtqw.core import CoinParams, coin_matrix, wrap_angles
 from dtqw.edge import InitialStateCase, InterfaceSpec, analytic_edge_state, initial_state
-from dtqw.errors import NumericalContractError, ValidationError
+from dtqw.errors import ValidationError
 from dtqw.lattice import (
     DENSE_CAP,
-    SHIFT,
     STATE_CSV_HEADER,
     TRAJECTORY_CSV_HEADER,
     ThetaProfile,
@@ -101,8 +100,8 @@ def test_dense_matches_index_formula_oracle():
                      ThetaProfile.sharp_interface(*rng.uniform(-math.pi, math.pi, 2), n)):
             d, a, b = rng.uniform(-math.pi, math.pi, 3)
             u = build_walk(CoinParams(d, a, b, 0), prof)
-            assert len(u.layers) == 2 and u.layers[1] is SHIFT
-            assert np.array_equal(u.dense(), _coin_then_shift_oracle(u.layers[0]))
+            assert u.post is None and len(u.layers) == 2
+            assert np.array_equal(u.dense(), _coin_then_shift_oracle(u.coins))
 
 
 def _coin_layer_matrix(coins: np.ndarray) -> np.ndarray:
@@ -125,9 +124,9 @@ def test_timeshift_dense_matches_layer_matrix_product():
               CoinParams(-2.0, 0, 0, 3.0)):
         for variant in (FrameVariant.V1, FrameVariant.V2):
             u = timeshift_walk(p, variant, n)
-            first, mid, second = u.layers
-            assert mid is SHIFT
-            expected = _coin_layer_matrix(second) @ shift @ _coin_layer_matrix(first)
+            assert u.post.shape == (2, 2) and len(u.layers) == 3
+            post = np.broadcast_to(u.post, (n, 2, 2))
+            expected = _coin_layer_matrix(post) @ shift @ _coin_layer_matrix(u.coins)
             assert np.max(np.abs(u.dense() - expected)) < 1e-15
 
 
@@ -149,27 +148,23 @@ def test_apply_array_matches_index_formula_oracle():
                        ThetaProfile(rng.uniform(-math.pi, math.pi, n)))
         batch = rng.standard_normal((2 * n, 5)) + 1j * rng.standard_normal((2 * n, 5))
         batch /= np.linalg.norm(batch, axis=0)
-        expected = _coin_then_shift_oracle(u.layers[0]) @ batch
+        expected = _coin_then_shift_oracle(u.coins) @ batch
         got = u.apply_array(batch.reshape(n, 2, 5)).reshape(2 * n, 5)
         assert np.max(np.abs(got - expected)) <= 1e-15
 
 
 def _reference_step(u: WalkOperator, amps: np.ndarray) -> np.ndarray:
-    """The unfused step: each coin layer as an np.stack of two-term products,
-    the shift as two np.roll copies.  apply_array must match it bit for bit."""
-    batch = (1,) * (amps.ndim - 2)
-    for layer in u.layers:
-        if layer is SHIFT:
-            out = np.empty_like(amps)
-            out[:, 0] = np.roll(amps[:, 0], 1, axis=0)
-            out[:, 1] = np.roll(amps[:, 1], -1, axis=0)
-            amps = out
-        else:
-            c = layer.reshape(layer.shape + batch)
-            a, b = amps[:, 0], amps[:, 1]
-            amps = np.stack([c[:, 0, 0] * a + c[:, 0, 1] * b,
-                             c[:, 1, 0] * a + c[:, 1, 1] * b], axis=1)
-    return amps
+    """The unfused step: the coins as two-term products, the shift as two
+    np.roll copies, then the post coin as two-term products.  apply_array
+    must match it bit for bit."""
+    c = u.coins.reshape(u.coins.shape + (1,) * (amps.ndim - 2))
+    a, b = amps[:, 0], amps[:, 1]
+    a, b = (np.roll(c[:, 0, 0] * a + c[:, 0, 1] * b, 1, axis=0),
+            np.roll(c[:, 1, 0] * a + c[:, 1, 1] * b, -1, axis=0))
+    if u.post is not None:
+        q = u.post
+        a, b = q[0, 0] * a + q[0, 1] * b, q[1, 0] * a + q[1, 1] * b
+    return np.stack([a, b], axis=1)
 
 
 def _oracle_walks(n: int, rng: np.random.Generator):
@@ -180,9 +175,9 @@ def _oracle_walks(n: int, rng: np.random.Generator):
                      ThetaProfile.sharp_interface(*rng.uniform(-math.pi, math.pi, 2), n))
     for variant in (FrameVariant.V1, FrameVariant.V2):
         yield timeshift_walk(CoinParams(d, 0, 0, rng.uniform(0.1, 3.0)), variant, n)
-    coins = plain.layers[0]
-    for layers in ((coins, SHIFT, coins, SHIFT), (SHIFT, coins)):
-        yield WalkOperator(d, a, b, plain.profile, layers=layers)
+    # per-site coins and a post coin, which no constructor pairs
+    post = coin_matrix(CoinParams(*rng.uniform(-math.pi, math.pi, 4)))
+    yield WalkOperator(d, a, b, plain.profile, plain.coins, post=post)
 
 
 def test_apply_array_is_bit_identical_to_the_unfused_step():
@@ -478,10 +473,6 @@ def _oracle_start(kind, n, rng):
         u = timeshift_walk(CoinParams(d, 0, 0, rng.uniform(0.1, 3.0)), variant, n)
     else:
         u = build_walk(CoinParams(d, a, b, 0), ThetaProfile(rng.uniform(-math.pi, math.pi, n)))
-    if kind == "two_shifts":
-        u = WalkOperator(d, a, b, u.profile, layers=(u.layers[0], SHIFT, u.layers[0], SHIFT))
-    if kind == "shift_first":  # the window step shifts in place before any coin
-        u = WalkOperator(d, a, b, u.profile, layers=(SHIFT, u.layers[0]))
     amps = np.zeros((n, 2), dtype=complex)
     if kind == "random":
         amps = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
@@ -493,7 +484,7 @@ def _oracle_start(kind, n, rng):
 
 
 _ORACLE_KINDS = ("wall", "closing", "site_0", "site_last", "site", "random", "zero",
-                 "timeshift_v1", "timeshift_v2", "two_shifts", "shift_first")
+                 "timeshift_v1", "timeshift_v2")
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -502,8 +493,6 @@ _ORACLE_KINDS = ("wall", "closing", "site_0", "site_last", "site", "random", "ze
 @example("closing", 2, 0, 1.0, 0.5, 5)
 @example("wall", 256, 1, 1.25, 0.5, 5)
 @example("site", 256, 2, 1.25, 0.9, 6)
-@example("two_shifts", 200, 3, 1.0, 0.3, 2)
-@example("shift_first", 128, 4, 0.5, 0.5, 3)
 def test_evolve_window_is_byte_identical_to_full_ring_steps(kind, half, seed, reach, where, hw):
     # The tails of a wall with 1.1 <= |theta| <= pi - 1.1 fall below 2^-511
     # within 248 sites, so on 512 sites or more they end inside the ring.  A
@@ -522,25 +511,24 @@ def test_evolve_window_is_byte_identical_to_full_ring_steps(kind, half, seed, re
     assert traj.final.amps.tobytes() == final.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["site", "timeshift_v1", "two_shifts", "shift_first"])
+@pytest.mark.parametrize("kind", ["site", "timeshift_v1", "timeshift_v2"])
 def test_evolve_steps_only_the_occupied_window(kind, monkeypatch):
     n, steps = 512, 100
     u, _ = _oracle_start(kind, n, np.random.default_rng(5))
     s0 = WalkerState.localized(n, 0, (0.6, 0.8j))
-    shifts = sum(layer is SHIFT for layer in u.layers)
     support = 1
     widths = []
 
-    def recording(layers, amps, *buffers):
+    def recording(c, post, amps, *buffers):
         widths.append(amps.shape[0])
-        return kernel(layers, amps, *buffers)
+        return kernel(c, post, amps, *buffers)
 
-    kernel = lattice._coin_shift
-    monkeypatch.setattr(lattice, "_coin_shift", recording)
+    kernel = lattice._step
+    monkeypatch.setattr(lattice, "_step", recording)
     traj = evolve(u, s0, steps)
     assert len(widths) == steps
     for t, width in enumerate(widths, start=1):
-        assert width <= support + 2 * t * shifts < n
+        assert width <= support + 2 * t < n
     monkeypatch.undo()
     columns, final = _full_ring_evolve(u, s0, steps, 0, 5)
     assert traj.interface_prob.tobytes() == columns[0].tobytes()
@@ -610,13 +598,12 @@ def _split_oracle_walks(n, rng):
         yield timeshift_walk(CoinParams(d, 0, 0, t), variant, n)
 
 
-def _assert_matches_schur(u):
-    """diagonalize(u) and eigenvalues(u) against the full 2N x 2N Schur oracle:
-    eigenphases within 1e-13 on the circle, and the oracle's residual,
-    diagonalize's residual and |V^dagger V - I| at most 1e-13."""
-    ref_phases, ref_residual = _schur_reference(u)
+def _assert_spectrum(u, ref_phases):
+    """diagonalize(u) and eigenvalues(u) against reference eigenphases: within
+    1e-13 on the circle, and diagonalize's residual and |V^dagger V - I| at
+    most 1e-13."""
+    ref_phases = np.sort(wrap_angles(ref_phases))
     sd = diagonalize(u)
-    assert ref_residual <= 1e-13
     # sort each spectrum from the middle of the oracle's widest gap, so a
     # phase at -pi + eps on one side and pi - eps on the other still pair up
     gaps = np.diff(np.append(ref_phases, ref_phases[0] + 2 * math.pi))
@@ -627,6 +614,14 @@ def _assert_matches_schur(u):
     assert sd.max_residual <= 1e-13
     gram = sd.vectors.conj().T @ sd.vectors
     assert np.max(np.abs(gram - np.eye(2 * u.n_sites))) <= 1e-13
+
+
+def _assert_matches_schur(u):
+    """_assert_spectrum against the full 2N x 2N Schur oracle, whose own
+    residual is at most 1e-13."""
+    ref_phases, ref_residual = _schur_reference(u)
+    assert ref_residual <= 1e-13
+    _assert_spectrum(u, ref_phases)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 64])
@@ -663,10 +658,13 @@ def test_diagonalize_matches_full_schur(kind, half, d, b, t1, t2, alpha_kind, m,
     _assert_matches_schur(u)
 
 
-def test_diagonalize_matches_full_schur_on_the_most_degenerate_ring():
+def test_diagonalize_matches_the_dispersion_on_the_most_degenerate_ring():
     # alpha = 0 and theta = 0: U is the bare shift, every eigenvalue of BA has
-    # multiplicity 2 or 4
-    _assert_matches_schur(build_walk(CoinParams(0, 0, 0, 0), n_sites=DENSE_CAP))
+    # multiplicity 2 or 4.  A homogeneous ring's eigenphases are
+    # delta +/- dispersion at its momenta 2 pi m / N.
+    p, n = CoinParams(0, 0, 0, 0), DENSE_CAP
+    w = dispersion(p, 2 * math.pi * np.arange(n) / n)
+    _assert_spectrum(build_walk(p, n_sites=n), np.concatenate([p.delta + w, p.delta - w]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -691,13 +689,12 @@ def test_same_parity_blocks_are_exactly_zero(half, d, a, b, t1, t2, kind):
     assert np.array_equal(b_block, mat[parity == 0][:, parity == 1])
 
 
-def test_two_shift_layers_break_the_sublattice_split():
-    walk = build_walk(CoinParams(0.2, 0.3, -0.4, 0.9), n_sites=8)
-    coins = walk.layers[0]
-    u = WalkOperator(walk.delta, walk.alpha, walk.beta, walk.profile,
-                     layers=(coins, SHIFT, coins, SHIFT))
-    for solve in (diagonalize, eigenvalues, sublattice_blocks):
-        with pytest.raises(NumericalContractError, match="largest entry"):
+def test_a_coin_that_is_not_finite_fails_the_eigensolve():
+    thetas = np.full(8, 0.9)
+    thetas[3] = np.nan
+    u = build_walk(CoinParams(0.2, 0.3, -0.4, 0), ThetaProfile(thetas))
+    for solve in (diagonalize, eigenvalues):
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
             solve(u)
 
 
@@ -747,11 +744,10 @@ def test_window_sites_wraps():
 def test_tables_have_contracted_shapes():
     u = build_walk(CoinParams(0, 0, 0, 0.5), n_sites=8)
     s = WalkerState.localized(8, 0)
-    rows = state_table(s)
-    assert len(rows) == 8 and len(rows[0]) == len(STATE_CSV_HEADER)
-    traj = evolve(u, s, 5)
-    rows = trajectory_table(traj)
-    assert len(rows) == 6 and len(rows[0]) == len(TRAJECTORY_CSV_HEADER)
+    table = state_table(s)
+    assert len(table) == 8 and len(table.columns) == len(STATE_CSV_HEADER)
+    table = trajectory_table(evolve(u, s, 5))
+    assert len(table) == 6 and len(table.columns) == len(TRAJECTORY_CSV_HEADER)
 
 
 def test_state_csv_bytes_match_per_cell_formatting(tmp_path):
@@ -760,14 +756,14 @@ def test_state_csv_bytes_match_per_cell_formatting(tmp_path):
     amps[3, 0] = complex(-0.0, math.nan)
     amps[5, 1] = complex(math.inf, 1e-300)
     s = WalkerState(amps)
-    rows = state_table(s)
-    assert {type(x) for row in rows for x in row} == {int, float}
+    table = state_table(s)
+    assert [c.dtype.kind for c in table.columns] == ["i"] + ["f"] * 5
     # per-cell text from the numpy scalars: the site as str, every float by repr
     texts = [[str(x)] + [repr(float(v)) for v in (a.real, a.imag, b.real, b.imag, p)]
              for x, (a, b), p in zip(s.sites, s.amps, s.site_probabilities())]
     written = []
-    for name, table in (("plain", rows), ("text", texts)):
-        io.write_csv(tmp_path / name, STATE_CSV_HEADER, table)
+    for name, rows in (("plain", table), ("text", texts)):
+        io.write_csv(tmp_path / name, STATE_CSV_HEADER, rows)
         written.append((tmp_path / name).read_bytes())
     assert written[0] == written[1]
     assert b",nan," in written[0] and b",-0.0," in written[0] and b",inf," in written[0]

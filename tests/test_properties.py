@@ -164,7 +164,7 @@ def test_closed_form_frame_windings_match_the_curve_oracle(delta, theta, grid):
     p = CoinParams(delta, 0.0, 0.0, theta)
     # V1 turns in the (Y, Z) plane about X, V2 in the (X, Y) plane about Z
     for variant, (u, w) in ((FrameVariant.V1, (1, 2)), (FrameVariant.V2, (0, 1))):
-        curve = np.array([row[1:4] for row in bz_image_table(p, variant, grid)])
+        curve = np.column_stack(bz_image_table(p, variant, grid).columns[1:4])
         assert rotated_winding(p, variant) == _curve_winding(curve[:, u], curve[:, w])
 
 

@@ -202,12 +202,10 @@ def test_rotated_winding_refuses_complex_coins():
 
 
 def test_rotated_curves_are_planar():
-    rows_v1 = np.array([r[1:4] for r in bz_image_table(
-        CoinParams(0, 0, 0, 0.6), FrameVariant.V1, 128)])
-    assert np.max(np.abs(rows_v1[:, 0])) < 1e-12  # YZ-plane
-    rows_v2 = np.array([r[1:4] for r in bz_image_table(
-        CoinParams(0, 0, 0, 0.6), FrameVariant.V2, 128)])
-    assert np.max(np.abs(rows_v2[:, 2])) < 1e-12  # XY-plane
+    x_v1 = bz_image_table(CoinParams(0, 0, 0, 0.6), FrameVariant.V1, 128).columns[1]
+    assert np.max(np.abs(x_v1)) < 1e-12  # YZ-plane
+    z_v2 = bz_image_table(CoinParams(0, 0, 0, 0.6), FrameVariant.V2, 128).columns[3]
+    assert np.max(np.abs(z_v2)) < 1e-12  # XY-plane
 
 
 def test_bz_image_table_refuses_grids_below_8_points():
