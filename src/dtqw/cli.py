@@ -14,6 +14,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import __version__, io
 from .core import CoinParams
 from .edge import (
@@ -35,17 +37,16 @@ from .momentum import BAND_CSV_HEADER, DEFAULT_GRID, band_structure, band_table,
 from .symmetry import reports_json, run_symmetry_suite
 from .topology import (
     BZ_IMAGE_CSV_HEADER,
+    SWEEP_CSV_HEADER,
     FrameVariant,
-    PhaseLabel,
-    SweepResult,
     bz_image_table,
     classify_sweep,
     invariant_json_dict,
-    pole_letter,
     predicted_edge_states,
     rel_homotopic,
     rel_homotopy_invariant,
     rotated_winding,
+    sweep_table,
     winding_mt,
 )
 
@@ -60,7 +61,7 @@ _CASES = {
 }
 
 # A sweep of more points is refused: 1000 times the largest sweep in use, and
-# a bound on the memory the rows take.
+# a bound on the memory of its arrays and table (about 120 bytes a point).
 MAX_SWEEP_POINTS = 10**7
 # A larger --grid is refused before any array is built: 1024 times the largest in use.
 MAX_GRID = 2**20
@@ -68,9 +69,6 @@ MAX_GRID = 2**20
 # Words argparse reads as a negative value, not as a flag.  Its own test takes
 # only -1 and -1.5, so a flag's value -1e-4, -inf or -nan would read as a flag.
 _NEGATIVE_VALUE = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
-
-SWEEP_CSV_HEADER = ["theta", "gap_delta", "gap_delta_plus_pi", "winding",
-                    "pole_k0", "pole_k1", "phase_label"]
 
 
 def _family_flags(parser: argparse.ArgumentParser) -> None:
@@ -333,14 +331,8 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def _sweep_row(sweep: SweepResult, i: int) -> list:
-    row = [float(sweep.theta[i]), float(sweep.gap_at_delta[i]),
-           float(sweep.gap_at_delta_plus_pi[i])]
-    if not sweep.gapped[i]:
-        return row + ["", "", "", "Gapless"]
-    at_k0, at_k1 = sweep.poles[i]
-    return row + [int(sweep.winding[i]), pole_letter(at_k0), pole_letter(at_k1),
-                  PhaseLabel.from_pole(at_k1).value]
+# bench/spans.py traces sweep_table under this name until ROADMAP item 1
+_sweep_row = sweep_table
 
 
 def cmd_sweep(args) -> int:
@@ -349,12 +341,12 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"--theta-step {args.theta_step} asks for {span + 1:.6g} sweep "
                               f"points, more than {MAX_SWEEP_POINTS}")
     count = int(math.floor(span)) + 1
-    thetas = [args.theta_min + i * args.theta_step for i in range(count)]
+    # each theta is rounded as theta_min + i * theta_step is, twice
+    thetas = args.theta_min + np.arange(count) * args.theta_step
     family = CoinParams(args.delta, args.alpha, args.beta, 0.0)  # its theta is not used
-    sweep = classify_sweep(family, thetas, args.grid)
-    rows = [_sweep_row(sweep, i) for i in range(count)]
-    _write_table(args, "sweep", SWEEP_CSV_HEADER, rows)
-    print(f"swept {len(rows)} points")
+    table = sweep_table(classify_sweep(family, thetas, args.grid))
+    _write_table(args, "sweep", SWEEP_CSV_HEADER, table)
+    print(f"swept {len(table)} points")
     return 0
 
 

@@ -7,7 +7,6 @@ timestamps, stable key order), so runs can be diffed and cached.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -46,8 +45,9 @@ def _atomic_file(path):
 
 
 class Table:
-    """A table held by column: equal-length 1-d numpy arrays of float64, int
-    or str, read as ``columns``.
+    """A table held by column: equal-length 1-d numpy arrays of float64, int,
+    str or object (plain Python cells, such as the sweep's winding column of
+    ints and ""), read as ``columns``.
 
     ``len`` is the number of rows.  ``write_csv`` and ``write_json_table``
     read the columns a block of rows at a time (``blocks``).
@@ -68,29 +68,27 @@ class Table:
             yield [c[lo:lo + BLOCK_ROWS] for c in self.columns]
 
 
-def _cells(column) -> list[str]:
+def _cells(column: np.ndarray) -> list[str]:
     """The CSV text of each cell of one column block.
 
-    A float64 array gives repr of each float, with an exact zero written
+    A float64 column gives repr of each float, with an exact zero written
     "0.0" or "-0.0" by its sign bit and repr called only on the others
-    ("nan", "inf" included).  Any other cell (a Python int, float or str) is
-    written with ``str``, and a text holding a comma, quote, CR or LF is
-    quoted, its quotes doubled.
+    ("nan", "inf" included).  Any other column is written as ``str`` of each
+    of its plain Python cells (int, float or str), and a text holding a
+    comma, quote, CR or LF is quoted, its quotes doubled.
     """
-    if isinstance(column, np.ndarray):
-        if column.dtype == np.float64:
-            nonzero = np.flatnonzero(column)
-            reprs = map(repr, column[nonzero].tolist())
-            if nonzero.size == column.size:
-                return list(reprs)
-            text = ["0.0"] * column.size
-            for i in np.flatnonzero(np.signbit(column)).tolist():
-                text[i] = "-0.0"
-            for i, t in zip(nonzero.tolist(), reprs):
-                text[i] = t
-            return text
-        column = column.tolist()
-    text = list(map(str, column))
+    if column.dtype == np.float64:
+        nonzero = np.flatnonzero(column)
+        reprs = map(repr, column[nonzero].tolist())
+        if nonzero.size == column.size:
+            return list(reprs)
+        text = ["0.0"] * column.size
+        for i in np.flatnonzero(np.signbit(column)).tolist():
+            text[i] = "-0.0"
+        for i, t in zip(nonzero.tolist(), reprs):
+            text[i] = t
+        return text
+    text = list(map(str, column.tolist()))
     if _SPECIAL.search("".join(text)):
         text = ['"' + t.replace('"', '""') + '"' if _SPECIAL.search(t) else t for t in text]
     return text
@@ -104,48 +102,36 @@ def _block_text(columns) -> str:
     return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
 
 
-def _row_blocks(rows, width: int):
-    """A row iterable transposed a block of ``BLOCK_ROWS`` rows at a time."""
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, BLOCK_ROWS)):
-        for row in block:
-            if len(row) != width:
-                raise ValueError(f"row of {len(row)} cells under a header of {width}: {row!r}")
-        yield list(zip(*block))
+def _table_blocks(header: list[str], rows: Table):
+    """The blocks of ``BLOCK_ROWS`` rows of the table, by column; a table
+    whose column count is not the header's raises ValueError."""
+    if len(rows.columns) != len(header):
+        raise ValueError(f"table of {len(rows.columns)} columns under a header of {len(header)}")
+    return rows.blocks()
 
 
-def _table_blocks(header: list[str], rows):
-    """The blocks of ``BLOCK_ROWS`` rows of a ``Table`` or a row iterable, by
-    column; a table or row that does not fit the header raises ValueError."""
-    width = len(header)
-    if isinstance(rows, Table):
-        if len(rows.columns) != width:
-            raise ValueError(f"table of {len(rows.columns)} columns under a header of {width}")
-        return rows.blocks()
-    return _row_blocks(rows, width)
-
-
-def write_csv(path, header: list[str], rows) -> None:
+def write_csv(path, header: list[str], rows: Table) -> None:
     """RFC-4180-style CSV with a header row, '.' decimal separator and CRLF
-    line ends, byte for byte what ``csv.writer`` writes for the same rows.
+    line ends, byte for byte what ``csv.writer`` writes for the table's rows
+    of plain Python cells.
 
-    ``rows`` is a ``Table`` or an iterable of rows, each as long as the
-    header, of plain Python int, float or str cells.  Either is formatted by
-    column (see ``_cells``), ``BLOCK_ROWS`` rows at a time, and each block is
-    joined once and written, so the text of the whole table is never held.
+    The ``Table`` is formatted by column (see ``_cells``), ``BLOCK_ROWS``
+    rows at a time, and each block is joined once and written, so the text
+    of the whole table is never held.
     """
     blocks = _table_blocks(header, rows)
     with _atomic_file(path) as fh:
-        fh.write(_block_text([(name,) for name in header]))
+        fh.write(_block_text([np.array([name]) for name in header]))
         for block in blocks:
             fh.write(_block_text(block))
 
 
-def write_json_table(path, header: list[str], rows) -> None:
+def write_json_table(path, header: list[str], rows: Table) -> None:
     """The table as ``json_text`` of a list of one dict per row, keyed by the
     header, with every non-finite float cell None (JSON has no NaN).
 
-    ``rows`` is what ``write_csv`` takes.  The dicts of one block of
+    ``rows`` is a ``Table``; each cell is its plain Python value, so an int
+    of an object column stays a JSON number.  The dicts of one block of
     ``BLOCK_ROWS`` rows are held at a time, and encoded ``JSON_ROWS`` at a
     time, never the whole table's.
     """
@@ -153,7 +139,7 @@ def write_json_table(path, header: list[str], rows) -> None:
     with _atomic_file(path) as fh:
         sep = "[\n"
         for block in blocks:
-            cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in block)
+            cells = (c.tolist() for c in block)
             objects = [{key: None if isinstance(x, float) and not math.isfinite(x) else x
                         for key, x in zip(header, row)} for row in zip(*cells)]
             for lo in range(0, len(objects), JSON_ROWS):

@@ -263,6 +263,27 @@ def invariant_json_dict(inv: RelHomotopyInvariant) -> dict:
     }
 
 
+SWEEP_CSV_HEADER = ["theta", "gap_delta", "gap_delta_plus_pi", "winding",
+                    "pole_k0", "pole_k1", "phase_label"]
+
+
+def sweep_table(sweep: SweepResult) -> Table:
+    """Columns of SWEEP_CSV_HEADER, one row per theta of the sweep.
+
+    Where the coin is gapless the winding and pole cells are empty and the
+    label is "Gapless".  The text columns are object arrays of Python ints
+    and shared strings, so JSON writes a gapped winding as a number.
+    """
+    # per (theta, special momentum): 0 where gapless, 1 at the south pole, 2 at the north
+    index = sweep.gapped[:, None] * (1 + (sweep.poles > 0))
+    letters = np.array(["", "S", "N"], dtype=object)
+    labels = np.array(["Gapless", PhaseLabel.THETA_NEGATIVE.value,
+                       PhaseLabel.THETA_POSITIVE.value], dtype=object)
+    return Table(sweep.theta, sweep.gap_at_delta, sweep.gap_at_delta_plus_pi,
+                 np.where(sweep.gapped, sweep.winding.astype(object), ""),
+                 letters[index[:, 0]], letters[index[:, 1]], labels[index[:, 1]])
+
+
 BZ_IMAGE_CSV_HEADER = ["k", "n_x", "n_y", "n_z", "frame"]
 
 

@@ -3,8 +3,9 @@ bound.
 
 ``csv.writer`` is the oracle of ``io.write_csv``, and ``io.json_text`` of the
 list of row dicts, non-finite cells None, that of ``io.write_json_table``:
-each writer must write the oracle's bytes for the same rows, whether they come
-as a column ``Table`` or as a row iterable."""
+each writer must write the oracle's bytes for the rows of a column ``Table``,
+whether its columns are typed numpy arrays or object arrays of the same plain
+Python cells, one kind or mixed."""
 
 import csv
 import io as _stdio
@@ -49,6 +50,11 @@ def _rows(table) -> list[tuple]:
     return list(zip(*(c.tolist() for c in table.columns)))
 
 
+def _objects(columns) -> io.Table:
+    """A table of object columns holding the given plain Python cells."""
+    return io.Table(*(np.array(c, dtype=object) for c in columns))
+
+
 def _written(path, header, rows) -> bytes:
     io.write_csv(path, header, rows)
     return path.read_bytes()
@@ -74,8 +80,7 @@ def test_column_tables_write_what_csv_writer_writes(tmp_path_factory, table, blo
     arrays = [np.array(c, dtype=DTYPES[k]) for k, c in zip(kinds, columns)]
     with mock.patch.object(io, "BLOCK_ROWS", block):  # row counts across the block size
         assert _written(path, header, io.Table(*arrays)) == want
-        assert _written(path, header, rows) == want
-        assert _written(path, header, (list(row) for row in rows)) == want
+        assert _written(path, header, _objects(columns)) == want
 
 
 @PROPERTY_SETTINGS
@@ -86,9 +91,10 @@ def test_column_tables_write_what_csv_writer_writes(tmp_path_factory, table, blo
     st.integers(1, 5))
 def test_mixed_rows_write_what_csv_writer_writes(tmp_path_factory, table, block):
     header, rows = table
+    columns = [[row[j] for row in rows] for j in range(len(header))]
     path = tmp_path_factory.mktemp("t") / "t.csv"
     with mock.patch.object(io, "BLOCK_ROWS", block):
-        assert _written(path, header, iter(rows)) == _oracle(header, rows)
+        assert _written(path, header, _objects(columns)) == _oracle(header, rows)
 
 
 def _json_oracle(header, rows) -> bytes:
@@ -113,12 +119,12 @@ def test_json_tables_write_what_json_dumps_writes(tmp_path_factory, table, block
     arrays = [np.array(c, dtype=DTYPES[k]) for k, c in zip(kinds, columns)]
     with mock.patch.object(io, "BLOCK_ROWS", block), mock.patch.object(io, "JSON_ROWS", encoded):
         assert _written_json(path, header, io.Table(*arrays)) == want
-        assert _written_json(path, header, iter(rows)) == want
+        assert _written_json(path, header, _objects(columns)) == want
 
 
 def test_an_empty_json_table_is_an_empty_list(tmp_path):
     assert _written_json(tmp_path / "t.json", ["x"], io.Table(np.arange(0))) == b"[]\n"
-    assert _written_json(tmp_path / "t.json", ["x", "y"], []) == b"[]\n"
+    assert _written_json(tmp_path / "t.json", ["x", "y"], _objects([[], []])) == b"[]\n"
 
 
 @pytest.mark.parametrize("extra", [-2, 0, 2, io.BLOCK_ROWS + 2])
@@ -160,7 +166,7 @@ def test_a_column_table_failing_mid_write_leaves_no_file(tmp_path):
 
 @pytest.mark.parametrize("rows, message", [
     (io.Table(np.arange(2.0)), "table of 1 columns under a header of 2"),
-    ([[1, 2.0], [3]], "row of 1 cells under a header of 2"),
+    (_objects([[1, 3], [2.0, "a"], ["b", 4]]), "table of 3 columns under a header of 2"),
 ])
 def test_a_table_that_does_not_fit_its_header_leaves_no_file(tmp_path, rows, message):
     for write in (io.write_csv, io.write_json_table):

@@ -761,24 +761,27 @@ def test_state_csv_bytes_match_per_cell_formatting(tmp_path):
     # per-cell text from the numpy scalars: the site as str, every float by repr
     texts = [[str(x)] + [repr(float(v)) for v in (a.real, a.imag, b.real, b.imag, p)]
              for x, (a, b), p in zip(s.sites, s.amps, s.site_probabilities())]
+    text_table = io.Table(*(np.array(c, dtype=object) for c in zip(*texts)))
     written = []
-    for name, rows in (("plain", table), ("text", texts)):
+    for name, rows in (("plain", table), ("text", text_table)):
         io.write_csv(tmp_path / name, STATE_CSV_HEADER, rows)
         written.append((tmp_path / name).read_bytes())
     assert written[0] == written[1]
     assert b",nan," in written[0] and b",-0.0," in written[0] and b",inf," in written[0]
 
 
-def test_a_failed_write_leaves_no_file(tmp_path):
-    def rows():
-        yield [1, 2.0]
-        raise RuntimeError("row generator failed")
+class _FailingCell:
+    def __str__(self):
+        raise RuntimeError("cell failed")
 
+
+def test_a_failed_write_leaves_no_file(tmp_path):
     path = tmp_path / "t.csv"
-    with pytest.raises(RuntimeError, match="row generator failed"):
-        io.write_csv(path, ["x", "y"], rows())
+    cells = np.array([2.0, _FailingCell()], dtype=object)
+    with pytest.raises(RuntimeError, match="cell failed"):
+        io.write_csv(path, ["x", "y"], io.Table(np.arange(2), cells))
     assert list(tmp_path.iterdir()) == []
     # a temporary file that open never made is not a second error
     with pytest.raises(FileNotFoundError):
-        io.write_csv(tmp_path / "missing" / "t.csv", ["x"], [[1]])
+        io.write_csv(tmp_path / "missing" / "t.csv", ["x"], io.Table(np.arange(1)))
     assert list(tmp_path.iterdir()) == []

@@ -1,4 +1,5 @@
-"""The sweep kernel against a slow per-theta reference.
+"""The sweep kernel against a slow per-theta reference, and its table against
+the per-theta rows the CLI once wrote.
 
 The reference takes each Bloch vector from the Pauli decomposition of the
 momentum step matrix, not from the kernel's closed form, accumulates the
@@ -9,16 +10,28 @@ most the sampled gap, and equal to it when alpha and alpha + pi are grid
 points, both up to 1e-15.
 """
 
+import csv
+import io as _stdio
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from dtqw.cli import SWEEP_CSV_HEADER, _sweep_row, main
+from dtqw import io
+from dtqw.cli import SWEEP_CSV_HEADER, main
 from dtqw.core import CoinParams, pauli_decompose, wrap_angles
 from dtqw.momentum import dispersion, k_grid, momentum_step_matrix, special_points
-from dtqw.topology import classify_sweep, manifold_frame
+from dtqw.topology import (
+    PhaseLabel,
+    classify_sweep,
+    manifold_frame,
+    pole_letter,
+    sweep_table,
+)
 
 GRID = 64
 
@@ -92,11 +105,11 @@ def test_kernel_rows_match_slow_reference(name, family):
     thetas = THETA_SETS[name]
     delta, alpha, beta = family
     assert _on_grid(alpha, GRID) == (alpha == math.pi / 4)
-    sweep = classify_sweep(CoinParams(delta, alpha, beta, 0.0), thetas, GRID)
-    assert len(sweep.theta) == len(thetas)
+    table = sweep_table(classify_sweep(CoinParams(delta, alpha, beta, 0.0), thetas, GRID))
+    assert len(table) == len(thetas)
     for i, theta in enumerate(thetas):
-        _assert_row_matches(_cells(_sweep_row(sweep, i)), CoinParams(delta, alpha, beta, theta),
-                            GRID)
+        row = [c[i].item() if isinstance(c[i], np.generic) else c[i] for c in table.columns]
+        _assert_row_matches(_cells(row), CoinParams(delta, alpha, beta, theta), GRID)
 
 
 def test_kernel_matches_reference_on_the_cli_sweep(tmp_path):
@@ -122,3 +135,56 @@ def test_sweep_memory_is_linear_in_thetas_and_grid():
         tracemalloc.stop()
     assert len(sweep.theta) == 10**5
     assert peak < 32 * 2**20
+
+
+def _per_theta_row(sweep, i: int) -> list:
+    """Row i as the CLI built it, one Python list per theta, before the sweep
+    became a column table."""
+    row = [float(sweep.theta[i]), float(sweep.gap_at_delta[i]),
+           float(sweep.gap_at_delta_plus_pi[i])]
+    if not sweep.gapped[i]:
+        return row + ["", "", "", "Gapless"]
+    at_k0, at_k1 = sweep.poles[i]
+    return row + [int(sweep.winding[i]), pole_letter(at_k0), pole_letter(at_k1),
+                  PhaseLabel.from_pole(at_k1).value]
+
+
+# the gap closings 0 and +/-pi, and their gapless neighbours 1e-13 away
+CLOSINGS = [0.0, -0.0, 1e-13, -1e-13, math.pi, -math.pi, math.pi - 1e-13,
+            -math.pi + 1e-13, math.pi + 1e-13, -math.pi - 1e-13]
+angles = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.sampled_from(CLOSINGS), st.floats(-4.0, 4.0)),
+                min_size=1, max_size=12),
+       st.tuples(angles, angles, angles), st.integers(1, 5))
+@example(CLOSINGS, (0.3, -1.2, 2.0), 3)
+def test_the_sweep_table_writes_what_its_per_theta_rows_write(tmp_path_factory, thetas, family,
+                                                              block):
+    sweep = classify_sweep(CoinParams(*family, 0.0), thetas, GRID)
+    rows = [_per_theta_row(sweep, i) for i in range(len(thetas))]
+    path = tmp_path_factory.mktemp("s")
+    with mock.patch.object(io, "BLOCK_ROWS", block):  # row counts across the block size
+        io.write_csv(path / "sweep.csv", SWEEP_CSV_HEADER, sweep_table(sweep))
+        io.write_json_table(path / "sweep.json", SWEEP_CSV_HEADER, sweep_table(sweep))
+    buf = _stdio.StringIO(newline="")
+    csv.writer(buf).writerows([SWEEP_CSV_HEADER] + rows)
+    assert (path / "sweep.csv").read_bytes() == buf.getvalue().encode("utf-8")
+    objects = [dict(zip(SWEEP_CSV_HEADER, row)) for row in rows]
+    assert (path / "sweep.json").read_bytes() == io.json_text(objects).encode("utf-8")
+
+
+def test_a_cli_sweep_holds_no_row_lists(tmp_path):
+    # 20001 thetas: per-theta row lists took 6.3 MiB here, the column table 2.2 MiB
+    argv = ["sweep", "--theta-min", "-3", "--theta-max", "3", "--out", str(tmp_path),
+            "--theta-step"]
+    assert main(argv + ["1"]) == 0  # first calls allocate their caches untraced
+    tracemalloc.start()
+    try:
+        assert main(argv + ["0.0003"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "sweep.csv").read_bytes().splitlines()) == 20002
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
