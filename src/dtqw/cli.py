@@ -341,7 +341,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"--theta-step {args.theta_step} asks for {span + 1:.6g} sweep "
                               f"points, more than {MAX_SWEEP_POINTS}")
     count = int(math.floor(span)) + 1
-    # each theta is rounded as theta_min + i * theta_step is, twice
+    # per theta the same two roundings as the float sum theta_min + i * theta_step
     thetas = args.theta_min + np.arange(count) * args.theta_step
     family = CoinParams(args.delta, args.alpha, args.beta, 0.0)  # its theta is not used
     table = sweep_table(classify_sweep(family, thetas, args.grid))

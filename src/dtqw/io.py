@@ -63,9 +63,11 @@ class Table:
         return self.columns[0].shape[0]
 
     def blocks(self):
-        """The columns sliced into blocks of ``BLOCK_ROWS`` rows."""
+        """The columns sliced into blocks of ``BLOCK_ROWS`` rows, one slice
+        per distinct column (the sweep's two gap columns are one array)."""
         for lo in range(0, len(self), BLOCK_ROWS):
-            yield [c[lo:lo + BLOCK_ROWS] for c in self.columns]
+            views = {id(c): c[lo:lo + BLOCK_ROWS] for c in self.columns}
+            yield [views[id(c)] for c in self.columns]
 
 
 def _cells(column: np.ndarray) -> list[str]:
@@ -95,16 +97,17 @@ def _cells(column: np.ndarray) -> list[str]:
 
 
 def _block_text(columns) -> str:
-    """CSV text of a block of rows given by column, CRLF after each row."""
-    cells = [_cells(c) for c in columns]
+    """CSV text of a block of rows given by column, CRLF after each row; a
+    column given twice is formatted once."""
+    texts = {key: _cells(c) for key, c in {id(c): c for c in columns}.items()}
+    cells = [texts[id(c)] for c in columns]
     if len(cells) == 1:  # csv quotes a row that is a single empty field
         cells = [['""' if t == "" else t for t in cells[0]]]
     return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
 
 
 def _table_blocks(header: list[str], rows: Table):
-    """The blocks of ``BLOCK_ROWS`` rows of the table, by column; a table
-    whose column count is not the header's raises ValueError."""
+    """The table's blocks (``Table.blocks``); ValueError if it does not fit the header."""
     if len(rows.columns) != len(header):
         raise ValueError(f"table of {len(rows.columns)} columns under a header of {len(header)}")
     return rows.blocks()
@@ -112,8 +115,7 @@ def _table_blocks(header: list[str], rows: Table):
 
 def write_csv(path, header: list[str], rows: Table) -> None:
     """RFC-4180-style CSV with a header row, '.' decimal separator and CRLF
-    line ends, byte for byte what ``csv.writer`` writes for the table's rows
-    of plain Python cells.
+    line ends, byte for byte what ``csv.writer`` writes for the table's rows.
 
     The ``Table`` is formatted by column (see ``_cells``), ``BLOCK_ROWS``
     rows at a time, and each block is joined once and written, so the text
@@ -121,7 +123,7 @@ def write_csv(path, header: list[str], rows: Table) -> None:
     """
     blocks = _table_blocks(header, rows)
     with _atomic_file(path) as fh:
-        fh.write(_block_text([np.array([name]) for name in header]))
+        fh.write(_block_text([np.array([name], dtype=object) for name in header]))
         for block in blocks:
             fh.write(_block_text(block))
 

@@ -268,12 +268,10 @@ SWEEP_CSV_HEADER = ["theta", "gap_delta", "gap_delta_plus_pi", "winding",
 
 
 def sweep_table(sweep: SweepResult) -> Table:
-    """Columns of SWEEP_CSV_HEADER, one row per theta of the sweep.
-
-    Where the coin is gapless the winding and pole cells are empty and the
-    label is "Gapless".  The text columns are object arrays of Python ints
-    and shared strings, so JSON writes a gapped winding as a number.
-    """
+    """Columns of SWEEP_CSV_HEADER, one row per theta.  Where the coin is
+    gapless the winding and pole cells are empty and the label is "Gapless".
+    The last four columns are object arrays: the winding's Python ints, which
+    JSON writes as numbers, and shared strings."""
     # per (theta, special momentum): 0 where gapless, 1 at the south pole, 2 at the north
     index = sweep.gapped[:, None] * (1 + (sweep.poles > 0))
     letters = np.array(["", "S", "N"], dtype=object)

@@ -127,6 +127,13 @@ def test_an_empty_json_table_is_an_empty_list(tmp_path):
     assert _written_json(tmp_path / "t.json", ["x", "y"], _objects([[], []])) == b"[]\n"
 
 
+def test_header_names_are_written_as_given(tmp_path):
+    # a numpy str array would drop the trailing NUL
+    header = ["h\x00", "", 'a "b"']
+    table = io.Table(np.arange(2), np.arange(2.0), np.array(["x", "y"]))
+    assert _written(tmp_path / "t.csv", header, table) == _oracle(header, _rows(table))
+
+
 @pytest.mark.parametrize("extra", [-2, 0, 2, io.BLOCK_ROWS + 2])
 def test_state_tables_around_the_block_size(tmp_path, extra):
     rng = np.random.default_rng(19)
