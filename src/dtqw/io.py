@@ -73,21 +73,21 @@ class Table:
 def _cells(column: np.ndarray) -> list[str]:
     """The CSV text of each cell of one column block.
 
-    A float64 column gives repr of each float, with an exact zero written
-    "0.0" or "-0.0" by its sign bit and repr called only on the others
-    ("nan", "inf" included).  Any other column is written as ``str`` of each
-    of its plain Python cells (int, float or str), and a text holding a
-    comma, quote, CR or LF is quoted, its quotes doubled.
+    A float64 column gives repr of each float ("nan", "inf" included).  In
+    one that is mostly zeros, an exact zero is written "0.0" or "-0.0" by its
+    sign bit, as repr writes it, and repr is called only on the others.  Any
+    other column is written as ``str`` of each of its plain Python cells
+    (int, float or str), and a text holding a comma, quote, CR or LF is
+    quoted, its quotes doubled.
     """
     if column.dtype == np.float64:
         nonzero = np.flatnonzero(column)
-        reprs = map(repr, column[nonzero].tolist())
-        if nonzero.size == column.size:
-            return list(reprs)
+        if 2 * nonzero.size >= column.size:
+            return list(map(repr, column.tolist()))
         text = ["0.0"] * column.size
         for i in np.flatnonzero(np.signbit(column)).tolist():
             text[i] = "-0.0"
-        for i, t in zip(nonzero.tolist(), reprs):
+        for i, t in zip(nonzero.tolist(), map(repr, column[nonzero].tolist())):
             text[i] = t
         return text
     text = list(map(str, column.tolist()))
