@@ -9,6 +9,7 @@ configuration, 3 numerical contract violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -147,7 +148,18 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     flags only if it is named in ``argv`` (all do when ``argv`` is None).
     argparse reads only the flags of the subcommand it selects, and that one
     is named in ``argv``, so parsing ``argv`` gives what the full parser gives.
+
+    The parser is built on the first call and reused for every later ``argv``
+    that names the same subcommands: the cache is keyed by the tuple of names
+    found in ``argv`` and holds one parser per distinct tuple (in practice one
+    per subcommand).  Reuse is safe because parsing reads the parser and
+    returns a new Namespace, and help and errors are formatted when printed.
     """
+    return _parser(tuple(name for name in _SUBCOMMANDS if argv is None or name in argv))
+
+
+@functools.cache
+def _parser(named: tuple[str, ...]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dtqw",
         description="one-dimensional coined quantum walks: bands, topology, "
@@ -157,7 +169,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     parser._negative_number_matcher = _NEGATIVE_VALUE
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, func) in _SUBCOMMANDS.items():
-        if argv is None or name in argv:
+        if name in named:
             p = sub.add_parser(name, help=help_text)
             p._negative_number_matcher = _NEGATIVE_VALUE
             flags(p)

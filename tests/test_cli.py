@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib.util
 import json
@@ -549,6 +550,87 @@ def test_the_invoked_subcommands_parser_parses_as_the_full_one(command, capsys):
     namespace = cli.build_parser(good).parse_args(good)
     assert cli._config_echo(namespace) == cli._config_echo(full.parse_args(good))
     assert namespace.func is cli._SUBCOMMANDS[command][2]
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """A list that grows by one for every ArgumentParser constructed."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_no_parser_is_built_twice(tmp_path, capsys, parsers_built):
+    cli._parser.cache_clear()
+    for command, flags in _PARSER_ARGV.items():
+        argv = [command, *flags]
+        assert cli.build_parser(argv) is cli.build_parser(argv), command
+    cli._parser.cache_clear()
+    parsers_built.clear()
+    argv = ["sweep", *_PARSER_ARGV["sweep"], "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(parsers_built) == 9  # the top level, the sweep and seven help-only stubs
+    parsers_built.clear()
+    assert main(argv) == 0
+    assert main([*argv, "--degrees"]) == 0
+    assert parsers_built == []
+
+
+def test_importing_the_cli_builds_no_parser(parsers_built):
+    spec = importlib.util.spec_from_file_location("dtqw._cli_import_probe", cli.__file__)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    assert probe.build_parser is not cli.build_parser
+    assert parsers_built == []
+
+
+# Good calls and refusals, interleaved: (argv, exit code); None for a good call.
+_INTERLEAVED = [
+    (["sweep", "--theta-min", "-30", "--theta-max", "30", "--theta-step", "15", "--degrees",
+      "--format", "json"], None),
+    (["edge", "--theta1", "-1", "--theta2", "1", "--ring-size", "32", "--format", "json"], None),
+    (["sweep", "--theta-min", "-1", "--theta-max", "1", "--theta-step", "0.5", "--bogus"], 2),
+    (["sweep", "--theta-min", repr(-math.pi / 6), "--theta-max", repr(math.pi / 6),
+      "--theta-step", repr(math.pi / 12), "--format", "json"], None),
+    (["edge", "--theta1", "-1", "--theta2", "1", "--ring-size", "3"], 2),
+    (["edge", "--theta1", "-1", "--theta2", "1", "--ring-size", "32", "--format", "csv"], None),
+]
+
+
+def _call(argv, out: str, capsys) -> tuple:
+    """(exit code, stdout, stderr, {file name: bytes}) of one main call."""
+    try:
+        code = main([*argv, "--out", out])
+    except SystemExit as exc:
+        code = exc.code
+    printed = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in Path(out).glob("*")} if Path(out).is_dir() else {}
+    return code, printed.out, printed.err, files
+
+
+def test_reused_parsers_carry_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the sidecars echo --out: the same relative one each time
+    cli._parser.cache_clear()
+    warm = [_call(argv, f"c{i}", capsys) for i, (argv, _) in enumerate(_INTERLEAVED)]
+    for i, (argv, refused) in enumerate(_INTERLEAVED):
+        assert warm[i][0] == (refused or 0), argv
+        assert bool(warm[i][3]) == (refused is None), argv
+        cli._parser.cache_clear()
+        assert _call(argv, f"c{i}", capsys) == warm[i], argv
+    # the same angles in degrees and in radians: the same table, only the echo differs
+    assert warm[0][3]["sweep.json"] == warm[3][3]["sweep.json"]
+    echoes = [json.loads(warm[i][3]["sweep.json.meta.json"])["config"] for i in (0, 3)]
+    assert [(echo.pop("degrees"), echo.pop("out")) for echo in echoes] == [(True, "c0"),
+                                                                            (False, "c3")]
+    assert echoes[0] == echoes[1]
+    assert "unrecognized arguments: --bogus" in warm[2][2]
+    assert warm[4][2] == "error: --ring-size must be even and at least 4\n"
 
 
 def _edge_peak_at_the_benchmark_ring(out, fmt: str) -> int:
