@@ -149,11 +149,10 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     argparse reads only the flags of the subcommand it selects, and that one
     is named in ``argv``, so parsing ``argv`` gives what the full parser gives.
 
-    The parser is built on the first call and reused for every later ``argv``
-    that names the same subcommands: the cache is keyed by the tuple of names
-    found in ``argv`` and holds one parser per distinct tuple (in practice one
-    per subcommand).  Reuse is safe because parsing reads the parser and
-    returns a new Namespace, and help and errors are formatted when printed.
+    Each parser is built once and cached by the tuple of names found in
+    ``argv``: one per distinct tuple (at most 256; in practice one per
+    subcommand).  Parsing only reads it and returns a new Namespace, and help
+    and errors are formatted when printed, so it is reused; do not change it.
     """
     return _parser(tuple(name for name in _SUBCOMMANDS if argv is None or name in argv))
 
