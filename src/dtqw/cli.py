@@ -66,6 +66,10 @@ _CASES = {
 MAX_SWEEP_POINTS = 10**7
 # A larger --grid is refused before any array is built: 1024 times the largest in use.
 MAX_GRID = 2**20
+# A longer ring is refused before any array is built: 256 times the largest in
+# use, and a bound on memory (traced peaks of 264 bytes a site for edge, 388 for
+# evolve: 1.1 and 1.6 GB).
+MAX_RING = 2**22
 
 # Words argparse reads as a negative value, not as a flag.  Its own test takes
 # only -1 and -1.5, so a flag's value -1e-4, -inf or -nan would read as a flag.
@@ -142,23 +146,11 @@ def _sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The ``dtqw`` parser.  Every subcommand is registered with its name and
-    help, so the top-level usage and errors list all of them; one gets its
-    flags only if it is named in ``argv`` (all do when ``argv`` is None).
-    argparse reads only the flags of the subcommand it selects, and that one
-    is named in ``argv``, so parsing ``argv`` gives what the full parser gives.
-
-    Each parser is built once and cached by the tuple of names found in
-    ``argv``: one per distinct tuple (at most 256; in practice one per
-    subcommand).  Parsing only reads it and returns a new Namespace, and help
-    and errors are formatted when printed, so it is reused; do not change it.
-    """
-    return _parser(tuple(name for name in _SUBCOMMANDS if argv is None or name in argv))
-
-
 @functools.cache
-def _parser(named: tuple[str, ...]) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``dtqw`` parser, built on first use and reused by every later call:
+    parsing only reads it and returns a new Namespace, and help and errors are
+    formatted when printed.  Do not change it."""
     parser = argparse.ArgumentParser(
         prog="dtqw",
         description="one-dimensional coined quantum walks: bands, topology, "
@@ -168,14 +160,11 @@ def _parser(named: tuple[str, ...]) -> argparse.ArgumentParser:
     parser._negative_number_matcher = _NEGATIVE_VALUE
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, func) in _SUBCOMMANDS.items():
-        if name in named:
-            p = sub.add_parser(name, help=help_text)
-            p._negative_number_matcher = _NEGATIVE_VALUE
-            flags(p)
-            _common_flags(p)
-            p.set_defaults(func=func)
-        else:  # never selected: only its name and help are read
-            sub.add_parser(name, help=help_text, add_help=False)
+        p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_VALUE
+        flags(p)
+        _common_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -197,9 +186,11 @@ def _validate(args: argparse.Namespace) -> list[str]:
         problems.append("--grid must be at least 8")
     elif grid > MAX_GRID:
         problems.append(f"--grid must be at most {MAX_GRID}, got {grid}")
-    ring = getattr(args, "ring_size", None)
-    if ring is not None and (ring < 4 or ring % 2):
+    ring = getattr(args, "ring_size", 4)
+    if ring < 4 or ring % 2:
         problems.append("--ring-size must be even and at least 4")
+    elif ring > MAX_RING:
+        problems.append(f"--ring-size must be at most {MAX_RING}, got {ring}")
     if args.command == "invariant":
         given = tuple(v is not None for v in (args.theta, args.theta1, args.theta2))
         if given not in ((True, False, False), (False, True, True)):
@@ -376,8 +367,7 @@ _SUBCOMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.degrees:
         _convert_degrees(args)
     problems = _validate(args)
@@ -385,7 +375,11 @@ def main(argv=None) -> int:
         for msg in problems:
             print(f"error: {msg}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except NumericalContractError as exc:

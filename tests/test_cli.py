@@ -1,8 +1,12 @@
 import argparse
 import csv
+import errno
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -363,6 +367,33 @@ def test_grid_above_the_cap_is_refused_before_any_array(tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["symmetry", "--theta", "0.5"],
+                                     ["edge", "--theta1", "-1", "--theta2", "1"],
+                                     ["evolve", "--theta1", "-1", "--theta2", "1",
+                                      "--case", "overlap-one"]])
+@pytest.mark.parametrize("ring", [cli.MAX_RING + 2, 10**13])
+def test_ring_above_the_cap_is_refused_before_any_array(tmp_path, capsys, monkeypatch,
+                                                        command, ring):
+    def no_ring(*args, **kwargs):
+        raise AssertionError("a ring was built")
+
+    for name in ("InterfaceSpec", "run_symmetry_suite"):
+        monkeypatch.setattr(cli, name, no_ring)
+    assert run([*command, "--ring-size", str(ring), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --ring-size must be at most {cli.MAX_RING}, got {ring}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_out_that_is_a_file_or_under_one_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    for out, code in ((taken, errno.EEXIST), (taken / "sub", errno.ENOTDIR)):
+        assert run(["winding", "--theta", "0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {os.strerror(code)}\n"
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept"
+
+
 def test_error_contract_exit_codes_and_stderr(tmp_path, capsys, monkeypatch):
     assert run(["winding", "--theta", "0", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
@@ -514,6 +545,18 @@ def test_the_environment_line_needs_no_scipy(monkeypatch):
     assert tool.environment() == {k: v for k, v in with_scipy.items() if k != "scipy"}
 
 
+def test_the_readme_quick_start_runs_from_the_package_root():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Quick start:", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from dtqw import " in block and block.rstrip().endswith("# 2*sqrt(2)")
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", block], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert math.isclose(float(done.stdout.splitlines()[-1]), 2 * math.sqrt(2), rel_tol=1e-12)
+
+
 # Arguments every subcommand accepts, a negative exponent value among them.
 _PARSER_ARGV = {
     "band": ["--theta", "-1e-4", "--grid", "16"],
@@ -525,31 +568,6 @@ _PARSER_ARGV = {
     "evolve": ["--theta1", "-1", "--theta2", "1", "--case", "overlap-one", "--steps", "20"],
     "sweep": ["--theta-min", "-1", "--theta-max", "1", "--theta-step", "0.5"],
 }
-
-
-def _parsed(parser, argv, capsys):
-    """(namespace or exit code, stdout, stderr) of one parse."""
-    try:
-        result = vars(parser.parse_args(argv))
-    except SystemExit as exc:
-        result = exc.code
-    out = capsys.readouterr()
-    return result, out.out, out.err
-
-
-@pytest.mark.parametrize("command", sorted(_PARSER_ARGV))
-def test_the_invoked_subcommands_parser_parses_as_the_full_one(command, capsys):
-    good = [command, *_PARSER_ARGV[command]]
-    cases = [good, [command, "--help"], [command], good + ["--format", "xml"],
-             good + ["--bogus"], good + ["--out"], good + ["--theta", "x"],
-             ["--version"], ["-h"], [], ["nope", *_PARSER_ARGV[command]]]
-    full = cli.build_parser()
-    for argv in cases:
-        want = _parsed(full, argv, capsys)
-        assert _parsed(cli.build_parser(argv), argv, capsys) == want, argv
-    namespace = cli.build_parser(good).parse_args(good)
-    assert cli._config_echo(namespace) == cli._config_echo(full.parse_args(good))
-    assert namespace.func is cli._SUBCOMMANDS[command][2]
 
 
 @pytest.fixture
@@ -567,18 +585,14 @@ def parsers_built(monkeypatch):
 
 
 def test_no_parser_is_built_twice(tmp_path, capsys, parsers_built):
-    cli._parser.cache_clear()
-    for command, flags in _PARSER_ARGV.items():
-        argv = [command, *flags]
-        assert cli.build_parser(argv) is cli.build_parser(argv), command
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
+    calls = [[command, *flags, "--out", str(tmp_path / command)]
+             for command, flags in _PARSER_ARGV.items()]
+    assert [main(argv) for argv in calls] == [0] * len(calls)
+    assert len(parsers_built) == 9  # the top level and the eight subcommands
     parsers_built.clear()
-    argv = ["sweep", *_PARSER_ARGV["sweep"], "--out", str(tmp_path)]
-    assert main(argv) == 0
-    assert len(parsers_built) == 9  # the top level, the sweep and seven help-only stubs
-    parsers_built.clear()
-    assert main(argv) == 0
-    assert main([*argv, "--degrees"]) == 0
+    assert [main(argv) for argv in calls] == [0] * len(calls)
+    assert cli.build_parser() is cli.build_parser()
     assert parsers_built == []
 
 
@@ -616,12 +630,12 @@ def _call(argv, out: str, capsys) -> tuple:
 
 def test_reused_parsers_carry_no_state_between_calls(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the sidecars echo --out: the same relative one each time
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     warm = [_call(argv, f"c{i}", capsys) for i, (argv, _) in enumerate(_INTERLEAVED)]
     for i, (argv, refused) in enumerate(_INTERLEAVED):
         assert warm[i][0] == (refused or 0), argv
         assert bool(warm[i][3]) == (refused is None), argv
-        cli._parser.cache_clear()
+        cli.build_parser.cache_clear()
         assert _call(argv, f"c{i}", capsys) == warm[i], argv
     # the same angles in degrees and in radians: the same table, only the echo differs
     assert warm[0][3]["sweep.json"] == warm[3][3]["sweep.json"]
