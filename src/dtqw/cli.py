@@ -9,6 +9,7 @@ configuration, 3 numerical contract violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -28,17 +29,10 @@ from .edge import (
     experiment_json_dict,
 )
 from .errors import NumericalContractError, ValidationError
-from .lattice import (
-    STATE_CSV_HEADER,
-    TRAJECTORY_CSV_HEADER,
-    state_table,
-    trajectory_table,
-)
-from .momentum import BAND_CSV_HEADER, DEFAULT_GRID, band_structure, band_table, gap_report
+from .lattice import state_table, trajectory_table
+from .momentum import DEFAULT_GRID, band_structure, band_table, gap_report
 from .symmetry import reports_json, run_symmetry_suite
 from .topology import (
-    BZ_IMAGE_CSV_HEADER,
-    SWEEP_CSV_HEADER,
     FrameVariant,
     bz_image_table,
     classify_sweep,
@@ -212,12 +206,12 @@ def _table_path(args, name: str) -> str:
     return os.path.join(args.out, f"{name}.{args.format}")
 
 
-def _write_table(args, name: str, header: list[str], rows) -> str:
+def _write_table(args, name: str, rows: io.Table) -> str:
     path = _table_path(args, name)
     if args.format == "csv":
-        io.write_csv(path, header, rows)
+        io.write_csv(path, rows)
     else:
-        io.write_json_table(path, header, rows)
+        io.write_json_table(path, rows)
     io.write_sidecar(path, _config_echo(args), __version__)
     return path
 
@@ -232,20 +226,15 @@ def _write_record(args, name: str, obj) -> str:
 def cmd_band(args) -> int:
     p = CoinParams(args.delta, args.alpha, args.beta, args.theta)
     b = band_structure(p, args.grid)
-    _write_table(args, "band", BAND_CSV_HEADER, band_table(b))
-    g = gap_report(b)
-    print(io.json_text({
-        "gap_at_delta": g.gap_at_delta,
-        "gap_at_delta_plus_pi": g.gap_at_delta_plus_pi,
-        "is_gapped": g.is_gapped,
-    }), end="")
+    _write_table(args, "band", band_table(b))
+    print(io.json_text(dataclasses.asdict(gap_report(b))), end="")
     return 0
 
 
 def cmd_map(args) -> int:
     p = CoinParams(args.delta, args.alpha, args.beta, args.theta)
     rows = bz_image_table(p, _FRAMES[args.frame], args.grid)
-    path = _write_table(args, "map", BZ_IMAGE_CSV_HEADER, rows)
+    path = _write_table(args, "map", rows)
     print(path)
     return 0
 
@@ -308,7 +297,7 @@ def cmd_edge(args) -> int:
         e = analytic_edge_state(spec, eta)
         states.append(e)
         residual, omega = eigen_residual(u, e)
-        _write_table(args, f"edge_{tag}", STATE_CSV_HEADER, state_table(e.state))
+        _write_table(args, f"edge_{tag}", state_table(e.state))
         result["norm_constant"] = e.norm_constant
         result["states"].append({
             "eta": eta,
@@ -326,7 +315,7 @@ def cmd_evolve(args) -> int:
     spec = InterfaceSpec(args.delta, args.alpha, args.beta,
                          args.theta1, args.theta2, args.ring_size)
     rec = dynamics_experiment(spec, _CASES[args.case], args.steps)
-    _write_table(args, "trajectory", TRAJECTORY_CSV_HEADER, trajectory_table(rec.trajectory))
+    _write_table(args, "trajectory", trajectory_table(rec.trajectory))
     result = experiment_json_dict(rec)
     _write_record(args, "experiment", result)
     print(io.json_text(result), end="")
@@ -347,7 +336,7 @@ def cmd_sweep(args) -> int:
     thetas = args.theta_min + np.arange(count) * args.theta_step
     family = CoinParams(args.delta, args.alpha, args.beta, 0.0)  # its theta is not used
     table = sweep_table(classify_sweep(family, thetas, args.grid))
-    _write_table(args, "sweep", SWEEP_CSV_HEADER, table)
+    _write_table(args, "sweep", table)
     print(f"swept {len(table)} points")
     return 0
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import DOMAIN_TOL, CoinParams, wrap_angle
 from .errors import ValidationError
+from .io import json_complex
 from .lattice import (
     ThetaProfile,
     Trajectory,
@@ -140,11 +141,9 @@ def decay_constant(alpha: float, theta: float) -> complex:
 class EdgeState:
     """One localized interface eigenstate (eta = 0 or pi)."""
 
-    eta: float
     state: WalkerState
     decay_constants: tuple[complex, complex]
     norm_constant: float
-    spec: InterfaceSpec
 
 
 def analytic_edge_state(spec: InterfaceSpec, eta: float) -> EdgeState:
@@ -159,13 +158,13 @@ def analytic_edge_state(spec: InterfaceSpec, eta: float) -> EdgeState:
     amps = profile * np.exp(1j * eta * ring_sites(spec.n_sites))[:, None]
     amps /= math.sqrt(norm_constant)
     amps /= np.linalg.norm(amps)  # ring correction, < 1e-10 by the size check
-    return EdgeState(eta, WalkerState(amps), (a1, a2), norm_constant, spec)
+    return EdgeState(WalkerState(amps), (a1, a2), norm_constant)
 
 
 def eigen_residual(u: WalkOperator, e: EdgeState) -> tuple[float, float]:
     """(|| U psi - exp(-i w) psi ||, w) for the walk U = u of the state's
-    interface (``e.spec.walk()``, built once for both states of a wall), with w
-    from the Rayleigh quotient.
+    interface (``InterfaceSpec.walk()``, built once for both states of a wall),
+    with w from the Rayleigh quotient.
 
     The residual is limited by the second wall on the ring, so it shrinks
     exponentially as the ring grows.
@@ -314,7 +313,7 @@ def experiment_json_dict(rec: ExperimentRecord) -> dict:
             "theta2": spec.theta2,
             "n_sites": spec.n_sites,
         },
-        "edge_projections": [[z.real, z.imag] for z in rec.projections],
+        "edge_projections": [json_complex(z) for z in rec.projections],
         "edge_window_weight": rec.edge_window_weight,
         "predicted_weight": rec.predicted_weight,
         "plateau": rec.plateau,

@@ -45,16 +45,23 @@ def _atomic_file(path):
 
 
 class Table:
-    """A table held by column: equal-length 1-d numpy arrays of float64, int,
-    str or object (plain Python cells, such as the sweep's winding column of
-    ints and ""), read as ``columns``.
+    """A table held by column: its column names ``header``, kept exactly as
+    given (duplicate, empty or any other text), over equal-length 1-d numpy
+    arrays of float64, int, str or object (plain Python cells, such as the
+    sweep's winding column of ints and ""), read as ``columns``.
 
-    ``len`` is the number of rows.  ``write_csv`` and ``write_json_table``
-    read the columns a block of rows at a time (``blocks``).
+    A numpy str array drops trailing NUL characters, so a text column whose
+    cells may end in NUL must be an object array.  ``len`` is the number of
+    rows.  ``write_csv`` and ``write_json_table`` read the columns a block of
+    rows at a time (``blocks``).
     """
 
-    def __init__(self, *columns: np.ndarray):
+    def __init__(self, header: list[str], *columns: np.ndarray):
+        self.header = list(header)
         self.columns = tuple(np.asarray(c) for c in columns)
+        if len(self.columns) != len(self.header):
+            raise ValueError(f"table of {len(self.columns)} columns under a header of "
+                             f"{len(self.header)}")
         shapes = {c.shape for c in self.columns}
         if len(shapes) != 1 or len(next(iter(shapes))) != 1:
             raise ValueError(f"table columns of shapes {sorted(shapes)}, not one length")
@@ -106,14 +113,7 @@ def _block_text(columns) -> str:
     return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
 
 
-def _table_blocks(header: list[str], rows: Table):
-    """The table's blocks (``Table.blocks``); ValueError if it does not fit the header."""
-    if len(rows.columns) != len(header):
-        raise ValueError(f"table of {len(rows.columns)} columns under a header of {len(header)}")
-    return rows.blocks()
-
-
-def write_csv(path, header: list[str], rows: Table) -> None:
+def write_csv(path, rows: Table) -> None:
     """RFC-4180-style CSV with a header row, '.' decimal separator and CRLF
     line ends, byte for byte what ``csv.writer`` writes for the table's rows.
 
@@ -121,15 +121,14 @@ def write_csv(path, header: list[str], rows: Table) -> None:
     rows at a time, and each block is joined once and written, so the text
     of the whole table is never held.
     """
-    blocks = _table_blocks(header, rows)
     with _atomic_file(path) as fh:
-        fh.write(_block_text([np.array([name], dtype=object) for name in header]))
-        for block in blocks:
+        fh.write(_block_text([np.array([name], dtype=object) for name in rows.header]))
+        for block in rows.blocks():
             fh.write(_block_text(block))
 
 
-def write_json_table(path, header: list[str], rows: Table) -> None:
-    """The table as ``json_text`` of a list of one dict per row, keyed by the
+def write_json_table(path, rows: Table) -> None:
+    """The table as ``json_text`` of a list of one dict per row, keyed by its
     header, with every non-finite float cell None (JSON has no NaN).
 
     ``rows`` is a ``Table``; each cell is its plain Python value, so an int
@@ -137,13 +136,12 @@ def write_json_table(path, header: list[str], rows: Table) -> None:
     ``BLOCK_ROWS`` rows are held at a time, and encoded ``JSON_ROWS`` at a
     time, never the whole table's.
     """
-    blocks = _table_blocks(header, rows)
     with _atomic_file(path) as fh:
         sep = "[\n"
-        for block in blocks:
+        for block in rows.blocks():
             cells = (c.tolist() for c in block)
             objects = [{key: None if isinstance(x, float) and not math.isfinite(x) else x
-                        for key, x in zip(header, row)} for row in zip(*cells)]
+                        for key, x in zip(rows.header, row)} for row in zip(*cells)]
             for lo in range(0, len(objects), JSON_ROWS):
                 # the text inside json_text's "[\n" and "\n]\n"
                 fh.write(sep + json_text(objects[lo:lo + JSON_ROWS])[2:-3])

@@ -24,6 +24,12 @@ from .io import Table
 DENSE_CAP = 512
 
 
+def check_dense(n_sites: int) -> None:
+    """Refuse a ring of more than DENSE_CAP sites for the dense operator."""
+    if n_sites > DENSE_CAP:
+        raise ValidationError(f"dense() of {n_sites} sites is too large: capped at {DENSE_CAP}")
+
+
 def ring_sites(n_sites: int) -> np.ndarray:
     return np.arange(-(n_sites // 2), n_sites // 2)
 
@@ -191,9 +197,7 @@ class WalkOperator:
     def dense(self) -> np.ndarray:
         """Materialize the 2N x 2N matrix (site-major index 2*i + coin): the
         step applied to each basis vector, O(N^2)."""
-        if self.n_sites > DENSE_CAP:
-            raise ValidationError(f"dense() of {self.n_sites} sites is too large: "
-                                  f"capped at {DENSE_CAP}")
+        check_dense(self.n_sites)
         n = self.n_sites
         basis = np.eye(2 * n, dtype=complex).reshape(n, 2, 2 * n)
         return self.apply_array(basis).reshape(2 * n, 2 * n)
@@ -450,16 +454,14 @@ def diagonalize(u: WalkOperator) -> SpectralData:
     return SpectralData(omega, vectors, residual)
 
 
-STATE_CSV_HEADER = ["x", "re_a", "im_a", "re_b", "im_b", "prob"]
-TRAJECTORY_CSV_HEADER = ["t", "interface_prob", "mean_x", "sigma_x"]
-
-
 def state_table(s: WalkerState) -> Table:
-    """Columns x, re_a, im_a, re_b, im_b, prob of a state (STATE_CSV_HEADER)."""
+    """One row per site: both amplitudes by part, and the site probability."""
     a, b = s.amps[:, 0], s.amps[:, 1]
-    return Table(s.sites, a.real, a.imag, b.real, b.imag, s.site_probabilities())
+    return Table(["x", "re_a", "im_a", "re_b", "im_b", "prob"],
+                 s.sites, a.real, a.imag, b.real, b.imag, s.site_probabilities())
 
 
 def trajectory_table(traj: Trajectory) -> Table:
-    """Columns t, interface_prob, mean_x, sigma_x (TRAJECTORY_CSV_HEADER)."""
-    return Table(traj.times, traj.interface_prob, traj.mean_x, traj.sigma_x)
+    """One row per recorded step."""
+    return Table(["t", "interface_prob", "mean_x", "sigma_x"],
+                 traj.times, traj.interface_prob, traj.mean_x, traj.sigma_x)

@@ -250,11 +250,7 @@ def special_points(alpha: float) -> tuple[float, float]:
     return wrap_angle(alpha), wrap_angle(alpha + np.pi)
 
 
-BAND_CSV_HEADER = ["k", "omega_plus", "omega_minus", "n_x", "n_y", "n_z"]
-
-
 def band_table(b: BandStructure) -> Table:
-    """Columns k, omega_plus, omega_minus, n_x, n_y, n_z (BAND_CSV_HEADER),
-    one row per grid point."""
+    """One row per grid point: both bands and the Bloch vector."""
     wp, wm = b.quasienergies()
-    return Table(b.k, wp, wm, *b.n.T)
+    return Table(["k", "omega_plus", "omega_minus", "n_x", "n_y", "n_z"], b.k, wp, wm, *b.n.T)

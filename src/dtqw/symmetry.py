@@ -20,14 +20,16 @@ their image curves wind differently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .core import (DOMAIN_TOL, GAP_EPS, ID2, RESIDUAL_TOL, CoinParams, coin_matrices,
                    is_commensurate, pauli_compose, phs_operator, wrap_angle)
 from .errors import ValidationError
-from .lattice import ThetaProfile, WalkOperator, build_walk, eigenvalues, ring_sites
+from .io import json_complex
+from .lattice import (ThetaProfile, WalkOperator, build_walk, check_dense, eigenvalues,
+                      ring_sites)
 from .momentum import bloch_hamiltonian, bloch_vectors
 from .topology import FrameVariant, frame_angle, frame_rotation, frame_so3, manifold_frame
 
@@ -183,6 +185,7 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0) -> list[S
     is_commensurate(alpha, N), CS for |beta| >= DOMAIN_TOL, the time shifts
     unless p.has_fixed_frames and |theta| > GAP_EPS.
     """
+    check_dense(n_sites)  # every suite takes the dense operator: refuse before building
     rng = np.random.default_rng(seed)
     reports = []
     norm = norm_kind(2 * n_sites)
@@ -202,7 +205,7 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0) -> list[S
             omega_op.apply(omega_op.apply(probe, sites), sites) - probe))
         reports.append(SymmetryReport(
             "PHS", res, RESIDUAL_TOL, res < RESIDUAL_TOL, norm,
-            _context(p, n_sites=n_sites, global_phase=[lam.real, lam.imag],
+            _context(p, n_sites=n_sites, global_phase=json_complex(lam),
                      involution_residual=involution, seed=seed)))
 
     ks = [k for k in K_SAMPLES
@@ -243,14 +246,4 @@ def frame_conjugated_walk(p: CoinParams, variant, n_sites: int) -> np.ndarray:
 
 
 def reports_json(reports: list[SymmetryReport]) -> list[dict]:
-    return [
-        {
-            "name": r.name,
-            "residual": r.residual,
-            "tolerance": r.tolerance,
-            "passed": r.passed,
-            "norm": r.norm,
-            "context": r.context,
-        }
-        for r in reports
-    ]
+    return [asdict(r) for r in reports]

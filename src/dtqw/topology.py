@@ -263,36 +263,31 @@ def invariant_json_dict(inv: RelHomotopyInvariant) -> dict:
     }
 
 
-SWEEP_CSV_HEADER = ["theta", "gap_delta", "gap_delta_plus_pi", "winding",
-                    "pole_k0", "pole_k1", "phase_label"]
-
-
 def sweep_table(sweep: SweepResult) -> Table:
-    """Columns of SWEEP_CSV_HEADER, one row per theta.  Where the coin is
-    gapless the winding and pole cells are empty and the label is "Gapless".
-    The last four columns are object arrays: the winding's Python ints, which
-    JSON writes as numbers, and shared strings."""
+    """One row per theta.  Where the coin is gapless the winding and pole
+    cells are empty and the label is "Gapless".  The last four columns are
+    object arrays: the winding's Python ints, which JSON writes as numbers,
+    and shared strings."""
     # per (theta, special momentum): 0 where gapless, 1 at the south pole, 2 at the north
     index = sweep.gapped[:, None] * (1 + (sweep.poles > 0))
     letters = np.array(["", "S", "N"], dtype=object)
     labels = np.array(["Gapless", PhaseLabel.THETA_NEGATIVE.value,
                        PhaseLabel.THETA_POSITIVE.value], dtype=object)
-    return Table(sweep.theta, sweep.gap_at_delta, sweep.gap_at_delta_plus_pi,
+    return Table(["theta", "gap_delta", "gap_delta_plus_pi", "winding",
+                  "pole_k0", "pole_k1", "phase_label"],
+                 sweep.theta, sweep.gap_at_delta, sweep.gap_at_delta_plus_pi,
                  np.where(sweep.gapped, sweep.winding.astype(object), ""),
                  letters[index[:, 0]], letters[index[:, 1]], labels[index[:, 1]])
-
-
-BZ_IMAGE_CSV_HEADER = ["k", "n_x", "n_y", "n_z", "frame"]
 
 
 def bz_image_table(
     p: CoinParams, variant: FrameVariant = FrameVariant.IDENTITY, grid_size: int = DEFAULT_GRID
 ) -> Table:
-    """Columns k, n_x, n_y, n_z, frame tag (BZ_IMAGE_CSV_HEADER) of the
-    (optionally rotated) image curve."""
+    """The (optionally rotated) image curve, one row per k, tagged by frame."""
     _require_gapped(p)
     rot = frame_so3(variant, p.theta)
     ks = k_grid(grid_size)
     n, _, _ = bloch_vectors(p, ks)
     curve = n @ rot.T
-    return Table(ks, *curve.T, np.full(ks.shape, variant.value))
+    return Table(["k", "n_x", "n_y", "n_z", "frame"], ks, *curve.T,
+                 np.full(ks.shape, variant.value))

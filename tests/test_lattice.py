@@ -13,8 +13,6 @@ from dtqw.edge import InitialStateCase, InterfaceSpec, analytic_edge_state, init
 from dtqw.errors import ValidationError
 from dtqw.lattice import (
     DENSE_CAP,
-    STATE_CSV_HEADER,
-    TRAJECTORY_CSV_HEADER,
     ThetaProfile,
     WalkerState,
     WalkOperator,
@@ -745,9 +743,9 @@ def test_tables_have_contracted_shapes():
     u = build_walk(CoinParams(0, 0, 0, 0.5), n_sites=8)
     s = WalkerState.localized(8, 0)
     table = state_table(s)
-    assert len(table) == 8 and len(table.columns) == len(STATE_CSV_HEADER)
+    assert len(table) == 8 and len(table.columns) == len(table.header) == 6
     table = trajectory_table(evolve(u, s, 5))
-    assert len(table) == 6 and len(table.columns) == len(TRAJECTORY_CSV_HEADER)
+    assert len(table) == 6 and len(table.columns) == len(table.header) == 4
 
 
 def test_state_csv_bytes_match_per_cell_formatting(tmp_path):
@@ -761,10 +759,10 @@ def test_state_csv_bytes_match_per_cell_formatting(tmp_path):
     # per-cell text from the numpy scalars: the site as str, every float by repr
     texts = [[str(x)] + [repr(float(v)) for v in (a.real, a.imag, b.real, b.imag, p)]
              for x, (a, b), p in zip(s.sites, s.amps, s.site_probabilities())]
-    text_table = io.Table(*(np.array(c, dtype=object) for c in zip(*texts)))
+    text_table = io.Table(table.header, *(np.array(c, dtype=object) for c in zip(*texts)))
     written = []
     for name, rows in (("plain", table), ("text", text_table)):
-        io.write_csv(tmp_path / name, STATE_CSV_HEADER, rows)
+        io.write_csv(tmp_path / name, rows)
         written.append((tmp_path / name).read_bytes())
     assert written[0] == written[1]
     assert b",nan," in written[0] and b",-0.0," in written[0] and b",inf," in written[0]
@@ -779,9 +777,9 @@ def test_a_failed_write_leaves_no_file(tmp_path):
     path = tmp_path / "t.csv"
     cells = np.array([2.0, _FailingCell()], dtype=object)
     with pytest.raises(RuntimeError, match="cell failed"):
-        io.write_csv(path, ["x", "y"], io.Table(np.arange(2), cells))
+        io.write_csv(path, io.Table(["x", "y"], np.arange(2), cells))
     assert list(tmp_path.iterdir()) == []
     # a temporary file that open never made is not a second error
     with pytest.raises(FileNotFoundError):
-        io.write_csv(tmp_path / "missing" / "t.csv", ["x"], io.Table(np.arange(1)))
+        io.write_csv(tmp_path / "missing" / "t.csv", io.Table(["x"], np.arange(1)))
     assert list(tmp_path.iterdir()) == []

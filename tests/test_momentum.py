@@ -9,7 +9,6 @@ from dtqw import io
 from dtqw.core import GAP_EPS, CoinParams, wrap_angle, wrap_angles
 from dtqw.errors import ValidationError
 from dtqw.momentum import (
-    BAND_CSV_HEADER,
     band_structure,
     band_table,
     bloch_hamiltonian,
@@ -186,10 +185,11 @@ def test_quasienergy_bands_wrap_and_sublattice_shift():
 def test_band_csv_round_trip(tmp_path):
     b = band_structure(CoinParams(0.3, 0.2, 0.1, 0.7), 64)
     path = tmp_path / "band.csv"
-    io.write_csv(path, BAND_CSV_HEADER, band_table(b))
+    table = band_table(b)
+    io.write_csv(path, table)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == BAND_CSV_HEADER
+    assert rows[0] == table.header
     assert len(rows) == 65
     ks = [float(r[0]) for r in rows[1:]]
     assert ks == sorted(ks)

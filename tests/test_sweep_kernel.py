@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtqw import io
-from dtqw.cli import SWEEP_CSV_HEADER, main
+from dtqw.cli import main
 from dtqw.core import CoinParams, pauli_decompose, wrap_angles
 from dtqw.momentum import dispersion, k_grid, momentum_step_matrix, special_points
 from dtqw.topology import (
@@ -118,7 +118,8 @@ def test_kernel_matches_reference_on_the_cli_sweep(tmp_path):
                  "--alpha", "0.4", "--beta", "-1.3", "--delta", "2.0", "--grid", str(GRID),
                  "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert lines[0] == ",".join(SWEEP_CSV_HEADER)
+    header = sweep_table(classify_sweep(CoinParams(2.0, 0.4, -1.3, 0.0), [0.0], GRID)).header
+    assert lines[0] == ",".join(header)
     assert len(lines) == 42
     for i, line in enumerate(lines[1:]):
         _assert_row_matches(line.split(","), CoinParams(2.0, 0.4, -1.3, -1 + i * 0.05), GRID)
@@ -165,13 +166,14 @@ def test_the_sweep_table_writes_what_its_per_theta_rows_write(tmp_path_factory, 
     sweep = classify_sweep(CoinParams(*family, 0.0), thetas, GRID)
     rows = [_per_theta_row(sweep, i) for i in range(len(thetas))]
     path = tmp_path_factory.mktemp("s")
+    table = sweep_table(sweep)
     with mock.patch.object(io, "BLOCK_ROWS", block):  # row counts across the block size
-        io.write_csv(path / "sweep.csv", SWEEP_CSV_HEADER, sweep_table(sweep))
-        io.write_json_table(path / "sweep.json", SWEEP_CSV_HEADER, sweep_table(sweep))
+        io.write_csv(path / "sweep.csv", table)
+        io.write_json_table(path / "sweep.json", table)
     buf = _stdio.StringIO(newline="")
-    csv.writer(buf).writerows([SWEEP_CSV_HEADER] + rows)
+    csv.writer(buf).writerows([table.header] + rows)
     assert (path / "sweep.csv").read_bytes() == buf.getvalue().encode("utf-8")
-    objects = [dict(zip(SWEEP_CSV_HEADER, row)) for row in rows]
+    objects = [dict(zip(table.header, row)) for row in rows]
     assert (path / "sweep.json").read_bytes() == io.json_text(objects).encode("utf-8")
 
 
