@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CoinParams, coin_matrices, wrap_angles
+from .core import ID2, CoinParams, coin_matrices, wrap_angles
 from .errors import ValidationError
 from .io import Table
 
@@ -193,6 +193,13 @@ class WalkOperator:
         if s.n_sites != self.n_sites:
             raise ValidationError(f"state ring of {s.n_sites} sites, walk of {self.n_sites}")
         return WalkerState(self.apply_array(s.amps))
+
+    def hopping(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (n_sites, 2, 2) hopping blocks (right, left): ``post P_a c_x`` moves
+        site x to x + 1 and ``post P_b c_x`` to x - 1 (P_a, P_b the projectors on
+        the a and b components); in value, the nonzero 2 x 2 blocks of ``dense()``."""
+        post = ID2 if self.post is None else self.post
+        return post[:, :1] * self.coins[:, None, 0], post[:, 1:] * self.coins[:, None, 1]
 
     def dense(self) -> np.ndarray:
         """Materialize the 2N x 2N matrix (site-major index 2*i + coin): the
@@ -418,6 +425,21 @@ def eigenvalues(u: WalkOperator) -> np.ndarray:
     (sublattice_blocks)."""
     _, a, b = sublattice_blocks(u)
     return _paired_roots(np.linalg.eigvals(b @ a))
+
+
+def bloch_eigenvalues(u: WalkOperator) -> np.ndarray:
+    """The 2N eigenvalues of a homogeneous walk, O(N): those of its 2 x 2 Bloch
+    matrices post diag(exp(-ik), exp(ik)) c at the ring's momenta k = 2 pi m / N.
+    Raises ValidationError unless every site has the same coin c."""
+    c = u.coins[0]
+    if not (u.coins == c).all():
+        raise ValidationError("Bloch eigenvalues need a homogeneous walk: the coins of its "
+                              f"{u.n_sites} sites differ")
+    k = 2.0 * np.pi * np.arange(u.n_sites) / u.n_sites
+    bloch = np.exp(np.multiply.outer(k, [-1j, 1j]))[:, :, None] * c
+    if u.post is not None:
+        bloch = u.post @ bloch
+    return np.linalg.eigvals(bloch).ravel()
 
 
 def diagonalize(u: WalkOperator) -> SpectralData:

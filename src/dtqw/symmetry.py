@@ -16,6 +16,9 @@ Certified relations, each on its stated domain:
 Time-shifted products V U V^dagger of the same walk, V the rotation of the V1
 or V2 frame, are built here as well; they share the walk's spectrum while
 their image curves wind differently.
+
+Every ring relation takes O(N) work: SUB, PHS and TimeShiftV1 compare hopping
+blocks (``WalkOperator.hopping``), TimeShiftV2 2 x 2 Bloch spectra.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from .core import (DOMAIN_TOL, GAP_EPS, ID2, RESIDUAL_TOL, CoinParams, coin_matr
                    is_commensurate, pauli_compose, phs_operator, wrap_angle)
 from .errors import ValidationError
 from .io import json_complex
-from .lattice import (ThetaProfile, WalkOperator, build_walk, check_dense, eigenvalues,
-                      ring_sites)
+from .lattice import ThetaProfile, WalkOperator, bloch_eigenvalues, build_walk, ring_sites
 from .momentum import bloch_hamiltonian, bloch_vectors
 from .topology import FrameVariant, frame_angle, frame_rotation, frame_so3, manifold_frame
 
@@ -43,15 +45,22 @@ K_SAMPLES = (-2.0, -0.7, 0.4, 1.3, 2.6)
 
 
 def norm_kind(dim: int) -> str:
-    """The norm operator_norm takes of a dim x dim matrix."""
+    """The norm walk_norm takes of a dim x dim walk matrix."""
     return "spectral" if dim <= SPECTRAL_NORM_CAP else "max-entry"
 
 
-def operator_norm(m: np.ndarray) -> float:
-    """Max singular value for small matrices, max entry beyond (norm_kind)."""
-    if norm_kind(m.shape[0]) == "spectral":
-        return float(np.linalg.norm(m, 2))
-    return float(np.max(np.abs(m)))
+def walk_norm(right: np.ndarray, left: np.ndarray) -> float:
+    """Norm (norm_kind) of the ring matrix with blocks right[x] at (x + 1, x)
+    and left[x] at (x - 1, x) (``WalkOperator.hopping``): their largest entry,
+    or up to SPECTRAL_NORM_CAP the spectral norm of the scattered dense matrix."""
+    n = right.shape[0]
+    if norm_kind(2 * n) == "max-entry":
+        return float(max(np.max(np.abs(right)), np.max(np.abs(left))))
+    x = np.arange(n)
+    m = np.zeros((n, 2, n, 2), dtype=complex)
+    m[(x + 1) % n, :, x] = right
+    m[(x - 1) % n, :, x] = left
+    return float(np.linalg.norm(m.reshape(2 * n, 2 * n), 2))
 
 
 @dataclass(frozen=True)
@@ -70,11 +79,12 @@ def sublattice_residual(u: WalkOperator) -> float:
     """|| L U L^-1 + U || with L the alternating-sign site operator.
 
     Vanishes for every theta profile: a single step only couples neighboring
-    sites, which alternate sign.
+    sites, which alternate sign.  Computed on the hopping blocks.
     """
-    mat = u.dense()
-    signs = np.repeat(1 - 2 * (ring_sites(u.n_sites) & 1), 2)
-    return operator_norm(signs[:, None] * mat * signs[None, :] + mat)
+    right, left = u.hopping()
+    signs = (1 - 2 * (ring_sites(u.n_sites) & 1))[:, None, None]
+    return walk_norm(np.roll(signs, -1, 0) * right * signs + right,
+                     np.roll(signs, 1, 0) * left * signs + left)
 
 
 def phs_residual(u: WalkOperator, p: CoinParams | None = None) -> tuple[float, complex]:
@@ -83,18 +93,21 @@ def phs_residual(u: WalkOperator, p: CoinParams | None = None) -> tuple[float, c
     Computes ||Omega U Omega^-1 - lambda U|| minimized over unit-modulus
     lambda.  For delta = 0 the fitted lambda is 1; for delta != 0 the relation
     holds up to a delta-dependent global phase, which is reported rather than
-    assumed.
+    assumed.  Computed on the hopping blocks; lambda's inner product is one
+    pairwise sum (``np.add.reduce``), whose error does not grow with N.
     """
     if p is None:
         p = CoinParams(u.delta, u.alpha, u.beta, float(u.profile.thetas[0]))
     omega = phs_operator(p.alpha, p.beta)
     omega.check_commensurate(u.n_sites)
-    mat = u.dense()
-    d = omega.gauge_matrix(ring_sites(u.n_sites))
-    conjugated = d[:, None] * mat.conj() * d.conj()[None, :]
-    inner = complex(np.vdot(mat, conjugated))
+    blocks = u.hopping()
+    d = omega.gauge_matrix(ring_sites(u.n_sites)).reshape(-1, 2)
+    conjugated = [np.roll(d, shift, 0)[:, :, None] * b.conj() * d.conj()[:, None, :]
+                  for shift, b in zip((-1, 1), blocks)]
+    inner = complex(np.add.reduce(np.concatenate(
+        [(b.conj() * c).ravel() for b, c in zip(blocks, conjugated)])))
     lam = inner / abs(inner) if abs(inner) > 0 else 1.0 + 0j
-    return operator_norm(conjugated - lam * mat), complex(lam)
+    return walk_norm(*(c - lam * b for b, c in zip(blocks, conjugated))), complex(lam)
 
 
 def parity_residual_bloch(p: CoinParams, k: float) -> float:
@@ -159,15 +172,25 @@ def timeshift_walk(p: CoinParams, variant, n_sites: int) -> WalkOperator:
                         np.broadcast_to(first, (n_sites, 2, 2)), post=second)
 
 
+def _nearest_distances(e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Distance from each point of e to the nearest point of f, both on the
+    unit circle to round-off: that point is one of the two neighbours of e's
+    eigenphase among f's sorted eigenphases, O(N log N)."""
+    f = f[np.argsort(np.angle(f))]
+    i = np.searchsorted(np.angle(f), np.angle(e))
+    return np.minimum(np.abs(e - f[i - 1]), np.abs(e - f[i % f.size]))
+
+
 def spectrum_match_residual(u: WalkOperator, *others: WalkOperator) -> float:
-    """Largest Hausdorff-style distance between the eigenvalue set of u and
-    that of each other operator; u's spectrum is computed once, every spectrum
-    from the sublattice split (lattice.eigenvalues)."""
-    e = eigenvalues(u)
+    """Largest Hausdorff distance between the eigenvalue set of u and that of
+    each other walk, every walk homogeneous: each spectrum from its 2 x 2 Bloch
+    matrices (lattice.bloch_eigenvalues, which raises ValidationError for a
+    walk that is not homogeneous), u's once."""
+    e = bloch_eigenvalues(u)
     res = 0.0
     for other in others:
-        d = np.abs(e[:, None] - eigenvalues(other)[None, :])
-        res = max(res, np.max(np.min(d, axis=1)), np.max(np.min(d, axis=0)))
+        f = bloch_eigenvalues(other)
+        res = max(res, np.max(_nearest_distances(e, f)), np.max(_nearest_distances(f, e)))
     return float(res)
 
 
@@ -185,7 +208,6 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0) -> list[S
     is_commensurate(alpha, N), CS for |beta| >= DOMAIN_TOL, the time shifts
     unless p.has_fixed_frames and |theta| > GAP_EPS.
     """
-    check_dense(n_sites)  # every suite takes the dense operator: refuse before building
     rng = np.random.default_rng(seed)
     reports = []
     norm = norm_kind(2 * n_sites)
@@ -222,7 +244,7 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0) -> list[S
     if p.has_fixed_frames and abs(p.theta) > GAP_EPS:
         u1 = timeshift_walk(p, FrameVariant.V1, n_sites)
         v1 = frame_conjugated_walk(p, FrameVariant.V1, n_sites)
-        res = operator_norm(u1.dense() - v1)
+        res = walk_norm(*(a - b for a, b in zip(u1.hopping(), v1.hopping())))
         reports.append(SymmetryReport("TimeShiftV1", res, RESIDUAL_TOL,
                                       res < RESIDUAL_TOL, norm,
                                       _context(p, n_sites=n_sites)))
@@ -235,14 +257,13 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0) -> list[S
     return reports
 
 
-def frame_conjugated_walk(p: CoinParams, variant, n_sites: int) -> np.ndarray:
-    """Dense V U V^-1 for a homogeneous walk and the frame rotation V on every
-    site, O(N^2): V mixes the coin index of each row pair, V^dagger that of
-    each column pair."""
+def frame_conjugated_walk(p: CoinParams, variant, n_sites: int) -> WalkOperator:
+    """V U V^dagger for a homogeneous walk U = S C and the frame rotation V on
+    every site, exactly: V S C V^dagger = V S (C V^dagger), the walk with coins
+    C V^dagger and ``post`` V, O(N)."""
     v = frame_rotation(variant, p.theta)
-    n = n_sites
-    rows = v @ build_walk(p, n_sites=n).dense().reshape(n, 2, 2 * n)
-    return (rows.reshape(-1, 2) @ v.conj().T).reshape(2 * n, 2 * n)
+    u = build_walk(p, n_sites=n_sites)
+    return WalkOperator(u.delta, u.alpha, u.beta, u.profile, u.coins @ v.conj().T, post=v)
 
 
 def reports_json(reports: list[SymmetryReport]) -> list[dict]:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dtqw import cli, momentum, symmetry, topology
+from dtqw import cli, momentum, topology
 from dtqw.cli import main
 from dtqw.errors import NumericalContractError
 
@@ -385,18 +385,14 @@ def test_ring_above_the_cap_is_refused_before_any_array(tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("ring", [514, 1024])
-def test_symmetry_refuses_a_ring_above_the_dense_cap_before_building_it(tmp_path, capsys,
-                                                                       monkeypatch, ring):
-    def no_ring(*args, **kwargs):
-        raise AssertionError("a ring was built")
-
-    monkeypatch.setattr(symmetry, "build_walk", no_ring)
-    out = tmp_path / "o"
-    assert run(["symmetry", "--theta", "0.7854", "--ring-size", str(ring), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: ValidationError: dense() of {ring} sites is too large: capped at 512\n")
-    assert list(out.iterdir()) == []
+@pytest.mark.parametrize("ring", [1024, 4096])
+def test_symmetry_runs_on_rings_above_512(tmp_path, ring):
+    assert run(["symmetry", "--theta", "0.7854", "--ring-size", str(ring),
+                "--out", str(tmp_path)]) == 0
+    reports = read_json(tmp_path / "symmetry.json")
+    assert [r["name"] for r in reports] == ["SUB", "PHS", "PS", "CS", "TimeShiftV1",
+                                            "TimeShiftV2"]
+    assert all(r["passed"] for r in reports)
 
 
 def test_an_out_that_is_a_file_or_under_one_exits_2(tmp_path, capsys):

@@ -138,7 +138,7 @@ def test_timeshift_walks_are_frame_conjugations(delta, theta):
     p = CoinParams(delta, 0.0, 0.0, theta)
     for variant in (FrameVariant.V1, FrameVariant.V2):
         u = timeshift_walk(p, variant, 8).dense()
-        assert np.max(np.abs(u - frame_conjugated_walk(p, variant, 8))) < 1e-14
+        assert np.max(np.abs(u - frame_conjugated_walk(p, variant, 8).dense())) < 1e-14
 
 
 @PROPERTY_SETTINGS

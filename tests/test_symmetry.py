@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dtqw.core import CoinParams, wrap_angles
+from dtqw.core import GAP_EPS, CoinParams, phs_operator, wrap_angles
 from dtqw.errors import ValidationError
-from dtqw.lattice import ThetaProfile, build_walk, diagonalize
+from dtqw.lattice import (ThetaProfile, bloch_eigenvalues, build_walk, diagonalize, eigenvalues,
+                          ring_sites)
 from dtqw.momentum import bloch_hamiltonian, special_points
 from dtqw.symmetry import (
     DOMAIN_TOL,
@@ -14,6 +17,7 @@ from dtqw.symmetry import (
     chiral_residual,
     chiral_vector,
     frame_conjugated_walk,
+    norm_kind,
     parity_residual_bloch,
     phs_residual,
     run_symmetry_suite,
@@ -21,7 +25,7 @@ from dtqw.symmetry import (
     sublattice_residual,
     timeshift_walk,
 )
-from dtqw.topology import FrameVariant
+from dtqw.topology import FrameVariant, frame_rotation
 
 
 def test_sublattice_residual_homogeneous():
@@ -182,7 +186,7 @@ def test_v1_frame_has_theta_independent_chiral_axis():
 def test_timeshift_v1_equals_frame_conjugation():
     p = CoinParams(0, 0, 0, math.pi / 4)
     u1 = timeshift_walk(p, FrameVariant.V1, 8).dense()
-    ref = frame_conjugated_walk(p, FrameVariant.V1, 8)
+    ref = frame_conjugated_walk(p, FrameVariant.V1, 8).dense()
     assert np.max(np.abs(u1 - ref)) < 1e-12
 
 
@@ -233,10 +237,8 @@ def test_suite_is_deterministic():
 @pytest.mark.parametrize("alpha", [1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9])
 def test_suite_omits_phs_where_the_gauge_misses_the_wrap(n, alpha):
     # alpha N within 1e-9 of 2 pi m used to admit PHS, but the gauge's defect
-    # at the wrap, about 2 |remainder(alpha N, 2 pi)|, then failed it.  At
-    # N = 512, beta = 0.3 skips the time-shift spectra, which cost ~2 s there
-    # and have nothing to do with the PHS domain.
-    p = CoinParams(0, alpha, 0.0 if n <= 64 else 0.3, 0.5)
+    # at the wrap, about 2 |remainder(alpha N, 2 pi)|, then failed it.
+    p = CoinParams(0, alpha, 0.0, 0.5)
     phs = [r for r in run_symmetry_suite(p, n_sites=n) if r.name == "PHS"]
     assert phs == [] or phs[0].passed
 
@@ -245,9 +247,19 @@ def test_suite_omits_phs_where_the_gauge_misses_the_wrap(n, alpha):
 def test_suite_keeps_phs_at_lattice_momenta(n):
     assert DOMAIN_TOL < RESIDUAL_TOL / 2
     for alpha in (0.0, 2 * math.pi / n):
-        p = CoinParams(0, alpha, 0.0 if n <= 64 else 0.3, 0.5)
+        p = CoinParams(0, alpha, 0.0, 0.5)
         phs = [r for r in run_symmetry_suite(p, n_sites=n) if r.name == "PHS"]
         assert len(phs) == 1 and phs[0].passed
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2 * math.pi * 5 / 65536])
+def test_phs_residual_does_not_grow_with_the_ring(alpha):
+    # a BLAS dot product for lambda's fit grew the residual about linearly in
+    # N (2.6e-13 here); the pairwise sum keeps it at a few ulps
+    p = CoinParams(0.3, alpha, 0.7, 0.9)
+    res, lam = phs_residual(build_walk(p, n_sites=65536), p)
+    assert res < 1e-14
+    assert abs(abs(lam) - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -258,3 +270,83 @@ def test_suite_keeps_cs_and_time_shifts_inside_the_domain(n, alpha, beta):
     names = {"SUB", "PHS", "PS", "CS", "TimeShiftV1", "TimeShiftV2"} - ({"PHS"} if alpha else set())
     assert {r.name for r in reports} == names
     assert all(r.passed for r in reports)
+
+
+# The dense formulas the O(N) residuals replace, kept as their oracle.
+def _dense_norm(m):
+    return float(np.linalg.norm(m, 2) if norm_kind(m.shape[0]) == "spectral"
+                 else np.max(np.abs(m)))
+
+
+def _dense_sub(u):
+    mat = u.dense()
+    signs = np.repeat(1 - 2 * (ring_sites(u.n_sites) & 1), 2)
+    return _dense_norm(signs[:, None] * mat * signs[None, :] + mat)
+
+
+def _dense_phs(u, p):
+    mat = u.dense()
+    d = phs_operator(p.alpha, p.beta).gauge_matrix(ring_sites(u.n_sites))
+    conjugated = d[:, None] * mat.conj() * d.conj()[None, :]
+    inner = complex(np.vdot(mat, conjugated))
+    return _dense_norm(conjugated - inner / abs(inner) * mat)
+
+
+def _dense_timeshift_v1(p, n):
+    v = np.kron(np.eye(n), frame_rotation(FrameVariant.V1, p.theta))
+    conjugated = v @ build_walk(p, n_sites=n).dense() @ v.conj().T
+    return _dense_norm(timeshift_walk(p, FrameVariant.V1, n).dense() - conjugated)
+
+
+def _hausdorff(e, f):
+    d = np.abs(e[:, None] - f[None, :])
+    return float(max(np.max(np.min(d, axis=1)), np.max(np.min(d, axis=0))))
+
+
+_angles = st.floats(-math.pi, math.pi)
+# the gap closings, the flat band, and the rest of the circle
+_thetas = st.one_of(st.sampled_from([s * t for t in (1e-10, math.pi / 2, math.pi - 1e-10)
+                                     for s in (1, -1)]), _angles)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 32), _angles, st.integers(-3, 3), _angles, _thetas, _thetas,
+       st.booleans())
+def test_o_n_residuals_match_the_dense_formulas(half, delta, m, beta, theta, theta2, wall):
+    n = 2 * half
+    p = CoinParams(delta, 2 * math.pi * m / n, beta, theta)
+    profile = ThetaProfile.sharp_interface(theta, theta2, n) if wall else None
+    u = build_walk(p, profile, n_sites=n)
+    assert abs(sublattice_residual(u) - _dense_sub(u)) <= 1e-15
+    assert abs(phs_residual(u, p)[0] - _dense_phs(u, p)) <= 1e-15
+    if abs(theta) > GAP_EPS:
+        q = CoinParams(delta, 0.0, 0.0, theta)
+        v1 = timeshift_walk(q, FrameVariant.V1, n)
+        res = _dense_norm(v1.dense() - frame_conjugated_walk(q, FrameVariant.V1, n).dense())
+        assert abs(res - _dense_timeshift_v1(q, n)) <= 1e-15
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 128), _angles, _angles, _angles, _thetas,
+       st.sampled_from(["plain", "V1", "V2"]))
+def test_bloch_spectra_match_the_dense_spectra(half, delta, alpha, beta, theta, kind):
+    n = 2 * half
+    if kind == "plain":
+        u = build_walk(CoinParams(delta, alpha, beta, theta), n_sites=n)
+    else:
+        assume(abs(theta) > GAP_EPS)
+        u = timeshift_walk(CoinParams(delta, 0.0, 0.0, theta), FrameVariant[kind], n)
+    e = bloch_eigenvalues(u)
+    assert _hausdorff(e, eigenvalues(u)) <= 1e-14
+    # matching through sorted eigenphases may pass over the nearest point of a
+    # cluster of round-off width, never a nearer one
+    plain = build_walk(CoinParams(delta, 0.0, 0.0, theta), n_sites=n)
+    excess = spectrum_match_residual(plain, u) - _hausdorff(bloch_eigenvalues(plain), e)
+    assert 0.0 <= excess <= 1e-14
+
+
+def test_bloch_spectra_need_a_homogeneous_walk():
+    p = CoinParams(0, 0, 0, 0.5)
+    wall = build_walk(p, ThetaProfile.sharp_interface(-0.5, 0.5, 8))
+    with pytest.raises(ValidationError, match="homogeneous walk: the coins of its 8 sites differ"):
+        spectrum_match_residual(build_walk(p, n_sites=8), wall)
