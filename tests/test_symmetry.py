@@ -321,8 +321,7 @@ def test_o_n_residuals_match_the_dense_formulas(half, delta, m, beta, theta, the
     assert abs(phs_residual(u, p)[0] - _dense_phs(u, p)) <= 1e-15
     if abs(theta) > GAP_EPS:
         q = CoinParams(delta, 0.0, 0.0, theta)
-        v1 = timeshift_walk(q, FrameVariant.V1, n)
-        res = _dense_norm(v1.dense() - frame_conjugated_walk(q, FrameVariant.V1, n).dense())
+        res = {r.name: r.residual for r in run_symmetry_suite(q, n_sites=n)}["TimeShiftV1"]
         assert abs(res - _dense_timeshift_v1(q, n)) <= 1e-15
 
 
