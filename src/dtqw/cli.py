@@ -29,8 +29,8 @@ from .edge import (
     experiment_json_dict,
 )
 from .errors import NumericalContractError, ValidationError
-from .lattice import state_table, trajectory_table
-from .momentum import DEFAULT_GRID, band_structure, band_table, gap_report
+from .lattice import check_ring, state_table, trajectory_table
+from .momentum import DEFAULT_GRID, band_structure, band_table, check_grid, gap_report
 from .symmetry import reports_json, run_symmetry_suite
 from .topology import (
     FrameVariant,
@@ -58,22 +58,9 @@ _CASES = {
 # A sweep of more points is refused: 1000 times the largest sweep in use, and
 # a bound on the memory of its arrays and table (about 120 bytes a point).
 MAX_SWEEP_POINTS = 10**7
-# A larger --grid is refused before any array is built: 1024 times the largest in use.
-MAX_GRID = 2**20
-# A longer ring is refused before any array is built: 256 times the largest in
-# use, and a bound on memory (traced peaks of 264 bytes a site for edge, 388 for
-# evolve: 1.1 and 1.6 GB).
-MAX_RING = 2**22
-
 # Words argparse reads as a negative value, not as a flag.  Its own test takes
 # only -1 and -1.5, so a flag's value -1e-4, -inf or -nan would read as a flag.
 _NEGATIVE_VALUE = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
-
-
-def _family_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--delta", type=float, default=0.0)
-    parser.add_argument("--alpha", type=float, default=0.0)
-    parser.add_argument("--beta", type=float, default=0.0)
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -84,60 +71,15 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="interpret all angle flags in degrees")
 
 
-def _band_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", type=float, required=True)
-    _family_flags(p)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+def _flag(name: str, kind=float, **options) -> tuple[str, dict]:
+    """A subcommand's flag: its name and ``add_argument`` options."""
+    return name, {"type": kind, **options}
 
 
-def _map_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", type=float, required=True)
-    _family_flags(p)
-    p.add_argument("--frame", choices=sorted(_FRAMES), default="identity")
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-
-
-def _winding_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", type=float, required=True)
-    _family_flags(p)
-
-
-def _invariant_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", type=float)
-    p.add_argument("--theta1", type=float)
-    p.add_argument("--theta2", type=float)
-    _family_flags(p)
-
-
-def _symmetry_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", type=float, required=True)
-    _family_flags(p)
-    p.add_argument("--ring-size", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0, help="seed of the PHS involution probe")
-
-
-def _edge_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta1", type=float, required=True)
-    p.add_argument("--theta2", type=float, required=True)
-    _family_flags(p)
-    p.add_argument("--ring-size", type=int, default=64)
-
-
-def _evolve_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta1", type=float, required=True)
-    p.add_argument("--theta2", type=float, required=True)
-    _family_flags(p)
-    p.add_argument("--case", choices=sorted(_CASES), required=True)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--ring-size", type=int, default=512)
-
-
-def _sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta-min", type=float, required=True)
-    p.add_argument("--theta-max", type=float, required=True)
-    p.add_argument("--theta-step", type=float, required=True)
-    _family_flags(p)
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+_THETA = _flag("--theta", required=True)
+_WALL = (_flag("--theta1", required=True), _flag("--theta2", required=True))
+_FAMILY = tuple(_flag(name, default=0.0) for name in ("--delta", "--alpha", "--beta"))
+_GRID = _flag("--grid", int, default=DEFAULT_GRID)
 
 
 @functools.cache
@@ -156,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, flags, func) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p._negative_number_matcher = _NEGATIVE_VALUE
-        flags(p)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
         _common_flags(p)
         p.set_defaults(func=func)
     return parser
@@ -175,16 +118,12 @@ def _config_echo(args: argparse.Namespace) -> dict:
 
 def _validate(args: argparse.Namespace) -> list[str]:
     problems = []
-    grid = getattr(args, "grid", 8)
-    if grid < 8:
-        problems.append("--grid must be at least 8")
-    elif grid > MAX_GRID:
-        problems.append(f"--grid must be at most {MAX_GRID}, got {grid}")
-    ring = getattr(args, "ring_size", 4)
-    if ring < 4 or ring % 2:
-        problems.append("--ring-size must be even and at least 4")
-    elif ring > MAX_RING:
-        problems.append(f"--ring-size must be at most {MAX_RING}, got {ring}")
+    for check, name in ((check_grid, "grid"), (check_ring, "ring_size")):
+        if hasattr(args, name):  # the library's own rule, before any array is built
+            try:
+                check(getattr(args, name), "--" + name.replace("_", "-"))
+            except ValidationError as exc:
+                problems.append(str(exc))
     if args.command == "invariant":
         given = tuple(v is not None for v in (args.theta, args.theta1, args.theta2))
         if given not in ((True, False, False), (False, True, True)):
@@ -239,18 +178,12 @@ def cmd_map(args) -> int:
     return 0
 
 
-def _frame_winding(p: CoinParams, variant: FrameVariant) -> int | None:
-    """rotated_winding, or None (JSON null) for a coin whose frames have no
-    fixed chiral plane (alpha or beta nonzero)."""
-    return rotated_winding(p, variant) if p.has_fixed_frames else None
-
-
 def cmd_winding(args) -> int:
     p = CoinParams(args.delta, args.alpha, args.beta, args.theta)
     result = {
         "winding_mt": winding_mt(p),
-        "rotated_v1_about_x": _frame_winding(p, FrameVariant.V1),
-        "rotated_v2_about_z": _frame_winding(p, FrameVariant.V2),
+        "rotated_v1_about_x": rotated_winding(p, FrameVariant.V1),
+        "rotated_v2_about_z": rotated_winding(p, FrameVariant.V2),
     }
     _write_record(args, "winding", result)
     print(io.json_text(result), end="")
@@ -341,17 +274,29 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-# name: (help, flags of its own, command), in the order of the usage line
+# name: (help, its own flags in order, command), in the order of the usage line
 _SUBCOMMANDS = {
-    "band": ("band structure CSV plus gap report", _band_flags, cmd_band),
-    "map": ("Brillouin-zone image curve, optionally frame-rotated", _map_flags, cmd_map),
-    "winding": ("winding numbers of the image curve", _winding_flags, cmd_winding),
-    "invariant": ("phase classification of one coin or a pair", _invariant_flags,
+    "band": ("band structure CSV plus gap report", (_THETA, *_FAMILY, _GRID), cmd_band),
+    "map": ("Brillouin-zone image curve, optionally frame-rotated",
+            (_THETA, *_FAMILY, _flag("--frame", None, choices=sorted(_FRAMES), default="identity"),
+             _GRID), cmd_map),
+    "winding": ("winding numbers of the image curve", (_THETA, *_FAMILY), cmd_winding),
+    "invariant": ("phase classification of one coin or a pair",
+                  (_flag("--theta"), _flag("--theta1"), _flag("--theta2"), *_FAMILY),
                   cmd_invariant),
-    "symmetry": ("certify the symmetry relations numerically", _symmetry_flags, cmd_symmetry),
-    "edge": ("closed-form interface states and their residuals", _edge_flags, cmd_edge),
-    "evolve": ("interface dynamics experiment", _evolve_flags, cmd_evolve),
-    "sweep": ("phase classification over a theta range", _sweep_flags, cmd_sweep),
+    "symmetry": ("certify the symmetry relations numerically",
+                 (_THETA, *_FAMILY, _flag("--ring-size", int, default=8),
+                  _flag("--seed", int, default=0, help="seed of the PHS involution probe")),
+                 cmd_symmetry),
+    "edge": ("closed-form interface states and their residuals",
+             (*_WALL, *_FAMILY, _flag("--ring-size", int, default=64)), cmd_edge),
+    "evolve": ("interface dynamics experiment",
+               (*_WALL, *_FAMILY, _flag("--case", None, choices=sorted(_CASES), required=True),
+                _flag("--steps", int, default=200), _flag("--ring-size", int, default=512)),
+               cmd_evolve),
+    "sweep": ("phase classification over a theta range",
+              (*(_flag(f"--theta-{end}", required=True) for end in ("min", "max", "step")),
+               *_FAMILY, _GRID), cmd_sweep),
 }
 
 

@@ -7,7 +7,9 @@ The coin family used throughout the package is the four-angle U(2) matrix
                          [-sin(theta)*e^{-i*(alpha+beta)}, cos(theta)*e^{-i*alpha}]]
 
 together with the Pauli decomposition of 2x2 matrices and the
-particle-hole operator.
+particle-hole operator.  The coin is exp(-i delta) D_alpha G_beta R_theta G_beta^dagger
+with D_alpha = diag(e^{i alpha}, e^{-i alpha}), G_beta = D_{beta/2} and R_theta real:
+every family is the alpha = beta = 0 walk moved by ``gauged``, alpha a shift of k.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 # of a gapped coin is degenerate, and sgn(theta) is taken only for |theta| > it.
 GAP_EPS = 1e-12
 
-# The one domain threshold: alpha N within it of 2 pi Z, alpha or beta within it
-# of 0, two families within it of each other.  There the residuals, which grow as
-# about 2 |remainder(alpha N, 2 pi)|, |alpha| and 2.65 |beta|, stay far below RESIDUAL_TOL.
+# The one domain threshold: alpha N within it of 2 pi Z, eta of 0 or pi, two
+# families within it of each other.  There the PHS residual, which grows as about
+# 2 |remainder(alpha N, 2 pi)|, stays far below RESIDUAL_TOL.
 RESIDUAL_TOL = 1e-12  # a certified relation passes with its residual below it
 DOMAIN_TOL = RESIDUAL_TOL / 20
 
@@ -96,13 +98,6 @@ class CoinParams:
         """True iff theta is neither 0 nor pi (both quasienergy gaps open)."""
         return bool(gapped(self.theta))
 
-    @property
-    def has_fixed_frames(self) -> bool:
-        """True iff |alpha|, |beta| < DOMAIN_TOL.  Only then do the frame
-        rotations V1 and V2 have fixed chiral planes, so the time-shifted walks
-        and the frame windings are defined for these coins alone."""
-        return abs(self.alpha) < DOMAIN_TOL and abs(self.beta) < DOMAIN_TOL
-
     def family(self) -> tuple[float, float, float]:
         """The (delta, alpha, beta) triple shared by a one-parameter theta family."""
         return (self.delta, self.alpha, self.beta)
@@ -132,6 +127,14 @@ def coin_matrices(delta: float, alpha: float, beta: float, thetas) -> np.ndarray
 def coin_matrix(p: CoinParams) -> np.ndarray:
     """The 2x2 coin unitary for the given angles."""
     return coin_matrices(p.delta, p.alpha, p.beta, p.theta)
+
+
+def gauged(m: np.ndarray, beta: float) -> np.ndarray:
+    """G_beta m G_beta^dagger on the last two axes: off-diagonals times exp(+/- i beta)."""
+    out = np.array(m, dtype=complex)
+    out[..., 0, 1] *= np.exp(1j * beta)
+    out[..., 1, 0] /= np.exp(1j * beta)
+    return out
 
 
 def pauli_decompose(m: np.ndarray) -> tuple[complex, np.ndarray]:

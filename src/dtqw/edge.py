@@ -27,11 +27,13 @@ from .core import DOMAIN_TOL, CoinParams, wrap_angle
 from .errors import ValidationError
 from .io import json_complex
 from .lattice import (
+    MAX_RING,
     ThetaProfile,
     Trajectory,
     WalkerState,
     WalkOperator,
     build_walk,
+    check_ring,
     evolve,
     ring_sites,
     window_sites,
@@ -69,8 +71,7 @@ class InterfaceSpec:
             raise ValidationError(f"theta1 = {self.theta1} must lie in (-pi, 0)")
         if not (0.0 < self.theta2 < math.pi):
             raise ValidationError(f"theta2 = {self.theta2} must lie in (0, pi)")
-        if self.n_sites % 2 or self.n_sites < 4:
-            raise ValidationError(f"ring size must be even and at least 4, got {self.n_sites}")
+        check_ring(self.n_sites)
 
     def profile(self) -> ThetaProfile:
         return ThetaProfile.sharp_interface(self.theta1, self.theta2, self.n_sites)
@@ -97,8 +98,11 @@ class InterfaceSpec:
         n = self.n_sites
         r = max(abs(a2), abs(q1))
         if r ** n >= TRUNCATION_EPS:
-            need = "no ring is long enough"
-            if r < 1.0:  # step from the estimate log(eps)/log(r) to the smallest even ring
+            if r >= 1.0:
+                need = "no ring is long enough"
+            elif r ** MAX_RING >= TRUNCATION_EPS:
+                need = f"no admitted ring, up to {MAX_RING} sites, holds the closed form"
+            else:  # step from the estimate log(eps)/log(r) to the smallest even ring
                 m = 2 * max(2, math.ceil(math.log(TRUNCATION_EPS) / math.log(r) / 2))
                 while m > 4 and r ** (m - 2) < TRUNCATION_EPS:
                     m -= 2
@@ -265,12 +269,13 @@ def dynamics_experiment(spec: InterfaceSpec, case: InitialStateCase,
     """
     if steps < MIN_STEPS:
         raise ValidationError(f"steps = {steps}: the experiment needs at least {MIN_STEPS} steps")
-    window_width = 2 * WINDOW_HALFWIDTH + 1
-    if spec.n_sites < 2 * steps + window_width:
-        raise ValidationError(
-            f"ring of {spec.n_sites} sites too small: need n_sites >= "
-            f"{2 * steps + window_width} to keep wavefronts from wrapping into the window"
-        )
+    need = 2 * (steps + WINDOW_HALFWIDTH + 1)  # the smallest even ring that holds the run
+    if need > MAX_RING:
+        raise ValidationError(f"steps = {steps}: at most {MAX_RING // 2 - WINDOW_HALFWIDTH - 1} "
+                              f"steps fit in an admitted ring (up to {MAX_RING} sites)")
+    if spec.n_sites < need:
+        raise ValidationError(f"ring of {spec.n_sites} sites too small: need n_sites >= {need} "
+                              "to keep wavefronts from wrapping into the window")
     state, edges = initial_state(spec, case)
     projections, _ = overlap_decomposition(state, edges)
     window = window_sites(0, WINDOW_HALFWIDTH, spec.n_sites) + spec.n_sites // 2

@@ -22,6 +22,10 @@ from .io import Table
 
 # Dense materialization / eigensolve cap (2N x 2N matrices).
 DENSE_CAP = 512
+# A longer ring is refused before any array is built: 256 times the largest in
+# use, and a bound on memory (traced peaks of 264 bytes a site for edge, 388 for
+# evolve: 1.1 and 1.6 GB).
+MAX_RING = 2**22
 
 
 def check_dense(n_sites: int) -> None:
@@ -30,21 +34,29 @@ def check_dense(n_sites: int) -> None:
         raise ValidationError(f"dense() of {n_sites} sites is too large: capped at {DENSE_CAP}")
 
 
+def check_ring(n_sites: int, name: str = "ring size") -> None:
+    """The one ring rule: an even number of sites, at least 4 and at most MAX_RING."""
+    if n_sites < 4 or n_sites % 2:
+        raise ValidationError(f"{name} must be even and at least 4, got {n_sites}")
+    if n_sites > MAX_RING:
+        raise ValidationError(f"{name} must be at most {MAX_RING}, got {n_sites}")
+
+
 def ring_sites(n_sites: int) -> np.ndarray:
     return np.arange(-(n_sites // 2), n_sites // 2)
 
 
 @dataclass(eq=False)
 class ThetaProfile:
-    """Per-site coin angles theta_x on a ring; the one check of ring size."""
+    """Per-site coin angles theta_x on a ring (``check_ring``)."""
 
     thetas: np.ndarray
 
     def __post_init__(self):
         self.thetas = np.asarray(self.thetas, dtype=float).copy()
-        if self.thetas.ndim != 1 or self.n_sites < 4 or self.n_sites % 2:
-            raise ValidationError("ring size must be even and at least 4, got thetas "
-                                  f"of shape {self.thetas.shape}")
+        if self.thetas.ndim != 1:
+            raise ValidationError(f"thetas of shape {self.thetas.shape}, not (n_sites,)")
+        check_ring(self.n_sites)
         self.thetas.setflags(write=False)
 
     @property

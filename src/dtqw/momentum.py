@@ -39,6 +39,8 @@ from .errors import ValidationError
 from .io import Table
 
 DEFAULT_GRID = 512
+# A larger grid is refused before any array is built: 1024 times the largest in use.
+MAX_GRID = 2**20
 
 
 @dataclass(frozen=True)
@@ -140,16 +142,18 @@ def momentum_step_matrix(p: CoinParams, k: float) -> np.ndarray:
     return np.diag([np.exp(-1j * k), np.exp(1j * k)]) @ coin_matrix(p)
 
 
-def _checked_grid(grid_size: int) -> int:
-    """The one k-grid rule: at least 8 points, else ValidationError."""
+def check_grid(grid_size: int, name: str = "grid_size") -> int:
+    """The one k-grid rule: at least 8 points and at most MAX_GRID, else ValidationError."""
     if grid_size < 8:
-        raise ValidationError(f"grid_size must be at least 8, got {grid_size}")
+        raise ValidationError(f"{name} must be at least 8, got {grid_size}")
+    if grid_size > MAX_GRID:
+        raise ValidationError(f"{name} must be at most {MAX_GRID}, got {grid_size}")
     return grid_size
 
 
 def k_grid(grid_size: int) -> np.ndarray:
     """Uniform Brillouin-zone grid over (-pi, pi], endpoint -pi excluded."""
-    return -np.pi + 2.0 * np.pi * np.arange(1, _checked_grid(grid_size) + 1) / grid_size
+    return -np.pi + 2.0 * np.pi * np.arange(1, check_grid(grid_size) + 1) / grid_size
 
 
 @dataclass(eq=False)
@@ -225,7 +229,7 @@ def band_structure(p: CoinParams, grid_size: int = DEFAULT_GRID, thetas=None) ->
     tabulated.
     """
     block = None if thetas is None else np.atleast_1d(np.asarray(thetas, dtype=float))
-    return BandStructure(p, _checked_grid(grid_size), block)
+    return BandStructure(p, check_grid(grid_size), block)
 
 
 def gap_report(b: BandStructure) -> GapReport:

@@ -1,21 +1,21 @@
 """Symmetry operators of the walk and numerical certification of their
 (anti)commutation relations.
 
-Certified relations, each on its stated domain:
+Each relation is the alpha = beta = 0 one moved by the gauge (``core.gauged``):
 
 * sublattice: the alternating-sign site operator anticommutes with the walk
   on any even ring, for any theta profile;
 * particle-hole (alpha a lattice momentum 2 pi m / N of the ring only): the
   antiunitary built from the squared gauge transformation conjugates the walk
   into itself (times a global phase when delta != 0);
-* parity: i n_beta . sigma maps the Bloch Hamiltonian at k to the one at
-  2*alpha - k;
-* chiral (beta = 0 only): exp(-i pi/2 m . sigma) with m = (cos theta, 0,
+* parity: G_beta (i sigma_y) G_beta^dagger = i n_beta . sigma maps the Bloch
+  Hamiltonian at k to the one at 2*alpha - k;
+* chiral: G_beta exp(-i pi/2 m . sigma) G_beta^dagger with m = (cos theta, 0,
   -sin theta) anticommutes with the traceless Bloch Hamiltonian.
 
-Time-shifted products V U V^dagger of the same walk, V the rotation of the V1
-or V2 frame, are built here as well; they share the walk's spectrum while
-their image curves wind differently.
+Time-shifted products V' U V'^dagger of the same walk, V' the gauge-moved
+rotation of the V1 or V2 frame, are built here as well; they share the walk's
+spectrum while their image curves wind differently.
 
 Every ring relation takes O(N) work: SUB, PHS and TimeShiftV1 compare hopping
 blocks (``WalkOperator.hopping``), TimeShiftV2 2 x 2 Bloch spectra.
@@ -27,13 +27,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import (DOMAIN_TOL, GAP_EPS, ID2, RESIDUAL_TOL, CoinParams, coin_matrices,
+from .core import (GAP_EPS, ID2, RESIDUAL_TOL, SIGMA_Y, CoinParams, coin_matrices, gauged,
                    is_commensurate, pauli_compose, phs_operator, wrap_angle)
 from .errors import ValidationError
 from .io import json_complex
 from .lattice import ThetaProfile, WalkOperator, bloch_eigenvalues, build_walk, ring_sites
 from .momentum import bloch_hamiltonian, bloch_vectors
-from .topology import FrameVariant, frame_angle, frame_rotation, frame_so3, manifold_frame
+from .topology import FrameVariant, frame_angle, frame_rotation, frame_so3
 
 # Spectral norm up to this matrix dimension, max-entry norm beyond.
 SPECTRAL_NORM_CAP = 64
@@ -111,13 +111,14 @@ def phs_residual(u: WalkOperator, p: CoinParams | None = None) -> tuple[float, c
 
 
 def parity_residual_bloch(p: CoinParams, k: float) -> float:
-    """|| P H_k P^-1 - H_{2 alpha - k} || with P = i n_beta . sigma.
+    """|| P H_k P^-1 - H_{2 alpha - k} || with P = G_beta (i sigma_y) G_beta^dagger,
+    that is i n_beta . sigma.
 
     At the special momenta k = alpha + j*pi this reduces to a commutator.
     Raises ValidationError if the gap closes at either momentum.
     """
     k_mirror = wrap_angle(2.0 * p.alpha - k)
-    par = 1j * pauli_compose(0, manifold_frame(p.beta).n_beta)
+    par = gauged(1j * SIGMA_Y, p.beta)
     h_k = bloch_hamiltonian(p, k)
     h_m = bloch_hamiltonian(p, k_mirror)
     return float(np.linalg.norm(par @ h_k @ par.conj().T - h_m, 2))
@@ -126,7 +127,7 @@ def parity_residual_bloch(p: CoinParams, k: float) -> float:
 def chiral_vector(theta: float) -> np.ndarray:
     """Unit vector m = (cos theta, 0, -sin theta), orthogonal to every Bloch
     vector of the beta = 0 coin: the V1 frame's chiral axis X in the lab frame,
-    R^T X with R the frame's SO(3) action."""
+    R^T X with R the frame's SO(3) action.  The gauge moves it to R_z(-beta) m."""
     return frame_so3(FrameVariant.V1, theta)[0]
 
 
@@ -136,38 +137,33 @@ def chiral_operator(theta: float) -> np.ndarray:
 
 
 def chiral_residual(p: CoinParams, k: float) -> float:
-    """Anticommutation residual of the chiral operator with the traceless
-    Bloch Hamiltonian; defined only for beta = 0 (|beta| < DOMAIN_TOL).
+    """Anticommutation residual of the gauge-moved chiral operator
+    G_beta Gamma(theta) G_beta^dagger with the traceless Bloch Hamiltonian.
 
     The traceless part is used because the identity component delta*I commutes
     with everything and would fail anticommutation trivially for delta != 0.
     """
-    if abs(p.beta) >= DOMAIN_TOL:
-        raise ValidationError(f"chiral relation holds only for beta = 0, got beta = {p.beta} "
-                              f"(tolerance {DOMAIN_TOL:g})")
-    gamma = chiral_operator(p.theta)
+    gamma = gauged(chiral_operator(p.theta), p.beta)
     h0 = bloch_hamiltonian(p, k) - p.delta * ID2
     return float(np.linalg.norm(gamma @ h0 @ gamma.conj().T + h0, 2))
 
 
 def timeshift_walk(p: CoinParams, variant, n_sites: int) -> WalkOperator:
-    """Rearranged one-step operator for a homogeneous alpha = beta = 0 walk.
+    """Rearranged one-step operator V' U V'^dagger of a homogeneous walk, any alpha.
 
-    With V = exp(i phi sigma_y) the frame rotation, the coin C(delta/2, theta - phi)
-    before the shift and C(delta/2, phi) after it make V U V^dagger: V1 splits
-    the coin in half around the shift, V2 asymmetrically.  Both share the plain
-    walk's spectrum.
+    With V' = G_beta V G_beta^dagger the frame rotation, D_alpha G_beta C G_beta^dagger
+    before the shift and G_beta C' G_beta^dagger after it, C = C(delta/2, theta - phi)
+    and C' = C(delta/2, phi) at alpha = beta = 0, make V' U V'^dagger: V1 splits the
+    coin in half around the shift, V2 asymmetrically.  Both share U's spectrum.
     """
-    if not p.has_fixed_frames:
-        raise ValidationError("time-shifted products are defined for alpha = beta = 0, got "
-                              f"alpha = {p.alpha}, beta = {p.beta} (tolerance {DOMAIN_TOL:g})")
     if abs(p.theta) <= GAP_EPS:
         raise ValidationError(f"theta = {p.theta} has no sign; time-shifted split undefined")
     if variant is FrameVariant.IDENTITY:
         return build_walk(p, n_sites=n_sites)
     profile = ThetaProfile.homogeneous(p.theta, n_sites)
     phi = frame_angle(variant, p.theta)
-    first, second = coin_matrices(p.delta / 2.0, 0.0, 0.0, [p.theta - phi, phi])
+    first = coin_matrices(p.delta / 2.0, p.alpha, p.beta, p.theta - phi)
+    second = coin_matrices(p.delta / 2.0, 0.0, p.beta, phi)
     return WalkOperator(p.delta, p.alpha, p.beta, profile,
                         np.broadcast_to(first, (n_sites, 2, 2)), post=second)
 
@@ -203,10 +199,9 @@ def _context(p: CoinParams, **extra) -> dict:
 def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0) -> list[SymmetryReport]:
     """Certify every relation applicable to the given parameters.
 
-    Returns one report per check; reports for relations whose domain excludes
-    the parameters are omitted by the test its function refuses on: PHS unless
-    is_commensurate(alpha, N), CS for |beta| >= DOMAIN_TOL, the time shifts
-    unless p.has_fixed_frames and |theta| > GAP_EPS.
+    Returns one report per check; two are omitted by the test their function
+    refuses on: PHS unless is_commensurate(alpha, N), the time shifts unless
+    |theta| > GAP_EPS.
     """
     rng = np.random.default_rng(seed)
     reports = []
@@ -236,12 +231,11 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0) -> list[S
     reports.append(SymmetryReport("PS", res, RESIDUAL_TOL, res < RESIDUAL_TOL,
                                   "spectral", _context(p, k_samples=list(ks))))
 
-    if abs(p.beta) < DOMAIN_TOL:
-        res = max(chiral_residual(p, k) for k in ks)
-        reports.append(SymmetryReport("CS", res, RESIDUAL_TOL, res < RESIDUAL_TOL,
-                                      "spectral", _context(p, k_samples=list(ks))))
+    res = max(chiral_residual(p, k) for k in ks)
+    reports.append(SymmetryReport("CS", res, RESIDUAL_TOL, res < RESIDUAL_TOL,
+                                  "spectral", _context(p, k_samples=list(ks))))
 
-    if p.has_fixed_frames and abs(p.theta) > GAP_EPS:
+    if abs(p.theta) > GAP_EPS:
         u1 = timeshift_walk(p, FrameVariant.V1, n_sites)
         v1 = frame_conjugated_walk(p, FrameVariant.V1, n_sites)
         res = walk_norm(*(a - b for a, b in zip(u1.hopping(), v1.hopping())))
@@ -258,10 +252,10 @@ def run_symmetry_suite(p: CoinParams, n_sites: int = 8, seed: int = 0) -> list[S
 
 
 def frame_conjugated_walk(p: CoinParams, variant, n_sites: int) -> WalkOperator:
-    """V U V^dagger for a homogeneous walk U = S C and the frame rotation V on
-    every site, exactly: V S C V^dagger = V S (C V^dagger), the walk with coins
-    C V^dagger and ``post`` V, O(N)."""
-    v = frame_rotation(variant, p.theta)
+    """V' U V'^dagger for a homogeneous walk U = S C and the gauge-moved frame
+    rotation V' on every site, exactly: V' S C V'^dagger = V' S (C V'^dagger),
+    the walk with coins C V'^dagger and ``post`` V', O(N)."""
+    v = frame_rotation(variant, p.theta, p.beta)
     u = build_walk(p, n_sites=n_sites)
     return WalkOperator(u.delta, u.alpha, u.beta, u.profile, u.coins @ v.conj().T, post=v)
 

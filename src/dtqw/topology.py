@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DOMAIN_TOL, GAP_EPS, CoinParams, coin_matrix, wrap_angle, wrap_angles
+from .core import DOMAIN_TOL, GAP_EPS, CoinParams, coin_matrix, gauged, wrap_angle, wrap_angles
 from .errors import ValidationError
 from .io import Table
 from .momentum import DEFAULT_GRID, band_structure, bloch_vectors, gap_report, k_grid
@@ -44,8 +44,10 @@ class FrameVariant(Enum):
     """Rotating frames V = exp(i*phi*sigma_y), phi = ``frame_angle``, that trade
     the theta-dependence of the chiral operator for a theta-dependent change of
     basis.  V1 moves every image curve into the YZ-plane (fixed chiral axis X),
-    V2 into the XY-plane (fixed chiral axis Z).  Both frames are unitarily
-    equivalent to the lab frame, yet their image curves wind differently.
+    V2 into the XY-plane (fixed chiral axis Z); for a beta family the gauge
+    moves the frame, its axes and the curve alike (``frame_rotation``).  Both
+    frames are unitarily equivalent to the lab frame, yet their image curves
+    wind differently.
     """
 
     IDENTITY = "Identity"
@@ -146,34 +148,37 @@ def frame_angle(variant: FrameVariant, theta: float) -> float:
     return 0.5 * theta - math.copysign(math.pi / 4.0, theta)
 
 
-def frame_rotation(variant: FrameVariant, theta: float) -> np.ndarray:
-    """SU(2) rotation exp(i*phi*sigma_y) of the given frame: the real coin at phi."""
-    return coin_matrix(CoinParams(0.0, 0.0, 0.0, frame_angle(variant, theta)))
+def frame_rotation(variant: FrameVariant, theta: float, beta: float = 0.0) -> np.ndarray:
+    """SU(2) rotation V = exp(i*phi*sigma_y) of the given frame, the real coin at
+    phi, moved by the gauge of the beta family: G_beta V G_beta^dagger."""
+    return gauged(coin_matrix(CoinParams(0.0, 0.0, 0.0, frame_angle(variant, theta))), beta)
 
 
-def frame_so3(variant: FrameVariant, theta: float) -> np.ndarray:
-    """SO(3) action R of the frame rotation, V (n.sigma) V^dagger = (R n).sigma:
-    the rotation about Y by -2*phi."""
+def frame_so3(variant: FrameVariant, theta: float, beta: float = 0.0) -> np.ndarray:
+    """SO(3) action of ``frame_rotation``, V' (n.sigma) V'^dagger = (R' n).sigma:
+    R' = R_z(-beta) R R_z(beta), R the rotation about Y by -2*phi; R itself
+    where they are equal (beta = 0 or the identity frame)."""
     angle = 2.0 * frame_angle(variant, theta)
     c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    r = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    if beta == 0.0 or variant is FrameVariant.IDENTITY:
+        return r
+    cb, sb = math.cos(beta), math.sin(beta)
+    rz = np.array([[cb, -sb, 0.0], [sb, cb, 0.0], [0.0, 0.0, 1.0]])
+    return rz.T @ r @ rz
 
 
 def rotated_winding(p: CoinParams, variant: FrameVariant) -> int:
-    """Winding of the frame-rotated image curve R n_k about the frame's chiral
-    axis, by the right-hand rule: in the (Y, Z) plane about X for V1, in the
-    (X, Y) plane about Z for V2.
+    """Winding of the frame-rotated image curve R' n_k (``frame_so3``) about the
+    frame's gauge-moved chiral axis, by the right-hand rule: about R_z(-beta) X
+    for V1, in the plane of R_z(-beta) Y and Z; about Z for V2, in the XY-plane.
 
-    The closed forms are -sgn(theta) for V1 and +1 for V2.  The frames'
-    chiral planes are fixed only for alpha = beta = 0; any other coin raises
-    ValidationError.
+    The closed forms are -sgn(theta) for V1 and +1 for V2, for every gapped
+    coin: the gauge moves the curve and the axes alike, and alpha shifts k.
     """
     _require_gapped(p)
     if variant is FrameVariant.IDENTITY:
         raise ValidationError("the identity frame has no chiral axis")
-    if not p.has_fixed_frames:
-        raise ValidationError("frame windings are defined for alpha = beta = 0, got "
-                              f"alpha = {p.alpha}, beta = {p.beta} (tolerance {DOMAIN_TOL:g})")
     if variant is FrameVariant.V2:
         return 1
     return -1 if p.theta > 0 else 1
@@ -283,9 +288,10 @@ def sweep_table(sweep: SweepResult) -> Table:
 def bz_image_table(
     p: CoinParams, variant: FrameVariant = FrameVariant.IDENTITY, grid_size: int = DEFAULT_GRID
 ) -> Table:
-    """The (optionally rotated) image curve, one row per k, tagged by frame."""
+    """The image curve, rotated by the frame's gauge-moved ``frame_so3`` (the
+    curve ``rotated_winding`` winds), one row per k, tagged by frame."""
     _require_gapped(p)
-    rot = frame_so3(variant, p.theta)
+    rot = frame_so3(variant, p.theta, p.beta)
     ks = k_grid(grid_size)
     n, _, _ = bloch_vectors(p, ks)
     curve = n @ rot.T

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from dtqw import cli, momentum, topology
+from dtqw import cli, lattice, momentum, topology
 from dtqw.cli import main
 from dtqw.errors import NumericalContractError
 
@@ -153,13 +153,12 @@ def test_negative_non_finite_values_reach_validation(tmp_path, capsys):
     assert "--theta-min must be finite, got -inf" in capsys.readouterr().err
 
 
-def test_winding_of_complex_coin_has_no_frame_values(tmp_path, capsys):
+def test_winding_of_complex_coin_has_the_real_coins_frame_values(tmp_path, capsys):
     for flag in ("--alpha", "--beta"):
         out = tmp_path / flag.strip("-")
         assert run(["winding", "--theta", "0.5", flag, "0.3", "--out", str(out)]) == 0
         result = json.loads(capsys.readouterr().out)
-        assert result == {"winding_mt": 1, "rotated_v1_about_x": None,
-                          "rotated_v2_about_z": None}
+        assert result == {"winding_mt": 1, "rotated_v1_about_x": -1, "rotated_v2_about_z": 1}
         assert read_json(out / "winding.json") == result
 
 
@@ -177,7 +176,7 @@ def test_symmetry_incommensurate_alpha_omits_only_phs(tmp_path, capsys):
                 "--out", str(tmp_path)])
     assert code == 0
     reports = read_json(tmp_path / "symmetry.json")
-    assert [r["name"] for r in reports] == ["SUB", "PS", "CS"]
+    assert [r["name"] for r in reports] == ["SUB", "PS", "CS", "TimeShiftV1", "TimeShiftV2"]
     assert all(r["passed"] for r in reports)
     assert "PHS" not in capsys.readouterr().out
 
@@ -193,21 +192,23 @@ def test_symmetry_omits_phs_just_off_a_lattice_momentum(tmp_path, capsys):
 
 @pytest.mark.parametrize("ring", ["8", "16"])
 @pytest.mark.parametrize("flag, value, omitted", [
-    ("--alpha", "1e-12", ["PHS", "TimeShiftV1", "TimeShiftV2"]),
-    ("--beta", "5e-13", ["CS", "TimeShiftV1", "TimeShiftV2"]),
-    ("--beta", "1e-12", ["CS", "TimeShiftV1", "TimeShiftV2"]),
+    ("--alpha", "1e-12", ["PHS"]),
+    ("--beta", "5e-13", []),
+    ("--beta", "1e-12", []),
 ])
 def test_symmetry_omits_relations_just_off_their_domain(tmp_path, capsys, ring, flag, value,
                                                         omitted):
-    # the CS and time-shift residuals grow as about 2.65 |beta| and |alpha|,
-    # which reach RESIDUAL_TOL = 1e-12 before alpha or beta reads as zero
+    # alpha N off 2 pi Z is off the PHS domain; CS and the time shifts, moved by
+    # the gauge, hold for any alpha and beta
     code = run(["symmetry", "--theta", "0.5", flag, value, "--ring-size", ring,
                 "--out", str(tmp_path)])
     assert code == 0
-    names = [r["name"] for r in read_json(tmp_path / "symmetry.json")]
+    reports = read_json(tmp_path / "symmetry.json")
+    names = [r["name"] for r in reports]
     assert set(names) | set(omitted) == {"SUB", "PHS", "PS", "CS", "TimeShiftV1",
                                          "TimeShiftV2"}
     assert not set(names) & set(omitted)
+    assert all(r["passed"] for r in reports)
 
 
 def test_edge_subcommand(tmp_path, capsys):
@@ -265,7 +266,17 @@ def test_evolve_ring_too_small_exits_2(tmp_path, capsys):
                 "--case", "overlap-one", "--steps", "500",
                 "--ring-size", "64", "--out", str(tmp_path)])
     assert code == 2
-    assert "ring of 64 sites too small: need n_sites >= 1011" in capsys.readouterr().err
+    assert "ring of 64 sites too small: need n_sites >= 1012" in capsys.readouterr().err
+
+
+def test_edge_near_a_closing_names_the_ring_cap(tmp_path, capsys):
+    # the smallest ring that holds the closed form, about 2.8e8 sites, exceeds the cap
+    code = run(["edge", "--theta1", "-1e-7", "--theta2", "1.0", "--ring-size", "64",
+                "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: ValidationError: ring of 64 sites too small: the geometric tails overlap the "
+        "wrap-around wall (no admitted ring, up to 4194304 sites, holds the closed form)\n")
 
 
 def test_edge_with_a_tail_that_never_decays_exits_2(tmp_path, capsys):
@@ -359,11 +370,11 @@ def test_grid_above_the_cap_is_refused_before_any_array(tmp_path, capsys, monkey
 
     for module, name in ((momentum, "k_grid"), (topology, "k_grid")):
         monkeypatch.setattr(module, name, no_grid)
-    too_big = str(cli.MAX_GRID + 1)
+    too_big = str(momentum.MAX_GRID + 1)
     assert run([*command, "--grid", too_big, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: --grid must be at most 1048576, got {too_big}\n"
     assert run([*command, "--grid", "7", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "error: --grid must be at least 8\n"
+    assert capsys.readouterr().err == "error: --grid must be at least 8, got 7\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -371,7 +382,7 @@ def test_grid_above_the_cap_is_refused_before_any_array(tmp_path, capsys, monkey
                                      ["edge", "--theta1", "-1", "--theta2", "1"],
                                      ["evolve", "--theta1", "-1", "--theta2", "1",
                                       "--case", "overlap-one"]])
-@pytest.mark.parametrize("ring", [cli.MAX_RING + 2, 10**13])
+@pytest.mark.parametrize("ring", [lattice.MAX_RING + 2, 10**13])
 def test_ring_above_the_cap_is_refused_before_any_array(tmp_path, capsys, monkeypatch,
                                                         command, ring):
     def no_ring(*args, **kwargs):
@@ -381,7 +392,7 @@ def test_ring_above_the_cap_is_refused_before_any_array(tmp_path, capsys, monkey
         monkeypatch.setattr(cli, name, no_ring)
     assert run([*command, "--ring-size", str(ring), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
-        f"error: --ring-size must be at most {cli.MAX_RING}, got {ring}\n")
+        f"error: --ring-size must be at most {lattice.MAX_RING}, got {ring}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -654,7 +665,7 @@ def test_reused_parsers_carry_no_state_between_calls(tmp_path, capsys, monkeypat
                                                                             (False, "c3")]
     assert echoes[0] == echoes[1]
     assert "unrecognized arguments: --bogus" in warm[2][2]
-    assert warm[4][2] == "error: --ring-size must be even and at least 4\n"
+    assert warm[4][2] == "error: --ring-size must be even and at least 4, got 3\n"
 
 
 def _edge_peak_at_the_benchmark_ring(out, fmt: str) -> int:

@@ -6,7 +6,9 @@ non-finite values, odd and even grids, small and invalid rings, both output
 formats and ``--degrees``.  Every command must exit 0, 2 or 3 with no
 uncaught exception, write and print JSON without NaN or Infinity, name the
 quantity and its tolerance when it exits 3, and ``symmetry`` must never
-report FAILED for a relation it certifies on its domain.
+report FAILED for a relation it certifies on its domain.  A refusal that names
+a ring (``need n_sites >= M``) names an admitted one, and running it gets past
+that refusal: exit 0, or another refusal.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dtqw.cli import main
+from dtqw.lattice import check_ring
 
 PI = math.pi
 # hypothesis leans to the first entry of a list, so each list opens with a usual value
@@ -37,6 +40,8 @@ wall_sides = (_wall_side.map(lambda t: -t), _wall_side)
 grids = st.sampled_from([64, 8, 9, 16, 17, 33, 7])
 # commands that print their JSON result on stdout
 PRINTS_JSON = {"band", "winding", "invariant", "edge", "evolve"}
+# A named ring up to this size is run; a longer one is only checked to be admitted.
+REMEDY_RUN_CAP = 2**16
 
 
 def _word(value) -> str:
@@ -127,6 +132,9 @@ EXAMPLES = [
     "winding --theta 0.5 --alpha 1e-13",
     "winding --theta 0.5 --beta -4e-14",
     "symmetry --theta 0.5 --beta 1e-13 --ring-size 16",
+    "edge --theta1 -1e-7 --theta2 1.0 --ring-size 64",
+    "edge --theta1 -0.01 --theta2 1.0 --ring-size 64",
+    "evolve --theta1 -1.0 --theta2 1.0 --case overlap-one --steps 120 --ring-size 64",
 ]
 
 
@@ -159,23 +167,36 @@ def test_every_command_exits_0_2_or_3_and_writes_valid_json(argv):
         assert "unrecognized arguments" not in stderr, (argv, stderr)
     if argv[0] == "symmetry":
         assert "FAILED" not in stdout, (argv, stdout)
+    remedy = re.search(r"need n_sites >= (\d+)", stderr) if code == 2 else None
+    if remedy:
+        _check_remedy(argv, stderr, int(remedy.group(1)))
+
+
+def _refusal(stderr: str) -> str:
+    """A refusal's kind: its text with the numbers left out."""
+    return re.sub(r"\d+", "#", stderr)
+
+
+def _check_remedy(argv, stderr, ring):
+    check_ring(ring)  # the named ring is admitted
+    if ring <= REMEDY_RUN_CAP:
+        i = argv.index("--ring-size") + 1
+        with tempfile.TemporaryDirectory() as out:
+            code, _, again = _run([*argv[:i], str(ring), *argv[i + 1:]], out)
+        assert code != 2 or _refusal(again) != _refusal(stderr), (argv, ring, again)
 
 
 def test_domain_tol_boundary_examples():
-    # DOMAIN_TOL = 5e-14: alpha = 1e-13 is off the fixed frames, beta = -4e-14
-    # on them, and beta = 1e-13 is off the chiral domain
+    # DOMAIN_TOL = 5e-14 decides PHS alone: alpha = 1e-13 and beta = +/-4e-14
+    # or 1e-13 keep the frame windings, CS and the time shifts
     with tempfile.TemporaryDirectory() as out:
-        code, stdout, _ = _run("winding --theta 0.5 --alpha 1e-13".split(), out)
-        assert code == 0
-        result = json.loads(stdout)
-        assert [result["rotated_v1_about_x"], result["rotated_v2_about_z"]] == [None, None]
-
-        code, stdout, _ = _run("winding --theta 0.5 --beta -4e-14".split(), out)
-        assert code == 0
-        result = json.loads(stdout)
-        assert [result["rotated_v1_about_x"], result["rotated_v2_about_z"]] == [-1, 1]
+        for flags in ("--alpha 1e-13", "--beta -4e-14"):
+            code, stdout, _ = _run(f"winding --theta 0.5 {flags}".split(), out)
+            assert code == 0
+            result = json.loads(stdout)
+            assert [result["rotated_v1_about_x"], result["rotated_v2_about_z"]] == [-1, 1]
 
         code, stdout, _ = _run("symmetry --theta 0.5 --beta 1e-13 --ring-size 16".split(), out)
         assert code == 0
         names = [line.split(":")[0] for line in stdout.splitlines()]
-        assert names == ["SUB", "PHS", "PS"]
+        assert names == ["SUB", "PHS", "PS", "CS", "TimeShiftV1", "TimeShiftV2"]

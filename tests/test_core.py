@@ -9,6 +9,7 @@ from dtqw.core import (
     SIGMA_X,
     CoinParams,
     coin_matrix,
+    gauged,
     is_commensurate,
     pauli_compose,
     pauli_decompose,
@@ -40,12 +41,13 @@ def test_coin_params_normalized_and_gapped():
     assert CoinParams(0, 0, 0, -0.9).with_theta(0.4).theta == pytest.approx(0.4)
 
 
-def test_fixed_frames_only_for_alpha_beta_zero():
-    assert CoinParams(0.7, 0, 0, 0.3).has_fixed_frames
-    assert CoinParams(0.7, 2 * math.pi, -4e-14, 0.3).has_fixed_frames
-    assert not CoinParams(0, 1e-9, 0, 0.3).has_fixed_frames
-    assert not CoinParams(0.7, 2 * math.pi, -1e-13, 0.3).has_fixed_frames
-    assert not CoinParams(0, 0, -0.2, 0.3).has_fixed_frames
+def test_gauged_conjugates_by_the_diagonal_gauge():
+    # G_beta m G_beta^dagger, G_beta = diag(e^{i beta/2}, e^{-i beta/2}), on a stack
+    m = np.random.default_rng(2).standard_normal((3, 2, 2, 2)) @ np.array([1, 1j])
+    for beta in (0.0, 0.7, -2.9):
+        g = np.diag([cmath.exp(0.5j * beta), cmath.exp(-0.5j * beta)])
+        assert np.max(np.abs(gauged(m, beta) - g @ m @ g.conj().T)) < ALGEBRA_TOL
+    assert gauged(m, 0.0).tobytes() == m.tobytes()
 
 
 def test_coin_matrix_identity_and_quarter_turn():

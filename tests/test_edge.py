@@ -9,6 +9,7 @@ from dtqw.edge import (
     InitialStateCase,
     InterfaceSpec,
     TRUNCATION_EPS,
+    WINDOW_HALFWIDTH,
     analytic_edge_state,
     decay_constant,
     dynamics_experiment,
@@ -18,7 +19,7 @@ from dtqw.edge import (
     overlap_decomposition,
 )
 from dtqw.errors import ValidationError
-from dtqw.lattice import WalkerState, diagonalize, ring_sites, window_sites
+from dtqw.lattice import MAX_RING, WalkerState, diagonalize, ring_sites, window_sites
 from dtqw.topology import predicted_edge_states
 
 CAPTION_SPEC = dict(delta=0.0, alpha=0.0, beta=math.pi / 2,
@@ -137,16 +138,28 @@ def test_ring_refusal_names_the_smallest_ring(theta1, theta2, alpha):
 
 
 def test_ring_refusal_near_a_gap_closing():
-    # the smallest ring is ~2.8e14 sites: r^M < TRUNCATION_EPS <= r^(M - 2)
-    with pytest.raises(ValidationError, match=r"need n_sites >= (\d+)\)") as info:
+    # the smallest ring is ~2.8e14 sites, far above the cap: the refusal names the cap
+    with pytest.raises(ValidationError, match=r"wall \(no admitted ring, up to 4194304 sites, "
+                                              r"holds the closed form\)$"):
         analytic_edge_state(InterfaceSpec(0.0, 0.0, 0.0, -1e-13, 1e-13, 64), 0.0)
-    m = int(re.search(r">= (\d+)", str(info.value)).group(1))
     r = max(abs(decay_constant(0.0, 1e-13)), abs(1.0 / decay_constant(0.0, -1e-13)))
-    assert 2.7e14 < m < 2.9e14 and m % 2 == 0
-    assert r ** m < TRUNCATION_EPS <= r ** (m - 2)
+    assert r ** MAX_RING >= TRUNCATION_EPS
     # cos(theta) / (1 + sin(theta)) rounds to 1: the tail never decays
     with pytest.raises(ValidationError, match=r"wall \(no ring is long enough\)$"):
         analytic_edge_state(InterfaceSpec(0.0, 0.0, 0.0, -0.5, 1e-17, 64), 0.0)
+
+
+def test_ring_refusal_names_a_ring_only_up_to_the_cap():
+    # r ~ 1 - theta2 near the closing, so the smallest ring is ~27.6 / theta2 sites
+    def refusal(theta2):
+        with pytest.raises(ValidationError, match="overlap the wrap-around wall") as info:
+            analytic_edge_state(InterfaceSpec(0.0, 0.0, 0.0, -1.0, theta2, 64), 0.0)
+        return str(info.value)
+
+    m = int(re.search(r"\(need n_sites >= (\d+)\)$", refusal(1e-5)).group(1))
+    assert 2.7e6 < m <= MAX_RING
+    assert refusal(5e-6).endswith(f"(no admitted ring, up to {MAX_RING} sites, holds the "
+                                  "closed form)")
 
 
 def test_eigen_residual_and_gap_identification():
@@ -262,9 +275,24 @@ def test_edge_window_weight_is_shared_by_both_edge_states():
 
 
 def test_dynamics_experiment_enforces_ring_headroom():
+    # the named ring is the smallest even one, and it is accepted
+    for n in (64, 410):
+        spec = InterfaceSpec(n_sites=n, **CAPTION_SPEC)
+        with pytest.raises(ValidationError, match=f"ring of {n} sites too small: need "
+                                                  "n_sites >= 412 to keep"):
+            dynamics_experiment(spec, InitialStateCase.OVERLAP_BOTH, 200)
+    dynamics_experiment(InterfaceSpec(n_sites=412, **CAPTION_SPEC),
+                        InitialStateCase.OVERLAP_BOTH, 200)
+
+
+def test_dynamics_experiment_refuses_a_run_no_admitted_ring_holds():
     spec = InterfaceSpec(n_sites=64, **CAPTION_SPEC)
-    with pytest.raises(ValidationError, match="ring of 64 sites too small: need n_sites >= 411"):
-        dynamics_experiment(spec, InitialStateCase.OVERLAP_BOTH, 200)
+    most = MAX_RING // 2 - WINDOW_HALFWIDTH - 1
+    with pytest.raises(ValidationError, match=f"steps = {most + 1}: at most {most} steps fit in "
+                                              f"an admitted ring \\(up to {MAX_RING} sites\\)"):
+        dynamics_experiment(spec, InitialStateCase.OVERLAP_BOTH, most + 1)
+    with pytest.raises(ValidationError, match=f"need n_sites >= {MAX_RING} to keep"):
+        dynamics_experiment(spec, InitialStateCase.OVERLAP_BOTH, most)
 
 
 def test_dynamics_experiment_needs_twelve_steps():

@@ -39,14 +39,14 @@ def test_profile_constructors():
     prof = ThetaProfile.sharp_interface(-0.4, 0.9, 8)
     assert list(prof.sites) == [-4, -3, -2, -1, 0, 1, 2, 3]
     assert np.allclose(prof.thetas, [-0.4] * 4 + [0.9] * 4)
-    with pytest.raises(ValidationError, match=r"even and at least 4, got thetas of shape \(7,\)"):
+    with pytest.raises(ValidationError, match="ring size must be even and at least 4, got 7"):
         ThetaProfile(np.zeros(7))
 
 
 def test_build_walk_validates_ring():
-    with pytest.raises(ValidationError, match=r"even and at least 4, got thetas of shape \(7,\)"):
+    with pytest.raises(ValidationError, match="ring size must be even and at least 4, got 7"):
         build_walk(CoinParams(0, 0, 0, 0.5), n_sites=7)
-    with pytest.raises(ValidationError, match=r"even and at least 4, got thetas of shape \(2,\)"):
+    with pytest.raises(ValidationError, match="ring size must be even and at least 4, got 2"):
         build_walk(CoinParams(0, 0, 0, 0.5), n_sites=2)
 
 

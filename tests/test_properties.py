@@ -15,14 +15,15 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtqw.core import GAP_EPS, CoinParams, wrap_angle, wrap_angles
+from dtqw.core import GAP_EPS, CoinParams, coin_matrix, wrap_angle, wrap_angles
+from dtqw.lattice import build_walk
 from dtqw.momentum import (band_structure, bloch_hamiltonian, bloch_vector, bloch_vectors,
                            dispersion, gap_report, k_grid, momentum_step_matrix,
                            special_points)
-from dtqw.symmetry import frame_conjugated_walk, timeshift_walk
-from dtqw.topology import (FrameVariant, bz_image_table, classify_sweep, invariant_json_dict,
-                           manifold_frame, pole_assignment, rel_homotopy_invariant,
-                           rotated_winding, winding_mt)
+from dtqw.symmetry import chiral_residual, frame_conjugated_walk, timeshift_walk
+from dtqw.topology import (FrameVariant, bz_image_table, classify_sweep, frame_rotation,
+                           frame_so3, invariant_json_dict, manifold_frame, pole_assignment,
+                           rel_homotopy_invariant, rotated_winding, winding_mt)
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -131,14 +132,35 @@ def test_wrap_angles_equals_wrap_angle_bit_for_bit(xs):
 
 
 @PROPERTY_SETTINGS
-@given(angles, thetas)
-def test_timeshift_walks_are_frame_conjugations(delta, theta):
-    # Both time-shifted products are V U V^dagger by construction, V the frame
-    # rotation; frame_conjugated_walk conjugates the plain walk site by site.
-    p = CoinParams(delta, 0.0, 0.0, theta)
+@given(angles, angles, angles, thetas)
+def test_every_coin_is_the_real_coin_moved_by_the_gauge(delta, alpha, beta, theta):
+    # C(delta, alpha, beta, theta) = e^{-i delta} D_alpha G_beta R_theta G_beta^dagger
+    d_alpha = np.diag(np.exp([1j * alpha, -1j * alpha]))
+    g_beta = np.diag(np.exp([0.5j * beta, -0.5j * beta]))
+    real = coin_matrix(CoinParams(0.0, 0.0, 0.0, theta))
+    moved = np.exp(-1j * delta) * d_alpha @ g_beta @ real @ g_beta.conj().T
+    assert np.max(np.abs(coin_matrix(CoinParams(delta, alpha, beta, theta)) - moved)) < 1e-14
+
+
+@PROPERTY_SETTINGS
+@given(angles, angles, angles, thetas, st.sampled_from([8, 12, 16, 30]))
+def test_timeshift_walks_are_frame_conjugations(delta, alpha, beta, theta, n):
+    # Both time-shifted products are V' U V'^dagger, V' the frame rotation moved
+    # by the gauge, for any alpha (a lattice momentum of the ring or not) and
+    # beta; frame_conjugated_walk conjugates the plain walk site by site.
+    p = CoinParams(delta, alpha, beta, theta)
+    plain = build_walk(p, n_sites=n).dense()
     for variant in (FrameVariant.V1, FrameVariant.V2):
-        u = timeshift_walk(p, variant, 8).dense()
-        assert np.max(np.abs(u - frame_conjugated_walk(p, variant, 8).dense())) < 1e-14
+        v = np.kron(np.eye(n), frame_rotation(variant, p.theta, p.beta))
+        u = timeshift_walk(p, variant, n).dense()
+        assert np.max(np.abs(u - v @ plain @ v.conj().T)) < 1e-14
+        assert np.max(np.abs(u - frame_conjugated_walk(p, variant, n).dense())) < 1e-14
+
+
+@PROPERTY_SETTINGS
+@given(angles, angles, angles, thetas, angles)
+def test_the_gauge_moved_chiral_operator_holds_for_every_coin(delta, alpha, beta, theta, k):
+    assert chiral_residual(CoinParams(delta, alpha, beta, theta), k) < 1e-12
 
 
 @PROPERTY_SETTINGS
@@ -159,13 +181,22 @@ def test_closed_form_windings_and_poles_match_the_curve_oracle(delta, alpha, bet
 
 
 @PROPERTY_SETTINGS
-@given(angles, oracle_thetas, grids)
-def test_closed_form_frame_windings_match_the_curve_oracle(delta, theta, grid):
-    p = CoinParams(delta, 0.0, 0.0, theta)
-    # V1 turns in the (Y, Z) plane about X, V2 in the (X, Y) plane about Z
-    for variant, (u, w) in ((FrameVariant.V1, (1, 2)), (FrameVariant.V2, (0, 1))):
-        curve = np.column_stack(bz_image_table(p, variant, grid).columns[1:4])
-        assert rotated_winding(p, variant) == _curve_winding(curve[:, u], curve[:, w])
+@given(angles, angles, angles, oracle_thetas, grids)
+def test_closed_form_frame_windings_match_the_curve_oracle(delta, alpha, beta, theta, grid):
+    p = CoinParams(delta, alpha, beta, theta)
+    # At alpha = beta = 0, V1 turns in the (Y, Z) plane about X and V2 in the
+    # (X, Y) plane about Z; the gauge turns X and Y by R_z(-beta), and alpha
+    # only shifts k.  The oracle samples k - alpha on the grid, which near a
+    # gap closing resolves the fast turns at the special momenta.
+    x, y = (np.array([math.cos(p.beta), -math.sin(p.beta), 0.0]),
+            np.array([math.sin(p.beta), math.cos(p.beta), 0.0]))
+    z = np.array([0.0, 0.0, 1.0])
+    n = bloch_vectors(p, k_grid(grid) + p.alpha)[0]
+    for variant, (axis, u, w) in ((FrameVariant.V1, (x, y, z)), (FrameVariant.V2, (z, x, y))):
+        mapped = np.column_stack(bz_image_table(p, variant, grid).columns[1:4])
+        assert np.max(np.abs(mapped @ axis)) < 1e-14  # the map's curve stays in its plane
+        curve = n @ frame_so3(variant, p.theta, p.beta).T
+        assert rotated_winding(p, variant) == _curve_winding(curve @ u, curve @ w)
 
 
 def _on_grid(alpha: float, grid: int) -> bool:

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dtqw.core import GAP_EPS, CoinParams, phs_operator, wrap_angles
+from dtqw.core import DOMAIN_TOL, GAP_EPS, CoinParams, phs_operator, wrap_angles
 from dtqw.errors import ValidationError
 from dtqw.lattice import (ThetaProfile, bloch_eigenvalues, build_walk, diagonalize, eigenvalues,
                           ring_sites)
 from dtqw.momentum import bloch_hamiltonian, special_points
 from dtqw.symmetry import (
-    DOMAIN_TOL,
     RESIDUAL_TOL,
     chiral_operator,
     chiral_residual,
@@ -150,14 +149,15 @@ def test_chiral_residual_beta_zero():
     assert chiral_residual(CoinParams(0.7, 1.2, 0, 0.5), 0.3) < 1e-12
 
 
-def test_chiral_residual_rejects_beta():
-    with pytest.raises(ValidationError, match="only for beta = 0, got beta = 0.4"):
-        chiral_residual(CoinParams(0, 0, 0.4, 0.5), 1.0)
+def test_chiral_residual_holds_for_any_beta():
+    # the gauge-moved operator G_beta Gamma(theta) G_beta^dagger
+    assert chiral_residual(CoinParams(0, 0, 0.4, 0.5), 1.0) < 1e-12
+    assert chiral_residual(CoinParams(0.7, 1.2, -2.8, -2.1), -0.3) < 1e-12
 
 
 def test_chiral_relation_fails_off_domain():
-    # Out-of-domain counterexample: with beta != 0 the raw anticommutator of
-    # the same operator with the traceless Bloch Hamiltonian is large.
+    # With beta != 0 the operator not moved by the gauge fails: its raw
+    # anticommutator with the traceless Bloch Hamiltonian is large.
     p = CoinParams(0.0, 0.0, 1.0, 0.7)
     gamma = chiral_operator(p.theta)
     h0 = bloch_hamiltonian(p, 0.9)
@@ -209,10 +209,6 @@ def test_timeshift_operators_are_unitary():
 
 
 def test_timeshift_rejects_unsupported():
-    with pytest.raises(ValidationError, match="alpha = beta = 0, got alpha = 0.3, beta = 0.0"):
-        timeshift_walk(CoinParams(0, 0.3, 0, 0.5), FrameVariant.V1, 8)
-    with pytest.raises(ValidationError, match="alpha = beta = 0, got alpha = 0.0, beta = 0.4"):
-        timeshift_walk(CoinParams(0, 0, 0.4, 0.5), FrameVariant.V2, 8)
     with pytest.raises(ValidationError, match="theta = 0.0 has no sign"):
         timeshift_walk(CoinParams(0, 0, 0, 0.0), FrameVariant.V2, 8)
 
@@ -293,7 +289,7 @@ def _dense_phs(u, p):
 
 
 def _dense_timeshift_v1(p, n):
-    v = np.kron(np.eye(n), frame_rotation(FrameVariant.V1, p.theta))
+    v = np.kron(np.eye(n), frame_rotation(FrameVariant.V1, p.theta, p.beta))
     conjugated = v @ build_walk(p, n_sites=n).dense() @ v.conj().T
     return _dense_norm(timeshift_walk(p, FrameVariant.V1, n).dense() - conjugated)
 
@@ -311,16 +307,17 @@ _thetas = st.one_of(st.sampled_from([s * t for t in (1e-10, math.pi / 2, math.pi
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 32), _angles, st.integers(-3, 3), _angles, _thetas, _thetas,
-       st.booleans())
-def test_o_n_residuals_match_the_dense_formulas(half, delta, m, beta, theta, theta2, wall):
+       st.booleans(), _angles)
+def test_o_n_residuals_match_the_dense_formulas(half, delta, m, beta, theta, theta2, wall,
+                                                alpha):
     n = 2 * half
     p = CoinParams(delta, 2 * math.pi * m / n, beta, theta)
     profile = ThetaProfile.sharp_interface(theta, theta2, n) if wall else None
     u = build_walk(p, profile, n_sites=n)
     assert abs(sublattice_residual(u) - _dense_sub(u)) <= 1e-15
     assert abs(phs_residual(u, p)[0] - _dense_phs(u, p)) <= 1e-15
-    if abs(theta) > GAP_EPS:
-        q = CoinParams(delta, 0.0, 0.0, theta)
+    if abs(theta) > GAP_EPS:  # the time shifts need no lattice momentum
+        q = CoinParams(delta, alpha, beta, theta)
         res = {r.name: r.residual for r in run_symmetry_suite(q, n_sites=n)}["TimeShiftV1"]
         assert abs(res - _dense_timeshift_v1(q, n)) <= 1e-15
 

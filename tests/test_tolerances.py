@@ -86,8 +86,8 @@ def suite_cases(draw):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@example(case=(CoinParams(0.0, 0.0, 1e-13, 0.5), 8))  # CS: omitted, yet computable
-@example(case=(CoinParams(0.0, 0.0, 0.0, 1e-12), 8))  # time shifts: omitted, yet built
+@example(case=(CoinParams(0.0, 0.0, 1e-13, 0.5), 8))  # CS: reported, as at any beta
+@example(case=(CoinParams(0.0, 0.0, 0.0, 1e-12), 8))  # time shifts: the theta guard
 @example(case=(CoinParams(0.0, 1e-13, 0.0, 0.5), 16))  # PHS: alpha N = 1.6e-12 off
 @given(case=suite_cases())
 def test_suite_omits_exactly_what_the_functions_refuse(case):

@@ -161,6 +161,14 @@ def test_frame_so3_matches_trace_oracle():
             assert np.max(np.abs(r - _so3_by_traces(frame_rotation(v, t)))) <= 1e-15
 
 
+def test_gauge_moved_frame_so3_matches_trace_oracle():
+    # R_z(-beta) R R_z(beta) is the SO(3) action of G_beta V G_beta^dagger
+    for t, beta in np.random.default_rng(9).uniform(-math.pi, math.pi, (200, 2)):
+        for v in FrameVariant:
+            r = frame_so3(v, t, beta)
+            assert np.max(np.abs(r - _so3_by_traces(frame_rotation(v, t, beta)))) <= 1e-15
+
+
 def test_frame_so3_is_orthogonal():
     r = frame_so3(FrameVariant.V1, 0.9)
     assert np.max(np.abs(r @ r.T - np.eye(3))) < 1e-14
@@ -191,14 +199,14 @@ def test_rotated_winding_identity_frame_has_no_axis():
         rotated_winding(CoinParams(0, 0, 0, math.pi / 4), FrameVariant.IDENTITY)
 
 
-def test_rotated_winding_refuses_complex_coins():
-    # the frames' chiral planes are fixed only at alpha = beta = 0
+def test_rotated_winding_of_complex_coins_is_the_real_coins():
+    # the gauge moves the frame-rotated curve and the frame's chiral axis alike
     for a, b in ((0.3, 0.0), (0.0, -1.2), (2.0, 0.7), (1e-11, 0.0), (0.0, -1e-11),
                  (1e-13, -1e-13)):
-        for v in (FrameVariant.V1, FrameVariant.V2):
-            with pytest.raises(ValidationError, match="defined for alpha = beta = 0, got alpha"):
-                rotated_winding(CoinParams(0.4, a, b, 0.9), v)
-    assert rotated_winding(CoinParams(0.4, 4e-14, -4e-14, 0.9), FrameVariant.V2) == 1
+        for theta in (0.9, -0.9):
+            p = CoinParams(0.4, a, b, theta)
+            assert rotated_winding(p, FrameVariant.V1) == (-1 if theta > 0 else 1)
+            assert rotated_winding(p, FrameVariant.V2) == 1
 
 
 def test_rotated_curves_are_planar():

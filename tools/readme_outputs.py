@@ -77,6 +77,11 @@ EXTRA_EXAMPLES = [
     ["edge", *_WALL, "--ring-size", "16384", "--out", "x"],
     ["evolve", *_WALL, "--case", "overlap-both", "--steps", "200", "--ring-size", "1024",
      "--out", "x"],
+    # a complex coin: its gauge-moved frame curve, and a suite that omits PHS
+    # (alpha N off 2 pi Z) and reports CS and both time shifts
+    ["map", "--theta", "0.9", "--beta", "0.7", "--frame", "v1", "--grid", "32", "--out", "x"],
+    ["symmetry", "--theta", "0.6", "--alpha", "0.3", "--beta", "0.7", "--ring-size", "8",
+     "--out", "x"],
 ]
 
 
