@@ -31,7 +31,8 @@ MAX_RING = 2**22
 def check_dense(n_sites: int) -> None:
     """Refuse a ring of more than DENSE_CAP sites for the dense operator."""
     if n_sites > DENSE_CAP:
-        raise ValidationError(f"dense() of {n_sites} sites is too large: capped at {DENSE_CAP}")
+        raise ValidationError(f"a ring of {n_sites} sites is too large for the dense operator: "
+                              f"DENSE_CAP is {DENSE_CAP} sites")
 
 
 def check_ring(n_sites: int, name: str = "ring size") -> None:
@@ -390,11 +391,12 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int,
 
 @dataclass(eq=False)
 class SpectralData:
-    """Full eigendecomposition of a materialized walk operator.
+    """Full eigendecomposition of a walk operator, from its sublattice block
+    BA (``diagonalize``).
 
     Eigenphases are quasienergies in (-pi, pi] sorted ascending; eigenvector
     columns are orthonormal; ``max_residual`` bounds ||U v - exp(-i w) v||
-    over all pairs.
+    over all pairs, measured by stepping each v with ``apply_array``.
     """
 
     eigenphases: np.ndarray
@@ -424,6 +426,53 @@ def sublattice_blocks(u: WalkOperator) -> tuple[np.ndarray, np.ndarray, np.ndarr
     # blocks[j, parity, coin, j', parity', coin'] couples site 2j'+parity' to 2j+parity
     blocks = mat.reshape(n // 2, 2, 2, n // 2, 2, 2)
     return mat, blocks[:, 1, :, :, 0].reshape(n, n), blocks[:, 0, :, :, 1].reshape(n, n)
+
+
+# _unitary_eig's Rayleigh-Ritz blocks: eigenvalues of the Hermitian part at most
+# CLUSTER_GAP apart share one, and a block whose columns have off-diagonal norms
+# up to RITZ_TOL, their residuals, is diagonal to round-off (every block of a
+# one-point spectrum, the theta = +/- pi/2 flat band).
+CLUSTER_GAP = 1e-4
+RITZ_TOL = 1e-14
+
+
+def _unitary_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, Z): the eigenvalues and orthonormal eigenvectors of a unitary m.
+
+    ``np.linalg.eigh`` of H = (m + m^dagger) / 2 gives Q with T = Q^dagger m Q
+    block diagonal over the clusters, runs of eigenvalues cos(phi) of H with
+    gaps at most CLUSTER_GAP: pairs e^{+/- i phi} and degenerate eigenvalues.
+    Rayleigh-Ritz rotates each coupled block (a column's off-diagonal norm
+    above RITZ_TOL) by W, the QR factor of its ``np.linalg.eig`` eigenvectors (QR
+    only mixes columns of one eigenvalue, as the block is normal), batched by
+    size: Q <- Q W, T <- W^dagger T W.  One refinement step removes what
+    eigh's round-off couples between clusters: lambda = diag(T), the Rayleigh
+    quotients, E_ij = T_ij / (lambda_j - lambda_i) between clusters and 0
+    within one, Z = Q + Q (E - E^dagger) / 2, all correct to second order
+    (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 11).  A matrix
+    that is not finite raises numpy's "infs or NaNs" ``LinAlgError``.
+    """
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    n = m.shape[0]
+    h, q = np.linalg.eigh((m + m.conj().T) / 2)
+    t = q.conj().T @ m @ q
+    starts = np.flatnonzero(np.diff(h, prepend=-np.inf) > CLUSTER_GAP)
+    sizes = np.diff(starts, append=n)
+    for k in np.unique(sizes[sizes > 1]):
+        idx = starts[sizes == k][:, None] + np.arange(k)
+        blocks = t[idx[:, :, None], idx[:, None, :]]
+        coupled = np.linalg.norm(blocks - blocks * np.eye(k), axis=1).max(axis=1) > RITZ_TOL
+        idx, w = idx[coupled], np.linalg.qr(np.linalg.eig(blocks[coupled])[1])[0]
+        # each block's columns of Q and T, then its rows of T
+        q[:, idx] = np.matmul(q[:, idx].transpose(1, 0, 2), w).transpose(1, 0, 2)
+        t[:, idx] = np.matmul(t[:, idx].transpose(1, 0, 2), w).transpose(1, 0, 2)
+        t[idx] = np.matmul(w.conj().transpose(0, 2, 1), t[idx])
+    lam = t.diagonal().copy()
+    cluster = np.repeat(np.arange(starts.size), sizes)
+    e = np.divide(t, lam - lam[:, None], out=np.zeros_like(t),
+                  where=cluster[:, None] != cluster)
+    return lam, q + q @ ((e - e.conj().T) / 2)
 
 
 def _paired_roots(lam: np.ndarray) -> np.ndarray:
@@ -458,24 +507,22 @@ def diagonalize(u: WalkOperator) -> SpectralData:
     """Dense eigendecomposition from the N x N block BA of U^2 on the even
     sites (see sublattice_blocks).
 
-    BA is unitary, hence normal: ``np.linalg.eig`` gives its eigenvalues
-    lambda, and eigenvectors of distinct eigenvalues are orthogonal to
-    round-off.  The QR factor z of those eigenvectors is orthonormal and only
-    mixes columns within a degenerate cluster (k and 2 alpha - k on a
-    homogeneous ring), so BA z = lambda z still holds.  Each column gives the
-    two eigenvectors (z, A z / mu) / sqrt(2) of U, mu = +/- sqrt(lambda), on
-    the even and odd sites; they are orthonormal because A is unitary.
-    ``max_residual`` is measured by stepping every eigenvector with
-    ``u.apply_array``, not by a dense product.
+    BA is unitary: ``_unitary_eig`` gives its eigenvalues lambda and
+    orthonormal eigenvectors z from a Hermitian eigensolve of its Hermitian
+    part, Rayleigh-Ritz on each cluster of nearly equal cos(phi) and one
+    refinement step.  Each column gives the two eigenvectors
+    (z, A z / mu) / sqrt(2) of U, mu = +/- sqrt(lambda), on the even and odd
+    sites; they are orthonormal because A is unitary.  ``max_residual`` is
+    measured by stepping every eigenvector with ``u.apply_array``, not by a
+    dense product.
     """
     _, a, b = sublattice_blocks(u)
-    lam, z = np.linalg.eig(b @ a)
-    z, _ = np.linalg.qr(z)
+    lam, z = _unitary_eig(b @ a)
     eigvals = _paired_roots(lam)
     n = u.n_sites
-    z = np.concatenate([z, z], axis=1)
-    even = z.reshape(n // 2, 2, 2 * n)
-    odd = ((a @ z) / eigvals).reshape(n // 2, 2, 2 * n)
+    az = a @ z
+    even = np.concatenate([z, z], axis=1).reshape(n // 2, 2, 2 * n)
+    odd = (np.concatenate([az, az], axis=1) / eigvals).reshape(n // 2, 2, 2 * n)
     vectors = np.stack([even, odd], axis=1).reshape(2 * n, 2 * n) / math.sqrt(2.0)
     omega = wrap_angles(-np.angle(eigvals))
     order = np.argsort(omega, kind="stable")

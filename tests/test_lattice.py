@@ -696,8 +696,69 @@ def test_a_coin_that_is_not_finite_fails_the_eigensolve():
             solve(u)
 
 
+def _hard_phases(n, rng, mult, split, conj, special, phi0):
+    """n eigenphases: random values, each repeated ``mult`` times with the
+    copies ``split`` apart, optionally in pairs +/- phi that (M + M^dagger) / 2
+    folds together, then a special pattern written over the first few."""
+    base = rng.uniform(-math.pi, math.pi, -(-n // mult))
+    if conj:
+        base[1::2] = -base[:base.size // 2 * 2:2]
+    phases = (np.repeat(base, mult) + split * (np.arange(base.size * mult) % mult))[:n]
+    gap = lattice.CLUSTER_GAP
+    c0 = min(math.cos(phi0), 1 - 4 * gap)
+    head = {
+        "none": [],
+        "point": [phi0] * n,  # the theta = +/- pi/2 flat band
+        "pi": [math.pi, -math.pi, math.pi - split, -math.pi + split],
+        "half_pi": [math.pi / 2 + split, math.pi / 2 - split, -math.pi / 2 + split],
+        "below_gap": [math.acos(c0 + j * gap * (1 - 1e-3)) for j in range(4)],
+        "above_gap": [math.acos(c0 + j * gap * (1 + 1e-3)) for j in range(4)],
+    }[special][:n]
+    phases[:len(head)] = head
+    return phases
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@example(128, 1, 1, 0.0, False, "point", -0.4)
+@example(64, 2, 2, 1e-12, True, "below_gap", 0.3)
+@example(64, 3, 4, 1e-9, True, "above_gap", 2.0)
+@example(8, 4, 2, 1e-6, False, "pi", 0.0)
+@example(8, 5, 1, 1e-12, True, "half_pi", 0.0)
+@given(st.sampled_from([2, 3, 8, 64, 128]), st.integers(0, 2**32 - 1),
+       st.sampled_from([1, 2, 4]), st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]), st.booleans(),
+       st.sampled_from(["none", "point", "pi", "half_pi", "below_gap", "above_gap"]), _angles)
+def test_unitary_eig_on_hard_spectra(n, seed, mult, split, conj, special, phi0):
+    # M = Q diag(e^{i phi}) Q^dagger with a seeded Haar-like Q: exact 2- and
+    # 4-fold degeneracies, small splits, gaps of H on both sides of
+    # CLUSTER_GAP, phases at +/- pi and a one-point spectrum
+    rng = np.random.default_rng(seed)
+    phases = _hard_phases(n, rng, mult, split, conj, special, phi0)
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    q *= np.diagonal(r) / np.abs(np.diagonal(r))
+    m = (q * np.exp(1j * phases)) @ q.conj().T
+    lam, z = lattice._unitary_eig(m)
+    assert np.max(np.linalg.norm(m @ z - z * lam, axis=0)) <= 1e-13
+    assert np.max(np.abs(z.conj().T @ z - np.eye(n))) <= 1e-13
+    want = np.sort(wrap_angles(phases))
+    gaps = np.diff(np.append(want, want[0] + 2 * math.pi))
+    # sorted from the middle of the widest gap, as in _assert_spectrum, and
+    # compared on the circle, since a one-point spectrum sits at the cut
+    cut = want[np.argmax(gaps)] + gaps.max() / 2
+    got = np.sort(wrap_angles(np.angle(lam) - cut)) - np.sort(wrap_angles(want - cut))
+    assert np.max(np.abs(wrap_angles(got))) <= 1e-13
+
+
+def test_unitary_eig_refuses_what_is_not_finite():
+    # eigh alone would say "did not converge"
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = np.inf
+    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        lattice._unitary_eig(m)
+
+
 def test_diagonalize_size_cap():
-    with pytest.raises(ValidationError, match=r"dense\(\) of 514 sites is too large: capped at"):
+    with pytest.raises(ValidationError, match=r"a ring of 514 sites is too large for the dense "
+                                              r"operator: DENSE_CAP is 512 sites"):
         diagonalize(build_walk(CoinParams(0, 0, 0, 0.5), n_sites=514))
 
 

@@ -3,12 +3,13 @@ constant, and the symmetry suite omits exactly what the relations' own
 functions refuse.
 
 ``GAP_EPS`` decides the gap and the sign of theta; ``DOMAIN_TOL`` decides
-whether alpha N, alpha, beta or a family difference counts as zero.  A bare
-small literal in a comparison or a default would be a third threshold, so the
-source is searched for one.  The suite's domains are then drawn across the
-DOMAIN_TOL boundary (0, 4e-14, 5e-14, 1e-13, ...) and across the theta guard
-(1e-13, 1e-12, 2e-12), with the lattice momenta 2 pi m / N, exactly and
-1e-13 off them.
+whether alpha N (modulo 2 pi), eta's distance from 0 or pi, or a family
+difference counts as zero.  A bare small literal in a comparison or a
+default would be a third threshold, so the source is searched for one.  The
+suite's domains are then drawn with alpha and beta near zero (0, 4e-14,
+5e-14, 1e-13, ...), so alpha N falls on both sides of DOMAIN_TOL, and across
+the theta guard (1e-13, 1e-12, 2e-12), with the lattice momenta 2 pi m / N,
+exactly and 1e-13 off them.
 """
 
 import ast
