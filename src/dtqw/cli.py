@@ -210,7 +210,7 @@ def cmd_invariant(args) -> int:
 
 def cmd_symmetry(args) -> int:
     p = CoinParams(args.delta, args.alpha, args.beta, args.theta)
-    reports = run_symmetry_suite(p, n_sites=args.ring_size, seed=args.seed)
+    reports = run_symmetry_suite(p, n_sites=args.ring_size)
     _write_record(args, "symmetry", reports_json(reports))
     for r in reports:
         verdict = "passed" if r.passed else f"FAILED (tolerance {r.tolerance:.0e})"
@@ -285,9 +285,7 @@ _SUBCOMMANDS = {
                   (_flag("--theta"), _flag("--theta1"), _flag("--theta2"), *_FAMILY),
                   cmd_invariant),
     "symmetry": ("certify the symmetry relations numerically",
-                 (_THETA, *_FAMILY, _flag("--ring-size", int, default=8),
-                  _flag("--seed", int, default=0, help="seed of the PHS involution probe")),
-                 cmd_symmetry),
+                 (_THETA, *_FAMILY, _flag("--ring-size", int, default=8)), cmd_symmetry),
     "edge": ("closed-form interface states and their residuals",
              (*_WALL, *_FAMILY, _flag("--ring-size", int, default=64)), cmd_edge),
     "evolve": ("interface dynamics experiment",

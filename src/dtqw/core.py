@@ -25,7 +25,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
-PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 # The one gap threshold.  A coin is gapped iff |sin theta| exceeds it.  Since
 # sin(omega_k) = hypot(sin theta, cos theta sin(k - alpha)) >= |sin theta|, the

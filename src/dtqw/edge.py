@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -307,17 +307,9 @@ def dynamics_experiment(spec: InterfaceSpec, case: InitialStateCase,
 
 
 def experiment_json_dict(rec: ExperimentRecord) -> dict:
-    spec = rec.spec
     return {
         "case": rec.case.value,
-        "spec": {
-            "delta": spec.delta,
-            "alpha": spec.alpha,
-            "beta": spec.beta,
-            "theta1": spec.theta1,
-            "theta2": spec.theta2,
-            "n_sites": spec.n_sites,
-        },
+        "spec": asdict(rec.spec),
         "edge_projections": [json_complex(z) for z in rec.projections],
         "edge_window_weight": rec.edge_window_weight,
         "predicted_weight": rec.predicted_weight,

@@ -169,19 +169,16 @@ class WalkOperator:
     coin-conditioned shift, then the homogeneous 2 x 2 coin ``post`` if it is
     not None (a time-shifted walk, ``symmetry.timeshift_walk``).
 
-    ``coins`` has shape (n_sites, 2, 2).
+    ``coins`` has shape (n_sites, 2, 2); the walk keeps no other trace of the
+    parameters that built them.
     """
 
-    delta: float
-    alpha: float
-    beta: float
-    profile: ThetaProfile
     coins: np.ndarray = field(repr=False)
     post: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_sites(self) -> int:
-        return self.profile.n_sites
+        return self.coins.shape[0]
 
     @property
     def layers(self) -> tuple:
@@ -244,8 +241,7 @@ def build_walk(p: CoinParams, profile: ThetaProfile | None = None,
     elif n_sites is not None and n_sites != profile.n_sites:
         raise ValidationError(f"n_sites = {n_sites} disagrees with the profile "
                               f"length {profile.n_sites}")
-    coins = site_coins(p.delta, p.alpha, p.beta, profile)
-    return WalkOperator(p.delta, p.alpha, p.beta, profile, coins)
+    return WalkOperator(site_coins(p.delta, p.alpha, p.beta, profile))
 
 
 @dataclass(eq=False)

@@ -106,6 +106,7 @@ _VALID_ARGS = {
     "map": ["map", "--theta", "0.5"],
     "winding": ["winding", "--theta", "0.5"],
     "invariant": ["invariant", "--theta", "0.5"],
+    "symmetry": ["symmetry", "--theta", "0.5"],
     "edge": ["edge", "--theta1", "-0.5", "--theta2", "0.5"],
     "evolve": ["evolve", "--theta1", "-0.5", "--theta2", "0.5", "--case", "overlap-one"],
     "sweep": ["sweep", "--theta-min", "0", "--theta-max", "1", "--theta-step", "0.5"],
@@ -116,7 +117,7 @@ _VALID_ARGS = {
     *((command, "--seed") for command in _VALID_ARGS),
     ("winding", "--grid"), ("invariant", "--grid")])
 def test_flags_that_change_no_value_are_refused(tmp_path, capsys, command, flag):
-    # --grid changes no closed-form winding, and only symmetry draws a probe
+    # --grid changes no closed-form winding, and no subcommand draws at random
     with pytest.raises(SystemExit) as exc:
         run([*_VALID_ARGS[command], flag, "3", "--out", str(tmp_path)])
     assert exc.value.code == 2
@@ -446,9 +447,9 @@ def test_outputs_are_byte_deterministic(tmp_path, capsys):
         assert (tmp_path / name).read_bytes() == blob
 
 
-def test_symmetry_deterministic_with_seed(tmp_path):
-    run(["symmetry", "--theta", "0.6", "--seed", "3", "--out", str(tmp_path / "a")])
-    run(["symmetry", "--theta", "0.6", "--seed", "3", "--out", str(tmp_path / "b")])
+def test_symmetry_is_deterministic(tmp_path):
+    run(["symmetry", "--theta", "0.6", "--out", str(tmp_path / "a")])
+    run(["symmetry", "--theta", "0.6", "--out", str(tmp_path / "b")])
     ja = (tmp_path / "a" / "symmetry.json").read_bytes()
     jb = (tmp_path / "b" / "symmetry.json").read_bytes()
     assert ja == jb
@@ -584,7 +585,7 @@ _PARSER_ARGV = {
     "map": ["--theta", "0.6", "--frame", "v2"],
     "winding": ["--theta", "1", "--beta", "-2"],
     "invariant": ["--theta1", "-1", "--theta2", "1"],
-    "symmetry": ["--theta", "0.5", "--seed", "3", "--degrees"],
+    "symmetry": ["--theta", "0.5", "--degrees"],
     "edge": ["--theta1", "-1", "--theta2", "1", "--ring-size", "32", "--format", "json"],
     "evolve": ["--theta1", "-1", "--theta2", "1", "--case", "overlap-one", "--steps", "20"],
     "sweep": ["--theta-min", "-1", "--theta-max", "1", "--theta-step", "0.5"],

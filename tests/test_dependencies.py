@@ -59,3 +59,30 @@ def test_an_undeclared_import_inside_a_function_is_seen(tmp_path):
     src.write_text("import numpy as np\n\ndef f():\n    from scipy import linalg\n"
                    "    import dtqw.core\n    from . import io\n", encoding="utf-8")
     assert _imported_top_level(src) == {"numpy", "scipy", "dtqw"}
+
+
+def _random_uses(path: Path) -> list[str]:
+    """Every import of a module named random, or of a name random, and every
+    attribute ``.random`` (``np.random`` among them) in the file."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            uses += [f"import {module} {alias.name}" for alias in node.names
+                     if "random" in module.split(".") + alias.name.split(".")]
+        elif isinstance(node, ast.Attribute) and node.attr == "random":
+            uses.append(ast.unparse(node))
+    return uses
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_draws_random_numbers(path):
+    assert _random_uses(path) == []
+
+
+def test_a_random_use_is_seen(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text("import random\nimport numpy as np\nfrom numpy import random as r\n"
+                   "from numpy.random import default_rng\nx = np.random.default_rng(0)\n",
+                   encoding="utf-8")
+    assert len(_random_uses(src)) == 4

@@ -175,7 +175,7 @@ def _oracle_walks(n: int, rng: np.random.Generator):
         yield timeshift_walk(CoinParams(d, 0, 0, rng.uniform(0.1, 3.0)), variant, n)
     # per-site coins and a post coin, which no constructor pairs
     post = coin_matrix(CoinParams(*rng.uniform(-math.pi, math.pi, 4)))
-    yield WalkOperator(d, a, b, plain.profile, plain.coins, post=post)
+    yield WalkOperator(plain.coins, post=post)
 
 
 def test_apply_array_is_bit_identical_to_the_unfused_step():

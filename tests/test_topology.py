@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dtqw.core import PAULI, CoinParams
+from dtqw.core import SIGMA_X, SIGMA_Y, SIGMA_Z, CoinParams
 from dtqw.errors import ValidationError
 from dtqw.momentum import bloch_vectors, k_grid
 from dtqw.topology import (
@@ -143,6 +143,9 @@ def test_frame_angles():
     assert frame_angle(FrameVariant.V2, -0.5) == pytest.approx(-0.25 + math.pi / 4, abs=1e-16)
     with pytest.raises(ValidationError, match=r"V2 frame depends on sgn\(theta\); undefined at"):
         frame_angle(FrameVariant.V2, 0.0)
+
+
+PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 def _so3_by_traces(v: np.ndarray) -> np.ndarray:

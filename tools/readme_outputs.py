@@ -60,8 +60,7 @@ EXTRA_EXAMPLES = [
     ["invariant", "--theta", "-45", "--degrees", "--out", "x"],
     ["symmetry", "--theta", "-1.1", "--delta", "0.4", "--ring-size", "16", "--format", "json",
      "--out", "x"],
-    ["symmetry", "--theta", "0.6", "--alpha", "0.7853981633974483", "--seed", "3",
-     "--out", "x"],
+    ["symmetry", "--theta", "0.6", "--alpha", "0.7853981633974483", "--out", "x"],
     ["edge", "--theta1", "-1", "--theta2", "2", "--alpha", "0.5", "--ring-size", "128",
      "--format", "json", "--out", "x"],
     ["evolve", "--theta1", "-1.2", "--theta2", "0.8", "--delta", "-0.5", "--case", "overlap-one",
