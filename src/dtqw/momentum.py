@@ -14,13 +14,16 @@ with the quasienergy dispersion ``cos(omega_k) = cos(theta) cos(k - alpha)``
 where a = alpha and a' = alpha + beta.  The quasienergy bands are
 delta +/- omega_k, each defined modulo 2*pi.
 
-The normalization uses the exact identity
-sin(omega_k) = hypot(sin(theta), cos(theta) sin(k - a)), and omega_k is
-atan2(sin omega_k, cos(theta) cos(k - a)) everywhere; both keep every digit
-near omega_k in {0, pi}.  The Bloch routine takes a block of theta values at
-once, and ``band_structure`` samples either one coin or such a block, each
-array (the k-grid too) when first read.  The band's extremes sit at the
-special momenta k = a and a + pi, where omega is |theta| and pi - |theta|, so
+One private kernel, ``_bloch_map``, evaluates this map: n_k, sin omega_k,
+omega_k and the degenerate mask in one pass, for one coin or a block of
+theta values at once; ``dispersion``, ``bloch_vectors``, ``bloch_vector``,
+``bloch_hamiltonian`` and ``band_structure`` all read it.  The normalization
+uses the exact identity sin(omega_k) = hypot(sin(theta), cos(theta) sin(k - a)),
+and omega_k is atan2(sin omega_k, cos(theta) cos(k - a)) everywhere; both keep
+every digit near omega_k in {0, pi}.  ``band_structure`` samples the k-grid
+``k_grid``, anchored at a so that the special momenta k = a and a + pi are
+grid points for every even grid size, each array when first read.  The band's
+extremes sit at those momenta, where omega is |theta| and pi - |theta|, so
 both gaps are 2 min(|theta|, pi - |theta|) and ``gap_report`` takes that
 closed form without sampling the band.
 """
@@ -28,7 +31,6 @@ closed form without sampling the band.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,57 +45,37 @@ DEFAULT_GRID = 512
 MAX_GRID = 2**20
 
 
-@dataclass(frozen=True)
-class KTrig:
-    """Trig of a k-array relative to one (alpha, beta) family: the part of the
-    Bloch vectors that does not depend on theta."""
+def _bloch_map(alpha: float, beta: float, k, thetas) -> tuple[np.ndarray, ...]:
+    """The Bloch map of the coins theta of one (alpha, beta) family at momenta k.
 
-    cos_a: np.ndarray  # cos(k - alpha)
-    sin_a: np.ndarray  # sin(k - alpha)
-    cos_ab: np.ndarray  # cos(k - alpha - beta)
-    sin_ab: np.ndarray  # sin(k - alpha - beta)
-
-
-def k_trig(alpha: float, beta: float, k) -> KTrig:
-    """Family trig on a 1-D k-array."""
+    Returns (n, sin_omega, omega, degenerate).  k may have any shape K, and
+    thetas of shape S gain a last axis that broadcasts against it, so a 1-D k
+    gives n the shape S + (K, 3).  n has NaN rows at degenerate points, where
+    sin omega <= GAP_EPS; omega = atan2(sin omega, cos theta cos(k - alpha)).
+    """
     k = np.asarray(k, dtype=float)
     ka = k - alpha
     kab = k - (alpha + beta)
-    return KTrig(np.cos(ka), np.sin(ka), np.cos(kab), np.sin(kab))
-
-
-def bloch_block(trig: KTrig, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bloch vectors of the coins theta at the trig's K momenta (a last axis).
-
-    Returns (n, sin_omega, degenerate): for thetas of shape S, n has shape
-    S + (K, 3) and NaN rows at degenerate points, where sin omega <= GAP_EPS.
-    """
     thetas = np.asarray(thetas, dtype=float)[..., None]
     st, ct = np.sin(thetas), np.cos(thetas)
-    n_z = ct * trig.sin_a
+    n_z = ct * np.sin(ka)
     sin_w = np.sqrt(st * st + n_z * n_z)  # hypot(st, n_z), >= |st|
     degenerate = sin_w <= GAP_EPS
     n = np.empty(sin_w.shape + (3,))
-    n[..., 0] = st * trig.sin_ab
-    n[..., 1] = -st * trig.cos_ab
+    n[..., 0] = st * np.sin(kab)
+    n[..., 1] = -st * np.cos(kab)
     n[..., 2] = n_z
     with np.errstate(divide="ignore", invalid="ignore"):
         n /= sin_w[..., None]
     if degenerate.any():
         n[degenerate] = np.nan
-    return n, sin_w, degenerate
-
-
-def _omega(trig: KTrig, thetas, sin_w: np.ndarray) -> np.ndarray:
-    """omega = atan2(sin_w, cos theta cos(k - alpha)) in [0, pi], as ``bloch_block`` broadcasts."""
-    return np.arctan2(sin_w, np.cos(np.asarray(thetas, dtype=float))[..., None] * trig.cos_a)
+    return n, sin_w, np.arctan2(sin_w, ct * np.cos(ka)), degenerate
 
 
 def dispersion(p: CoinParams, k) -> float | np.ndarray:
     """Quasienergy omega_k in [0, pi]; accepts scalar or array k."""
     k = np.asarray(k, dtype=float)
-    trig = k_trig(p.alpha, p.beta, k)
-    w = _omega(trig, p.theta, bloch_block(trig, p.theta)[1]).reshape(k.shape)
+    w = _bloch_map(p.alpha, p.beta, k, p.theta)[2].reshape(k.shape)
     return float(w) if k.ndim == 0 else w
 
 
@@ -102,16 +84,17 @@ def bloch_vectors(p: CoinParams, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     Unlike ``bloch_vector`` this flags degenerate momenta instead of raising.
     """
-    return bloch_block(k_trig(p.alpha, p.beta, k), p.theta)
+    n, sin_w, _, degenerate = _bloch_map(p.alpha, p.beta, k, p.theta)
+    return n, sin_w, degenerate
 
 
 def _bloch_point(p: CoinParams, k: float) -> tuple[np.ndarray, float]:
-    """(n_k, sin omega_k); raises ValidationError where the gap closes."""
-    n, sin_w, degenerate = bloch_vectors(p, [float(k)])
+    """(n_k, omega_k); raises ValidationError where the gap closes."""
+    n, _, omega, degenerate = _bloch_map(p.alpha, p.beta, [float(k)], p.theta)
     if degenerate[0]:
         raise ValidationError(f"degenerate point: Bloch vector undefined at k = {k}, "
                               f"theta = {p.theta} (omega in {{0, pi}})")
-    return n[0], float(sin_w[0])
+    return n[0], float(omega[0])
 
 
 def bloch_vector(p: CoinParams, k: float) -> np.ndarray:
@@ -123,13 +106,9 @@ def bloch_vector(p: CoinParams, k: float) -> np.ndarray:
 
 
 def bloch_hamiltonian(p: CoinParams, k: float) -> np.ndarray:
-    """H_k = delta*I + omega_k n_k . sigma (Hermitian, eigenvalues delta +/- omega_k).
-
-    omega_k is ``dispersion``'s atan2(sin omega_k, cos theta cos(k - alpha)),
-    here in scalar arithmetic.
-    """
-    n, sin_w = _bloch_point(p, k)
-    omega = math.atan2(sin_w, math.cos(p.theta) * math.cos(k - p.alpha))
+    """H_k = delta*I + omega_k n_k . sigma (Hermitian, eigenvalues delta +/- omega_k),
+    with ``dispersion``'s omega_k and ``bloch_vector``'s n_k."""
+    n, omega = _bloch_point(p, k)
     return p.delta * ID2 + omega * pauli_compose(0, n)
 
 
@@ -151,9 +130,19 @@ def check_grid(grid_size: int, name: str = "grid_size") -> int:
     return grid_size
 
 
-def k_grid(grid_size: int) -> np.ndarray:
-    """Uniform Brillouin-zone grid over (-pi, pi], endpoint -pi excluded."""
-    return -np.pi + 2.0 * np.pi * np.arange(1, check_grid(grid_size) + 1) / grid_size
+def k_grid(grid_size: int, alpha: float = 0.0) -> np.ndarray:
+    """Uniform Brillouin-zone grid anchored at alpha, ascending in (-pi, pi].
+
+    The points are alpha plus the offsets -pi + 2 pi j / G (j = 1..G), wrapped;
+    for even G the offsets 0 and pi are set exactly, so the special momenta
+    alpha and alpha + pi (``special_points``) are grid points.  At alpha = 0 the
+    grid is (-pi, pi] with the endpoint -pi excluded.
+    """
+    g = check_grid(grid_size)
+    offsets = -np.pi + 2.0 * np.pi * np.arange(1, g + 1) / g
+    if g % 2 == 0:
+        offsets[g // 2 - 1], offsets[-1] = 0.0, np.pi
+    return np.sort(wrap_angles(alpha + offsets))
 
 
 @dataclass(eq=False)
@@ -162,9 +151,10 @@ class BandStructure:
 
     The band of one coin has arrays over k.  The band of a theta-block
     (``thetas`` set) has a leading theta axis on ``omega``, ``n`` and
-    ``degenerate``; ``band_table`` is for one coin only.  Every array, the
-    grid ``k`` and its family trig included, is computed when first read and
-    then kept, so a band whose gaps alone are read does no work over k.
+    ``degenerate``; ``band_table`` is for one coin only.  The grid ``k``
+    (anchored at the family's alpha) and the Bloch map on it are computed when
+    first read and then kept, so a band whose gaps alone are read does no work
+    over k.
     """
 
     params: CoinParams
@@ -178,22 +168,15 @@ class BandStructure:
 
     @functools.cached_property
     def k(self) -> np.ndarray:
-        return k_grid(self.grid_size)
+        return k_grid(self.grid_size, self.params.alpha)
 
     @functools.cached_property
-    def trig(self) -> KTrig:
-        return k_trig(self.params.alpha, self.params.beta, self.k)
-
-    @functools.cached_property
-    def omega(self) -> np.ndarray:
-        return _omega(self.trig, self._theta, self._bloch[1])
-
-    @functools.cached_property
-    def _bloch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return bloch_block(self.trig, self._theta)
+    def _bloch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return _bloch_map(self.params.alpha, self.params.beta, self.k, self._theta)
 
     n = property(lambda self: self._bloch[0])  # (..., grid_size, 3); NaN rows where degenerate
-    degenerate = property(lambda self: self._bloch[2])  # bool mask: sin omega <= GAP_EPS
+    omega = property(lambda self: self._bloch[2])  # in [0, pi]
+    degenerate = property(lambda self: self._bloch[3])  # bool mask: sin omega <= GAP_EPS
 
     def quasienergies(self) -> tuple[np.ndarray, np.ndarray]:
         """Both bands delta +/- omega_k, wrapped to the first Floquet zone."""

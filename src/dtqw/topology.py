@@ -8,9 +8,10 @@ surviving points +/- n_beta act as poles connecting the hemispheres.  That
 punctured sphere deformation-retracts onto a circle, so every image curve has
 a well-defined winding number even without chiral symmetry.
 
-The invariants are closed forms of that retraction.  In the (n_beta, e_w)
-basis the upper-band image projects onto -sin(theta) (cos(k - alpha),
-sin(k - alpha)) / sin(omega_k), so its retraction angle is exactly k - alpha,
+The invariants are closed forms of that retraction.  In the basis
+(n_beta, e_w), with e_w = Z x n_beta = (-cos beta, sin beta, 0), the
+upper-band image projects onto -sin(theta) (cos(k - alpha), sin(k - alpha))
+/ sin(omega_k), so its retraction angle is exactly k - alpha,
 plus pi where sin(theta) > 0: the winding is +1 for every gapped theta and
 both bands, and so does not separate phases.  What does separate them is
 where the curve sits at the two special momenta k_j = alpha + j*pi: the image
@@ -63,27 +64,6 @@ class PhaseLabel(Enum):
     def from_pole(cls, at_k1: int) -> "PhaseLabel":
         """The phase of a coin whose image hits pole ``at_k1`` (+1 north) at k_1."""
         return cls.THETA_POSITIVE if at_k1 > 0 else cls.THETA_NEGATIVE
-
-
-@dataclass(frozen=True)
-class ManifoldFrame:
-    """Orthonormal in-plane frame (n_beta, e_w) used by the circle retraction.
-
-    n_beta = (sin beta, cos beta, 0) points at the north pole; e_w = Z x n_beta
-    spans the retraction circle together with n_beta.  The excluded great
-    circle lies in the plane of the Z-axis and n_beta.
-    """
-
-    beta: float
-    n_beta: np.ndarray
-    e_w: np.ndarray
-
-
-def manifold_frame(beta: float) -> ManifoldFrame:
-    beta = wrap_angle(beta)
-    n_beta = np.array([math.sin(beta), math.cos(beta), 0.0])
-    e_w = np.cross([0.0, 0.0, 1.0], n_beta)
-    return ManifoldFrame(beta, n_beta, e_w)
 
 
 @dataclass(frozen=True)
@@ -289,11 +269,12 @@ def bz_image_table(
     p: CoinParams, variant: FrameVariant = FrameVariant.IDENTITY, grid_size: int = DEFAULT_GRID
 ) -> Table:
     """The image curve, rotated by the frame's gauge-moved ``frame_so3`` (the
-    curve ``rotated_winding`` winds), one row per k, tagged by frame."""
+    curve ``rotated_winding`` winds), one row per k of the grid anchored at
+    alpha (so for even grid sizes the poles at k = alpha and alpha + pi are
+    rows), tagged by frame."""
     _require_gapped(p)
     rot = frame_so3(variant, p.theta, p.beta)
-    ks = k_grid(grid_size)
-    n, _, _ = bloch_vectors(p, ks)
-    curve = n @ rot.T
+    ks = k_grid(grid_size, p.alpha)
+    curve = bloch_vectors(p, ks)[0] @ rot.T
     return Table(["k", "n_x", "n_y", "n_z", "frame"], ks, *curve.T,
                  np.full(ks.shape, variant.value))

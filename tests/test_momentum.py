@@ -193,7 +193,10 @@ def test_band_csv_round_trip(tmp_path):
     assert len(rows) == 65
     ks = [float(r[0]) for r in rows[1:]]
     assert ks == sorted(ks)
-    assert ks[-1] == pytest.approx(math.pi)
+    # the grid is anchored at alpha: both special momenta are rows, and the
+    # rows fill (-pi, pi] at spacing 2 pi / 64
+    assert set(special_points(b.params.alpha)) <= set(ks)
+    assert math.pi - 2 * math.pi / 64 < ks[-1] <= math.pi
 
 
 def test_one_gap_threshold():

@@ -15,14 +15,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtqw.core import GAP_EPS, CoinParams, coin_matrix, wrap_angle, wrap_angles
+from dtqw.core import GAP_EPS, ID2, CoinParams, coin_matrix, pauli_compose, wrap_angle, wrap_angles
 from dtqw.lattice import build_walk
-from dtqw.momentum import (band_structure, bloch_hamiltonian, bloch_vector, bloch_vectors,
-                           dispersion, gap_report, k_grid, momentum_step_matrix,
-                           special_points)
+from dtqw.momentum import (band_structure, band_table, bloch_hamiltonian, bloch_vector,
+                           bloch_vectors, dispersion, gap_report, k_grid,
+                           momentum_step_matrix, special_points)
 from dtqw.symmetry import chiral_residual, frame_conjugated_walk, timeshift_walk
 from dtqw.topology import (FrameVariant, bz_image_table, classify_sweep, frame_rotation,
-                           frame_so3, invariant_json_dict, manifold_frame, pole_assignment,
+                           frame_so3, invariant_json_dict, pole_assignment,
                            rel_homotopy_invariant, rotated_winding, winding_mt)
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -35,6 +35,8 @@ oracle_thetas = st.one_of(
     st.sampled_from([s * t for t in (1e-10, math.pi / 2, math.pi - 1e-10) for s in (1, -1)]),
     thetas)
 grids = st.sampled_from([8, 16, 512])
+# even grids, among them 22 and 26, whose offsets -pi + 2 pi j / G miss 0 and pi by a rounding
+even_grids = st.sampled_from([8, 16, 22, 26, 64, 100, 512])
 
 # the gap closings, their subnormal and rounding-level neighbours, the flat band
 gap_thetas = st.one_of(
@@ -74,6 +76,13 @@ def _curve_winding(u: np.ndarray, w: np.ndarray) -> int:
     return int(round((closed[-1] - closed[0]) / (2 * math.pi)))
 
 
+def _pole_frame(beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """n_beta = (sin beta, cos beta, 0) and e_w = Z x n_beta, as the
+    ``dtqw.topology`` docstring defines them."""
+    n_beta = np.array([math.sin(beta), math.cos(beta), 0.0])
+    return n_beta, np.cross([0.0, 0.0, 1.0], n_beta)
+
+
 @PROPERTY_SETTINGS
 @given(angles, angles, angles, thetas, angles)
 def test_bloch_vector_has_unit_length(delta, alpha, beta, theta, k):
@@ -99,6 +108,16 @@ def test_bloch_hamiltonian_generates_the_step(delta, alpha, beta, theta, k):
     p = CoinParams(delta, alpha, beta, theta)
     u = scipy.linalg.expm(-1j * bloch_hamiltonian(p, k))
     assert np.max(np.abs(u - momentum_step_matrix(p, k))) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(angles, angles, angles, oracle_thetas, angles)
+def test_bloch_hamiltonian_is_dispersion_times_bloch_vector_bit_for_bit(delta, alpha, beta,
+                                                                        theta, k):
+    # one omega formula: H_k's omega_k and n_k are dispersion's and bloch_vector's
+    p = CoinParams(delta, alpha, beta, theta)
+    expected = p.delta * ID2 + dispersion(p, k) * pauli_compose(0, bloch_vector(p, k))
+    assert np.array_equal(bloch_hamiltonian(p, k), expected)
 
 
 @PROPERTY_SETTINGS
@@ -167,16 +186,16 @@ def test_the_gauge_moved_chiral_operator_holds_for_every_coin(delta, alpha, beta
 @given(angles, angles, angles, oracle_thetas, grids)
 def test_closed_form_windings_and_poles_match_the_curve_oracle(delta, alpha, beta, theta, grid):
     p = CoinParams(delta, alpha, beta, theta)
-    f = manifold_frame(p.beta)
+    n_beta, e_w = _pole_frame(p.beta)
     n, _, degenerate = bloch_vectors(p, k_grid(grid))
     assert not degenerate.any()
     for band in (+1, -1):  # the band -1 image is -n; one closed form serves both
-        assert winding_mt(p) == _curve_winding(band * n @ f.n_beta, band * n @ f.e_w)
+        assert winding_mt(p) == _curve_winding(band * n @ n_beta, band * n @ e_w)
     # The rounded special momenta sit a few 1e-16 off, and n turns at up to
     # 1/|sin theta| per unit k there.
     poles = pole_assignment(p)
     for pole, k in zip((poles.at_k0, poles.at_k1), special_points(p.alpha)):
-        miss = np.max(np.abs(bloch_vector(p, k) - pole * f.n_beta))
+        miss = np.max(np.abs(bloch_vector(p, k) - pole * n_beta))
         assert miss < 1e-12 + 1e-14 / abs(math.sin(p.theta))
 
 
@@ -186,17 +205,41 @@ def test_closed_form_frame_windings_match_the_curve_oracle(delta, alpha, beta, t
     p = CoinParams(delta, alpha, beta, theta)
     # At alpha = beta = 0, V1 turns in the (Y, Z) plane about X and V2 in the
     # (X, Y) plane about Z; the gauge turns X and Y by R_z(-beta), and alpha
-    # only shifts k.  The oracle samples k - alpha on the grid, which near a
-    # gap closing resolves the fast turns at the special momenta.
+    # only shifts k.  The map's grid is anchored at alpha, so near a gap
+    # closing its rows resolve the fast turns at the special momenta.
     x, y = (np.array([math.cos(p.beta), -math.sin(p.beta), 0.0]),
             np.array([math.sin(p.beta), math.cos(p.beta), 0.0]))
     z = np.array([0.0, 0.0, 1.0])
-    n = bloch_vectors(p, k_grid(grid) + p.alpha)[0]
     for variant, (axis, u, w) in ((FrameVariant.V1, (x, y, z)), (FrameVariant.V2, (z, x, y))):
-        mapped = np.column_stack(bz_image_table(p, variant, grid).columns[1:4])
-        assert np.max(np.abs(mapped @ axis)) < 1e-14  # the map's curve stays in its plane
-        curve = n @ frame_so3(variant, p.theta, p.beta).T
+        curve = np.column_stack(bz_image_table(p, variant, grid).columns[1:4])
+        assert np.max(np.abs(curve @ axis)) < 1e-14  # the map's curve stays in its plane
         assert rotated_winding(p, variant) == _curve_winding(curve @ u, curve @ w)
+
+
+@PROPERTY_SETTINGS
+@given(angles, angles, angles, oracle_thetas, even_grids)
+def test_band_and_map_rows_at_the_special_momenta_hold_the_poles(delta, alpha, beta, theta,
+                                                                 grid):
+    # Both special momenta are rows of every band and map, exactly.  The row
+    # at alpha holds its pole to a few roundings.  The row at alpha + pi has
+    # k - alpha a few 1e-16 off pi, and n_z = cos theta sin(k - alpha) / sin omega
+    # turns at |cot theta| per unit k there.
+    p = CoinParams(delta, alpha, beta, theta)
+    n_beta, _ = _pole_frame(p.beta)
+    poles = pole_assignment(p)
+    band = band_table(band_structure(p, grid))
+    curves = [(band.columns[0], band.columns[3:6], np.eye(3))]
+    for variant in FrameVariant:
+        image = bz_image_table(p, variant, grid)
+        curves.append((image.columns[0], image.columns[1:4],
+                       frame_so3(variant, p.theta, p.beta)))
+    for ks, columns, rot in curves:
+        assert np.array_equal(ks, np.sort(ks))
+        curve = np.column_stack(columns)
+        for pole, k, tol in zip((poles.at_k0, poles.at_k1), special_points(p.alpha),
+                                (1e-15, 1e-15 * (1.0 + abs(1.0 / math.tan(p.theta))))):
+            (row,) = np.flatnonzero(ks == k)
+            assert np.max(np.abs(curve[row] - rot @ (pole * n_beta))) <= tol
 
 
 def _on_grid(alpha: float, grid: int) -> bool:

@@ -28,12 +28,18 @@ from dtqw.momentum import dispersion, k_grid, momentum_step_matrix, special_poin
 from dtqw.topology import (
     PhaseLabel,
     classify_sweep,
-    manifold_frame,
     pole_letter,
     sweep_table,
 )
 
 GRID = 64
+
+
+def _pole_frame(beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """n_beta = (sin beta, cos beta, 0) and e_w = Z x n_beta, as the
+    ``dtqw.topology`` docstring defines them."""
+    n_beta = np.array([math.sin(beta), math.cos(beta), 0.0])
+    return n_beta, np.cross([0.0, 0.0, 1.0], n_beta)
 
 
 def _pauli_bloch_vector(p: CoinParams, k: float) -> np.ndarray:
@@ -48,13 +54,13 @@ def _reference_row(p: CoinParams, grid: int) -> list:
     row = [p.theta, 2.0 * np.min(omega), 2.0 * (np.pi - np.max(omega))]
     if not p.is_gapped:
         return row + ["", "", "", "Gapless"]
-    f = manifold_frame(p.beta)
+    n_beta, e_w = _pole_frame(p.beta)
     curve = np.array([_pauli_bloch_vector(p, k) for k in k_grid(grid)])
-    phis = np.arctan2(curve @ f.e_w, curve @ f.n_beta)
+    phis = np.arctan2(curve @ e_w, curve @ n_beta)
     closed = np.unwrap(np.append(phis, phis[0]))
     winding = int(round((closed[-1] - closed[0]) / (2 * math.pi)))
     k0, k1 = special_points(p.alpha)
-    poles = ["N" if _pauli_bloch_vector(p, k) @ f.n_beta > 0 else "S" for k in (k0, k1)]
+    poles = ["N" if _pauli_bloch_vector(p, k) @ n_beta > 0 else "S" for k in (k0, k1)]
     label = "ThetaPositive" if poles[1] == "N" else "ThetaNegative"
     return row + [winding, poles[0], poles[1], label]
 

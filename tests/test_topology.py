@@ -14,7 +14,6 @@ from dtqw.topology import (
     frame_rotation,
     frame_so3,
     invariant_json_dict,
-    manifold_frame,
     pole_assignment,
     predicted_edge_states,
     rel_homotopic,
@@ -26,32 +25,25 @@ from dtqw.topology import (
 THETA_LADDER = [q * math.pi / 8 for q in (1, 2, 3, 4, 5, 6, 7)]
 
 
-def test_manifold_frame_axes():
-    f = manifold_frame(0.0)
-    assert np.allclose(f.n_beta, [0, 1, 0])
-    assert np.allclose(f.e_w, [-1, 0, 0])
-    assert np.allclose(manifold_frame(math.pi / 2).n_beta, [1, 0, 0])
-    rng = np.random.default_rng(1)
-    for beta in rng.uniform(-math.pi, math.pi, 20):
-        f = manifold_frame(beta)
-        assert abs(f.e_w @ f.n_beta) < 1e-15
-        assert abs(f.e_w[2]) < 1e-15
-        assert abs(np.linalg.norm(f.e_w) - 1) < 1e-15
-        assert abs(np.linalg.norm(f.n_beta) - 1) < 1e-15
+def _pole_frame(beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """n_beta = (sin beta, cos beta, 0) and e_w = Z x n_beta, as the
+    ``dtqw.topology`` docstring defines them."""
+    n_beta = np.array([math.sin(beta), math.cos(beta), 0.0])
+    return n_beta, np.cross([0.0, 0.0, 1.0], n_beta)
 
 
 def test_winding_mt_reference_case():
     # For (0, 0, 0, pi/4) the retraction angle, measured from n_beta towards
     # e_w, is k + pi exactly; the oracle below accumulates it with np.unwrap.
     p = CoinParams(0, 0, 0, math.pi / 4)
-    f = manifold_frame(0.0)
+    n_beta, e_w = _pole_frame(0.0)
     ks = k_grid(512)
     phis = []
     from dtqw.momentum import bloch_vector
 
     for k in ks:
         n = bloch_vector(p, k)
-        phi = math.atan2(n @ f.e_w, n @ f.n_beta)
+        phi = math.atan2(n @ e_w, n @ n_beta)
         assert abs(math.remainder(phi - (k + math.pi), 2 * math.pi)) < 1e-12
         phis.append(phi)
     closed = np.unwrap(np.append(phis, phis[0]))
@@ -63,9 +55,9 @@ def test_winding_mt_same_for_both_signs_and_bands():
     # the lower band's image is -n, and its curve winds as the upper band's
     for p in (CoinParams(0, 0, 0, -math.pi / 4), CoinParams(0.3, 1.0, -0.4, 0.6)):
         n = bloch_vectors(p, k_grid(64))[0]
-        f = manifold_frame(p.beta)
+        n_beta, e_w = _pole_frame(p.beta)
         for band in (+1, -1):
-            phis = np.arctan2(band * n @ f.e_w, band * n @ f.n_beta)
+            phis = np.arctan2(band * n @ e_w, band * n @ n_beta)
             closed = np.unwrap(np.append(phis, phis[0]))
             assert round((closed[-1] - closed[0]) / (2 * math.pi)) == winding_mt(p) == 1
 
@@ -109,9 +101,9 @@ def test_image_curve_stays_on_the_punctured_sphere():
         d, a, b = rng.uniform(-math.pi, math.pi, 3)
         t = rng.uniform(0.1, math.pi - 0.1) * rng.choice([-1, 1])
         p = CoinParams(d, a, b, t)
-        f = manifold_frame(p.beta)
+        n_beta, e_w = _pole_frame(p.beta)
         n, _, _ = bloch_vectors(p, k_grid(256))
-        proj = np.hypot(n @ f.n_beta, n @ f.e_w)
+        proj = np.hypot(n @ n_beta, n @ e_w)
         assert np.min(proj) > abs(math.sin(t)) - 1e-12
         assert np.max(proj) < 1.0 + 1e-12
 
