@@ -223,22 +223,20 @@ def cmd_symmetry(args) -> int:
 def cmd_edge(args) -> int:
     spec = InterfaceSpec(args.delta, args.alpha, args.beta,
                          args.theta1, args.theta2, args.ring_size)
-    result = {"norm_constant": None, "states": []}
-    states = []
     u = spec.walk()
-    for eta, tag in ((0.0, "eta0"), (math.pi, "eta_pi")):
-        e = analytic_edge_state(spec, eta)
-        states.append(e)
+    states = [analytic_edge_state(spec, eta) for eta in (0.0, math.pi)]
+    a1, a2, norm_constant, _ = spec.edge_profile
+    result = {"norm_constant": norm_constant, "states": []}
+    for eta, tag, e in zip((0.0, math.pi), ("eta0", "eta_pi"), states):
         residual, omega = eigen_residual(u, e)
-        _write_table(args, f"edge_{tag}", state_table(e.state))
-        result["norm_constant"] = e.norm_constant
+        _write_table(args, f"edge_{tag}", state_table(e))
         result["states"].append({
             "eta": eta,
             "quasienergy": omega,
             "residual": residual,
-            "decay_constants": [io.json_complex(a) for a in e.decay_constants],
+            "decay_constants": [io.json_complex(a) for a in (a1, a2)],
         })
-    result["mutual_overlap"] = abs(states[0].state.overlap(states[1].state))
+    result["mutual_overlap"] = abs(states[0].overlap(states[1]))
     _write_record(args, "edge", result)
     print(io.json_text(result), end="")
     return 0

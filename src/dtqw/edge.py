@@ -11,7 +11,14 @@ geometric profile
 with j = 1 on the left and j = 2 on the right, times a staggering phase
 exp(i eta x) with eta = 0 for one gap and eta = pi for the other.  The
 squared-amplitude sum of the unstaggered profile telescopes to
-1/sin(theta2) - 1/sin(theta1), which normalizes the state.
+1/sin(theta2) - 1/sin(theta1), which normalizes the state.  Each state is a
+``WalkerState``; the wall's values A1, A2 and the norm constant are read from
+``InterfaceSpec.edge_profile``.
+
+The dynamics experiment follows Kitagawa et al., PRA 82, 033429 (2010): an
+initial state at the wall is evolved, and the probability left in the
+interface window (``lattice.WINDOW_HALFWIDTH``) is compared with the weight
+its edge-state part puts there.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .errors import ValidationError
 from .io import json_complex
 from .lattice import (
     MAX_RING,
+    WINDOW_HALFWIDTH,
     ThetaProfile,
     Trajectory,
     WalkerState,
@@ -41,10 +49,8 @@ from .lattice import (
 
 TRUNCATION_EPS = 1e-12
 
-# Interface probability is measured inside +/- WINDOW_HALFWIDTH sites of the
-# wall; the plateau is the mean over the last quarter of the trajectory; both
+# The plateau is the mean over the last quarter of the trajectory; both
 # experiment tolerances below are engineering choices echoed in the record.
-WINDOW_HALFWIDTH = 5
 PLATEAU_TOL = 0.02
 DEPARTURE_TOL = 0.02
 
@@ -73,14 +79,9 @@ class InterfaceSpec:
             raise ValidationError(f"theta2 = {self.theta2} must lie in (0, pi)")
         check_ring(self.n_sites)
 
-    def profile(self) -> ThetaProfile:
-        return ThetaProfile.sharp_interface(self.theta1, self.theta2, self.n_sites)
-
-    def right_params(self) -> CoinParams:
-        return CoinParams(self.delta, self.alpha, self.beta, self.theta2)
-
     def walk(self) -> WalkOperator:
-        return build_walk(self.right_params(), self.profile())
+        return build_walk(CoinParams(self.delta, self.alpha, self.beta, self.theta2),
+                          ThetaProfile.sharp_interface(self.theta1, self.theta2, self.n_sites))
 
     @functools.cached_property
     def edge_profile(self) -> tuple[complex, complex, float, np.ndarray]:
@@ -141,31 +142,22 @@ def decay_constant(alpha: float, theta: float) -> complex:
     return complex(np.exp(1j * alpha) * mag)
 
 
-@dataclass(eq=False)
-class EdgeState:
-    """One localized interface eigenstate (eta = 0 or pi)."""
-
-    state: WalkerState
-    decay_constants: tuple[complex, complex]
-    norm_constant: float
-
-
-def analytic_edge_state(spec: InterfaceSpec, eta: float) -> EdgeState:
-    """Closed-form interface eigenstate on the ring: the wall's geometric
-    profile (``spec.edge_profile``, computed once for both states) times the
-    staggering phase exp(i eta x), normalized.
+def analytic_edge_state(spec: InterfaceSpec, eta: float) -> WalkerState:
+    """Closed-form interface eigenstate on the ring (eta = 0 or pi): the wall's
+    geometric profile (``spec.edge_profile``, computed once for both states)
+    times the staggering phase exp(i eta x), normalized.
     """
     eta = wrap_angle(eta)
     if not (abs(eta) < DOMAIN_TOL or abs(eta - math.pi) < DOMAIN_TOL):
         raise ValidationError(f"eta = {eta} must be 0 or pi (tolerance {DOMAIN_TOL:g})")
-    a1, a2, norm_constant, profile = spec.edge_profile
+    _, _, norm_constant, profile = spec.edge_profile
     amps = profile * np.exp(1j * eta * ring_sites(spec.n_sites))[:, None]
     amps /= math.sqrt(norm_constant)
     amps /= np.linalg.norm(amps)  # ring correction, < 1e-10 by the size check
-    return EdgeState(WalkerState(amps), (a1, a2), norm_constant)
+    return WalkerState(amps)
 
 
-def eigen_residual(u: WalkOperator, e: EdgeState) -> tuple[float, float]:
+def eigen_residual(u: WalkOperator, e: WalkerState) -> tuple[float, float]:
     """(|| U psi - exp(-i w) psi ||, w) for the walk U = u of the state's
     interface (``InterfaceSpec.walk()``, built once for both states of a wall),
     with w from the Rayleigh quotient.
@@ -173,25 +165,12 @@ def eigen_residual(u: WalkOperator, e: EdgeState) -> tuple[float, float]:
     The residual is limited by the second wall on the ring, so it shrinks
     exponentially as the ring grows.
     """
-    psi = e.state.amps
-    upsi = u.apply(e.state).amps
+    psi = e.amps
+    upsi = u.apply(e).amps
     z = complex(np.vdot(psi, upsi))
     omega = wrap_angle(-np.angle(z))
     residual = float(np.linalg.norm(upsi - np.exp(-1j * omega) * psi))
     return residual, omega
-
-
-def overlap_decomposition(s: WalkerState, edges: list[EdgeState]) -> tuple[np.ndarray, float]:
-    """Projections <edge_i | s> and the norm of what is left after removing them."""
-    for e in edges:
-        if e.state.n_sites != s.n_sites:
-            raise ValidationError(f"states live on rings of {e.state.n_sites} and "
-                                  f"{s.n_sites} sites")
-    projections = np.array([e.state.overlap(s) for e in edges], dtype=complex)
-    rest = s.amps.copy()
-    for proj, e in zip(projections, edges):
-        rest -= proj * e.state.amps
-    return projections, float(np.linalg.norm(rest))
 
 
 class InitialStateCase(Enum):
@@ -202,14 +181,15 @@ class InitialStateCase(Enum):
     OVERLAP_BOTH = "OverlapBoth"
 
 
-def _gram_schmidt(amps: np.ndarray, edges: list[EdgeState]) -> np.ndarray:
+def _gram_schmidt(amps: np.ndarray, edges: list[WalkerState]) -> np.ndarray:
     out = amps.astype(complex).copy()
     for e in edges:
-        out -= np.vdot(e.state.amps, out) * e.state.amps
+        out -= np.vdot(e.amps, out) * e.amps
     return out / np.linalg.norm(out)
 
 
-def initial_state(spec: InterfaceSpec, case: InitialStateCase) -> tuple[WalkerState, list[EdgeState]]:
+def initial_state(spec: InterfaceSpec,
+                  case: InitialStateCase) -> tuple[WalkerState, list[WalkerState]]:
     """Deterministic interface-centered initial state for each case.
 
     OverlapBoth: equal-weight sum of the two edge states.  OverlapOne: equal
@@ -220,11 +200,11 @@ def initial_state(spec: InterfaceSpec, case: InitialStateCase) -> tuple[WalkerSt
     edges = [analytic_edge_state(spec, 0.0), analytic_edge_state(spec, math.pi)]
     n = spec.n_sites
     if case is InitialStateCase.OVERLAP_BOTH:
-        amps = edges[0].state.amps + edges[1].state.amps
+        amps = edges[0].amps + edges[1].amps
     elif case is InitialStateCase.OVERLAP_ONE:
         seed = np.zeros((n, 2), dtype=complex)
         seed[n // 2, 0] = 1.0  # x = 0, right-mover
-        amps = edges[0].state.amps + _gram_schmidt(seed, edges)
+        amps = edges[0].amps + _gram_schmidt(seed, edges)
     else:
         seed = np.zeros((n, 2), dtype=complex)
         seed[n // 2, 0] = 1.0 / math.sqrt(2.0)  # x = 0, right-mover
@@ -277,13 +257,13 @@ def dynamics_experiment(spec: InterfaceSpec, case: InitialStateCase,
         raise ValidationError(f"ring of {spec.n_sites} sites too small: need n_sites >= {need} "
                               "to keep wavefronts from wrapping into the window")
     state, edges = initial_state(spec, case)
-    projections, _ = overlap_decomposition(state, edges)
+    projections = np.array([e.overlap(state) for e in edges])
     window = window_sites(0, WINDOW_HALFWIDTH, spec.n_sites) + spec.n_sites // 2
-    edge_weight = float(np.sum(edges[0].state.site_probabilities()[window]))
+    edge_weight = float(np.sum(edges[0].site_probabilities()[window]))
     predicted = float(np.sum(np.abs(projections) ** 2)) * edge_weight
 
     u = spec.walk()
-    traj = evolve(u, state, steps, window_center=0, window_halfwidth=WINDOW_HALFWIDTH)
+    traj = evolve(u, state, steps)
 
     tail = steps // 4
     plateau = float(np.mean(traj.interface_prob[-tail:]))

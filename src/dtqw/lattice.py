@@ -26,6 +26,8 @@ DENSE_CAP = 512
 # use, and a bound on memory (traced peaks of 264 bytes a site for edge, 388 for
 # evolve: 1.1 and 1.6 GB).
 MAX_RING = 2**22
+# evolve measures the sites within this distance of the wall at x = 0.
+WINDOW_HALFWIDTH = 5
 
 
 def check_dense(n_sites: int) -> None:
@@ -63,10 +65,6 @@ class ThetaProfile:
     @property
     def n_sites(self) -> int:
         return self.thetas.shape[0]
-
-    @property
-    def sites(self) -> np.ndarray:
-        return ring_sites(self.n_sites)
 
     @classmethod
     def homogeneous(cls, theta: float, n_sites: int) -> "ThetaProfile":
@@ -111,9 +109,6 @@ class WalkerState:
             raise ValidationError(f"spinor {spinor!r} has norm {norm}: a localized state "
                                   "needs a finite nonzero spinor")
         return cls(amps / norm)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
     def overlap(self, other: "WalkerState") -> complex:
         """<self|other>."""
@@ -248,7 +243,8 @@ def build_walk(p: CoinParams, profile: ThetaProfile | None = None,
 class Trajectory:
     """Observables recorded every step, and the state after the last step.
 
-    ``staggered_prob`` is the parity-signed window sum of site probabilities,
+    ``interface_prob`` is the probability on ``window_sites(0,
+    WINDOW_HALFWIDTH, N)``; ``staggered_prob`` is its parity-signed sum,
     sum_x (-1)^x p_x; a plain window sum can miss period-2 interference of two
     gap states whose density profile balances even and odd sites.  ``final``
     is ``s0`` itself when no step was taken.
@@ -260,8 +256,6 @@ class Trajectory:
     mean_x: np.ndarray
     sigma_x: np.ndarray
     final: WalkerState
-    window_center: int
-    window_halfwidth: int
 
 
 def window_sites(center: int, halfwidth: int, n_sites: int) -> np.ndarray:
@@ -304,9 +298,9 @@ def _observables(amps: np.ndarray, lo: int, hi: int, sites: np.ndarray,
 _TINY = np.finfo(float).tiny
 
 
-def evolve(u: WalkOperator, s0: WalkerState, steps: int,
-           window_center: int = 0, window_halfwidth: int = 5) -> Trajectory:
-    """Evolve ``steps`` steps, recording window probability, mean position and
+def evolve(u: WalkOperator, s0: WalkerState, steps: int) -> Trajectory:
+    """Evolve ``steps`` steps, recording the probability in the interface
+    window (the sites within WINDOW_HALFWIDTH of x = 0), mean position and
     spread every step, and keeping the state after the last step.
 
     The amplitudes are held in planar memory (each spinor component
@@ -339,14 +333,9 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int,
     n = u.n_sites
     if steps < 0:
         raise ValidationError(f"steps = {steps} must be nonnegative")
-    if window_halfwidth < 0:
-        raise ValidationError(f"window_halfwidth = {window_halfwidth} must be nonnegative")
-    if not -(n // 2) <= window_center < n // 2:
-        raise ValidationError(f"window_center = {window_center} is outside the ring's labels "
-                              f"[{-(n // 2)}, {n // 2})")
     if s0.n_sites != n:
         raise ValidationError(f"state ring of {s0.n_sites} sites, walk of {n}")
-    labels = window_sites(window_center, window_halfwidth, n)
+    labels = window_sites(0, WINDOW_HALFWIDTH, n)
     win = labels + n // 2
     signs = 1.0 - 2.0 * (labels & 1)
     sites = ring_sites(n).astype(float)
@@ -381,8 +370,7 @@ def evolve(u: WalkOperator, s0: WalkerState, steps: int,
                 for buf in buffers[:3]:  # t = 0 left the tails' subnormal squares there
                     buf.fill(0.0)
     final = WalkerState(amps) if steps else s0
-    return Trajectory(times, iprob, stag, mean_x, sigma_x, final, window_center,
-                      window_halfwidth)
+    return Trajectory(times, iprob, stag, mean_x, sigma_x, final)
 
 
 @dataclass(eq=False)

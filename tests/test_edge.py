@@ -1,9 +1,15 @@
+import json
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from dtqw.cli import main
 from dtqw.core import CoinParams, phs_operator
 from dtqw.edge import (
     InitialStateCase,
@@ -16,7 +22,6 @@ from dtqw.edge import (
     eigen_residual,
     experiment_json_dict,
     initial_state,
-    overlap_decomposition,
 )
 from dtqw.errors import ValidationError
 from dtqw.lattice import MAX_RING, WalkerState, diagonalize, ring_sites, window_sites
@@ -77,20 +82,18 @@ def test_norm_constant_matches_summed_series():
         total = right + left
         expected = 1 / math.sin(th2) - 1 / math.sin(th1)
         assert total == pytest.approx(expected, abs=1e-10)
-        e = analytic_edge_state(spec, 0.0)
-        assert e.norm_constant == pytest.approx(expected, abs=1e-12)
+        assert spec.edge_profile[2] == pytest.approx(expected, abs=1e-12)
 
 
 def test_norm_constant_reference_value():
     spec = InterfaceSpec(n_sites=64, **CAPTION_SPEC)
-    e = analytic_edge_state(spec, 0.0)
-    assert e.norm_constant == pytest.approx(2 * math.sqrt(2), abs=1e-14)
+    assert spec.edge_profile[2] == pytest.approx(2 * math.sqrt(2), abs=1e-14)
 
 
 def test_real_amplitudes_when_phases_vanish():
     spec = InterfaceSpec(0, 0, 0, -math.pi / 4, math.pi / 4, 64)
     e = analytic_edge_state(spec, 0.0)
-    amps = e.state.amps
+    amps = e.amps
     assert np.max(np.abs(amps.imag)) < 1e-14
     # b_x = -a_{x+1} site by site
     a = amps[:, 0]
@@ -117,7 +120,7 @@ def test_both_edge_states_of_a_wall_share_one_profile(monkeypatch):
     again = [analytic_edge_state(spec, eta) for eta in (0.0, math.pi)]
     assert len(calls) == 2
     for e, f in zip(edges, again):
-        assert e.state.amps.tobytes() == f.state.amps.tobytes()
+        assert e.amps.tobytes() == f.amps.tobytes()
 
 
 @pytest.mark.parametrize("theta1, theta2, alpha", [
@@ -194,7 +197,7 @@ def test_edge_pair_is_orthogonal():
     spec = InterfaceSpec(n_sites=64, **CAPTION_SPEC)
     e0 = analytic_edge_state(spec, 0.0)
     epi = analytic_edge_state(spec, math.pi)
-    assert abs(e0.state.overlap(epi.state)) < 1e-10
+    assert abs(e0.overlap(epi)) < 1e-10
 
 
 def test_edge_states_are_phs_singlets():
@@ -203,16 +206,23 @@ def test_edge_states_are_phs_singlets():
     sites = ring_sites(spec.n_sites)
     for eta in (0.0, math.pi):
         e = analytic_edge_state(spec, eta)
-        mapped = om.apply(e.state.amps, sites)
-        overlap = abs(np.vdot(e.state.amps, mapped))
+        mapped = om.apply(e.amps, sites)
+        overlap = abs(np.vdot(e.amps, mapped))
         assert overlap == pytest.approx(1.0, abs=1e-8)
+
+
+def _overlap_decomposition(s, edges):
+    """Projections <edge_i | s> and the norm of what is left after removing them."""
+    projections = np.array([e.overlap(s) for e in edges])
+    rest = s.amps - sum(p * e.amps for p, e in zip(projections, edges))
+    return projections, float(np.linalg.norm(rest))
 
 
 def test_overlap_decomposition_cases():
     spec = InterfaceSpec(n_sites=64, **CAPTION_SPEC)
     e0 = analytic_edge_state(spec, 0.0)
     epi = analytic_edge_state(spec, math.pi)
-    projections, remainder = overlap_decomposition(e0.state, [e0, epi])
+    projections, remainder = _overlap_decomposition(e0, [e0, epi])
     assert abs(projections[0]) == pytest.approx(1.0, abs=1e-12)
     assert abs(projections[1]) < 1e-10
     assert remainder < 1e-10
@@ -220,7 +230,7 @@ def test_overlap_decomposition_cases():
     rng = np.random.default_rng(3)
     amps = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
     s = WalkerState(amps / np.linalg.norm(amps))
-    projections, remainder = overlap_decomposition(s, [e0, epi])
+    projections, remainder = _overlap_decomposition(s, [e0, epi])
     total = np.sum(np.abs(projections) ** 2) + remainder**2
     assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -228,15 +238,15 @@ def test_overlap_decomposition_cases():
 def test_initial_state_overlap_conditions():
     spec = InterfaceSpec(n_sites=512, **CAPTION_SPEC)
     s, edges = initial_state(spec, InitialStateCase.ORTHOGONAL_TO_BOTH)
-    proj, _ = overlap_decomposition(s, edges)
+    proj, _ = _overlap_decomposition(s, edges)
     assert np.max(np.abs(proj)) < 1e-12
 
     s, edges = initial_state(spec, InitialStateCase.OVERLAP_ONE)
-    proj, _ = overlap_decomposition(s, edges)
+    proj, _ = _overlap_decomposition(s, edges)
     assert abs(proj[0]) > 0.5 and abs(proj[1]) < 1e-12
 
     s, edges = initial_state(spec, InitialStateCase.OVERLAP_BOTH)
-    proj, _ = overlap_decomposition(s, edges)
+    proj, _ = _overlap_decomposition(s, edges)
     assert min(abs(proj[0]), abs(proj[1])) > 0.5
 
 
@@ -265,7 +275,7 @@ def test_edge_window_weight_is_shared_by_both_edge_states():
     spec = InterfaceSpec(0.3, -1.2, 0.7, -2.8, 2.9, 1024)
     rec = dynamics_experiment(spec, InitialStateCase.OVERLAP_BOTH, 100)
     window = window_sites(0, 5, 1024) + 512
-    weights = [analytic_edge_state(spec, eta).state.site_probabilities()[window].sum()
+    weights = [analytic_edge_state(spec, eta).site_probabilities()[window].sum()
                for eta in (0.0, math.pi)]
     assert rec.edge_window_weight == weights[0]
     assert abs(weights[1] - weights[0]) < 1e-14
@@ -309,7 +319,7 @@ def test_dynamics_experiment_needs_twelve_steps():
 def test_bulk_boundary_count_matches_prediction():
     spec = InterfaceSpec(n_sites=64, **CAPTION_SPEC)
     p1 = CoinParams(spec.delta, spec.alpha, spec.beta, spec.theta1)
-    p2 = spec.right_params()
+    p2 = CoinParams(spec.delta, spec.alpha, spec.beta, spec.theta2)
     assert predicted_edge_states(p1, p2) == 2
     sd = diagonalize(spec.walk())
     near = sorted(set(window_sites(0, 10, 64)) | set(window_sites(-32, 10, 64)))
@@ -320,3 +330,52 @@ def test_bulk_boundary_count_matches_prediction():
         if (abs(w) < 1e-6 or math.pi - abs(w) < 1e-6) and probs[i, idx].sum() > 0.9
     ]
     assert len(localized_gap_states) == 4  # two walls, one state per gap each
+
+
+def _angle_near(anchor: float, offset: float) -> float:
+    """anchor + offset in (0, pi), anchor 0, pi/2 or pi: an offset toward a gap
+    closing is taken away from it, and the angle keeps at least 0.03 from 0 and
+    pi, so a ring of 1024 sites holds the closed form."""
+    if anchor == 0.0:
+        return max(abs(offset), 0.03)
+    if anchor == math.pi:
+        return math.pi - max(abs(offset), 0.03)
+    return anchor + offset
+
+
+_ANCHORS = st.sampled_from((0.0, math.pi / 2, math.pi))
+_PHASES = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_ANCHORS, st.floats(-0.3, 0.3), _ANCHORS, st.floats(-0.3, 0.3), _PHASES, _PHASES,
+       _PHASES, st.sampled_from(InitialStateCase))
+@example(math.pi / 2, 0.0, math.pi / 2, 0.0, 0.0, 0.0, 0.0, InitialStateCase.OVERLAP_BOTH)
+def test_edge_writes_the_walls_closed_forms_and_evolve_reads_the_window(
+        anchor1, offset1, anchor2, offset2, delta, alpha, beta, case):
+    # The wall's values come from spec.edge_profile alone: the command writes
+    # the telescoped norm constant and the same two decay constants for both
+    # states.  The trajectory's first entry is the initial state's probability
+    # on the interface window.
+    n = 1024
+    spec = InterfaceSpec(delta, alpha, beta, -_angle_near(anchor1, offset1),
+                         _angle_near(anchor2, offset2), n)
+    argv = ["edge", "--ring-size", str(n)]
+    for name in ("delta", "alpha", "beta", "theta1", "theta2"):
+        argv += [f"--{name}", repr(getattr(spec, name))]
+    with tempfile.TemporaryDirectory() as out:
+        assert main([*argv, "--out", out]) == 0
+        with open(os.path.join(out, "edge.json"), encoding="utf-8") as fh:
+            result = json.load(fh)
+    expected = 1.0 / math.sin(spec.theta2) - 1.0 / math.sin(spec.theta1)
+    assert result["norm_constant"] == pytest.approx(expected, rel=1e-15)
+    decay = [decay_constant(spec.alpha, spec.theta1), decay_constant(spec.alpha, spec.theta2)]
+    assert len(result["states"]) == 2
+    for state in result["states"]:
+        assert [complex(*z) for z in state["decay_constants"]] == decay
+
+    s0, _ = initial_state(spec, case)
+    window = window_sites(0, WINDOW_HALFWIDTH, n) + n // 2
+    rec = dynamics_experiment(spec, case, 12)
+    assert abs(rec.trajectory.interface_prob[0] - s0.site_probabilities()[window].sum()) <= 1e-15

@@ -13,6 +13,7 @@ from dtqw.edge import InitialStateCase, InterfaceSpec, analytic_edge_state, init
 from dtqw.errors import ValidationError
 from dtqw.lattice import (
     DENSE_CAP,
+    WINDOW_HALFWIDTH,
     ThetaProfile,
     WalkerState,
     WalkOperator,
@@ -20,6 +21,7 @@ from dtqw.lattice import (
     diagonalize,
     eigenvalues,
     evolve,
+    ring_sites,
     site_coins,
     state_table,
     sublattice_blocks,
@@ -37,7 +39,7 @@ def test_profile_constructors():
     prof = ThetaProfile.homogeneous(0.5, 8)
     assert np.array_equal(prof.thetas, np.full(8, 0.5)) and prof.n_sites == 8
     prof = ThetaProfile.sharp_interface(-0.4, 0.9, 8)
-    assert list(prof.sites) == [-4, -3, -2, -1, 0, 1, 2, 3]
+    assert list(ring_sites(prof.n_sites)) == [-4, -3, -2, -1, 0, 1, 2, 3]
     assert np.allclose(prof.thetas, [-0.4] * 4 + [0.9] * 4)
     with pytest.raises(ValidationError, match="ring size must be even and at least 4, got 7"):
         ThetaProfile(np.zeros(7))
@@ -235,7 +237,7 @@ def test_step_preserves_norm_over_long_runs():
     s = WalkerState.localized(32, 0)
     for _ in range(1000):
         s = u.apply(s)
-    assert abs(s.norm() - 1.0) < 1e-9
+    assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-9
 
 
 def test_swap_coin_recurrence_against_dense_powers():
@@ -290,7 +292,7 @@ def test_evolve_norm_drift_over_500_steps():
     u = build_walk(CoinParams(0.3, -1.1, 0.8, 0),
                    ThetaProfile.sharp_interface(-math.pi / 4, 1.2, n))
     traj = evolve(u, WalkerState.localized(n, 0, (0.6, 0.8j)), 500)
-    assert abs(traj.final.norm() - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(traj.final.amps) - 1.0) <= 1e-12
 
 
 def test_evolve_conserves_probability():
@@ -299,32 +301,20 @@ def test_evolve_conserves_probability():
     assert len(evolve(u, s, 100).interface_prob) == 101
     for _ in range(10):  # the state every 10 steps up to 100
         s = evolve(u, s, 10).final
-        assert abs(s.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    # both window arguments bad: the halfwidth is checked first
-    ({"window_halfwidth": -2, "window_center": -100}, "window_halfwidth = -2 must be nonnegative"),
-    # a halfwidth wider than the ring is allowed, and does not hide a bad center
-    ({"window_center": -100, "window_halfwidth": 100},
-     r"window_center = -100 is outside the ring's labels \[-4, 4\)"),
-    ({"window_halfwidth": -1}, "window_halfwidth = -1 must be nonnegative"),
-    ({"window_center": 100}, r"window_center = 100 is outside the ring's labels \[-4, 4\)"),
-    ({"window_center": 4}, r"window_center = 4 is outside the ring's labels \[-4, 4\)"),
-    ({"window_center": -5}, r"window_center = -5 is outside the ring's labels \[-4, 4\)"),
-])
-def test_evolve_refuses_bad_arguments(kwargs, message):
-    u = build_walk(CoinParams(0, 0, 0, 0.5), n_sites=8)
-    with pytest.raises(ValidationError, match=message):
-        evolve(u, WalkerState.localized(8, 0), 3, **kwargs)
+def _moved(u, s0, center):
+    """The walk and the state moved by -center sites (np.roll), so that
+    evolve's interface window at x = 0 sees the sites around label ``center``."""
+    return (WalkOperator(np.roll(u.coins, -center, axis=0), u.post),
+            WalkerState(np.roll(s0.amps, -center, axis=0)))
 
 
-def test_evolve_accepts_the_edge_labels_and_a_zero_halfwidth():
-    u = build_walk(CoinParams(0, 0, 0, 0.5), n_sites=8)
-    for center in (-4, 3):
-        traj = evolve(u, WalkerState.localized(8, center), 0, window_center=center,
-                      window_halfwidth=0)
-        assert traj.interface_prob[0] == 1.0 and traj.window_center == center
+def _interface_window(n):
+    """The ring indices of evolve's interface window and their parity signs."""
+    labels = window_sites(0, WINDOW_HALFWIDTH, n)
+    return labels + n // 2, 1.0 - 2.0 * (labels & 1)
 
 
 def _reference_observables(amps, sites, win, signs):
@@ -339,18 +329,16 @@ def _reference_observables(amps, sites, win, signs):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 32), _angles, _angles, _angles, st.integers(0, 2**32 - 1),
-       st.integers(0, 40), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 10))
-def test_evolve_observables_match_a_reference_loop(half, d, a, b, seed, steps, where, hw):
+       st.integers(0, 40), st.floats(0.0, 1.0, exclude_max=True))
+def test_evolve_observables_match_a_reference_loop(half, d, a, b, seed, steps, where):
     n = 2 * half
     rng = np.random.default_rng(seed)
     u = build_walk(CoinParams(d, a, b, 0), ThetaProfile(rng.uniform(-math.pi, math.pi, n)))
     amps = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-    s0 = WalkerState(amps / np.linalg.norm(amps))
-    center = int(where * n) - n // 2
-    traj = evolve(u, s0, steps, window_center=center, window_halfwidth=hw)
+    u, s0 = _moved(u, WalkerState(amps / np.linalg.norm(amps)), int(where * n) - n // 2)
+    traj = evolve(u, s0, steps)
 
-    labels = window_sites(center, hw, n)
-    win, signs = labels + n // 2, 1.0 - 2.0 * (labels & 1)
+    win, signs = _interface_window(n)
     sites = s0.sites  # integers
     expected = []
     amps = s0.amps
@@ -376,11 +364,10 @@ def test_evolve_observables_match_a_reference_loop(half, d, a, b, seed, steps, w
 _ZEROED_BELOW = 2.0**-511
 
 
-def _unzeroed_observables(u, s0, steps, center=0, hw=5):
+def _unzeroed_observables(u, s0, steps):
     """evolve's four columns from the reference loop, which never zeroes an
     amplitude."""
-    labels = window_sites(center, hw, u.n_sites)
-    win, signs = labels + u.n_sites // 2, 1.0 - 2.0 * (labels & 1)
+    win, signs = _interface_window(u.n_sites)
     rows = []
     amps = s0.amps
     for t in range(steps + 1):
@@ -425,25 +412,25 @@ def test_evolve_window_deep_in_an_edge_tail_reads_zero():
     # The eta = 0 state decays like (sqrt(2) - 1)^x on the right.  Past the
     # first site whose parts are all below 2^-520 the site probabilities are
     # subnormal: the never-zeroing loop keeps reading them, evolve reads 0.0
-    # once the first step's zeroing has removed them.
+    # once the first step's zeroing has removed them.  The wall and its state
+    # are moved so that the interface window starts at that site.
     spec = InterfaceSpec(0, 0, 0, -math.pi / 4, math.pi / 4, 2048)
-    s0 = analytic_edge_state(spec, 0.0).state
+    s0 = analytic_edge_state(spec, 0.0)
     parts = np.abs(s0.amps.view(float)).max(axis=1)
-    center = int(s0.sites[np.argmax((s0.sites > 0) & (parts < 2.0**-520))]) + 2
-    u = spec.walk()
-    traj = evolve(u, s0, 10, window_center=center, window_halfwidth=2)
-    old = _unzeroed_observables(u, s0, 10, center=center, hw=2)[0]
+    center = int(s0.sites[np.argmax((s0.sites > 0) & (parts < 2.0**-520))]) + WINDOW_HALFWIDTH
+    u, s0 = _moved(spec.walk(), s0, center)
+    traj = evolve(u, s0, 10)
+    old = _unzeroed_observables(u, s0, 10)[0]
     assert np.all((old > 0.0) & (old < np.finfo(float).tiny))
     assert traj.interface_prob[0] == old[0]
     assert np.all(traj.interface_prob[1:] == 0.0)
 
 
-def _full_ring_evolve(u, s0, steps, center, hw):
+def _full_ring_evolve(u, s0, steps):
     """evolve's trajectory columns and final amplitudes from a loop that treats
     the whole ring every step: _reference_step, then the observables, then the
     zeroing, in evolve's order."""
-    labels = window_sites(center, hw, u.n_sites)
-    win, signs = labels + u.n_sites // 2, 1.0 - 2.0 * (labels & 1)
+    win, signs = _interface_window(u.n_sites)
     sites = s0.sites.astype(float)
     rows = []
     amps = s0.amps.copy()
@@ -456,8 +443,10 @@ def _full_ring_evolve(u, s0, steps, center, hw):
     return np.array(rows).reshape(-1, 4).T, amps if steps else s0.amps
 
 
-def _oracle_start(kind, n, rng):
-    """(walk, initial state) for one draw of the window oracle."""
+def _oracle_start(kind, n, rng, center=0):
+    """(walk, initial state) for one draw of the window oracle, both moved by
+    -center sites (``_moved``).  "site_0" and "site_last" draw their site where
+    the move takes it to ring index 0 and N - 1."""
     d, a, b = rng.uniform(-math.pi, math.pi, 3)
     if kind in ("wall", "closing"):
         lo, hi = (1.1, math.pi - 1.1) if kind == "wall" else (0.05, 0.06)
@@ -465,7 +454,7 @@ def _oracle_start(kind, n, rng):
         t2 = t2 if kind == "wall" or rng.random() < 0.5 else math.pi - t2
         spec = InterfaceSpec(d, a, b, -rng.uniform(1.1, math.pi - 1.1), t2, n)
         s0, _ = initial_state(spec, list(InitialStateCase)[rng.integers(3)])
-        return spec.walk(), s0
+        return _moved(spec.walk(), s0, center)
     if kind in ("timeshift_v1", "timeshift_v2"):
         variant = FrameVariant.V1 if kind == "timeshift_v1" else FrameVariant.V2
         u = timeshift_walk(CoinParams(d, 0, 0, rng.uniform(0.1, 3.0)), variant, n)
@@ -476,9 +465,9 @@ def _oracle_start(kind, n, rng):
         amps = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         amps /= np.linalg.norm(amps)
     elif kind != "zero":
-        where = {"site_0": 0, "site_last": n - 1}.get(kind, int(rng.integers(n)))
-        amps[where] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return u, WalkerState(amps)
+        where = {"site_0": center, "site_last": center - 1}.get(kind, int(rng.integers(n)))
+        amps[where % n] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return _moved(u, WalkerState(amps), center)
 
 
 _ORACLE_KINDS = ("wall", "closing", "site_0", "site_last", "site", "random", "zero",
@@ -487,22 +476,20 @@ _ORACLE_KINDS = ("wall", "closing", "site_0", "site_last", "site", "random", "ze
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(_ORACLE_KINDS), st.integers(2, 256), st.integers(0, 2**32 - 1),
-       st.floats(0.0, 1.25), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 6))
-@example("closing", 2, 0, 1.0, 0.5, 5)
-@example("wall", 256, 1, 1.25, 0.5, 5)
-@example("site", 256, 2, 1.25, 0.9, 6)
-def test_evolve_window_is_byte_identical_to_full_ring_steps(kind, half, seed, reach, where, hw):
+       st.floats(0.0, 1.25), st.floats(0.0, 1.0, exclude_max=True))
+@example("closing", 2, 0, 1.0, 0.5)
+@example("wall", 256, 1, 1.25, 0.5)
+@example("site", 256, 2, 1.25, 0.9)
+def test_evolve_window_is_byte_identical_to_full_ring_steps(kind, half, seed, reach, where):
     # The tails of a wall with 1.1 <= |theta| <= pi - 1.1 fall below 2^-511
     # within 248 sites, so on 512 sites or more they end inside the ring.  A
     # wall near a gap closing (theta2 within 0.06 of 0 or pi) needs a ring of
     # 554 sites, and its tails then fill the ring at t = 0.
     n = {"closing": 560, "wall": 512 + 2 * half}.get(kind, 2 * half)
-    rng = np.random.default_rng(seed)
-    u, s0 = _oracle_start(kind, n, rng)
+    u, s0 = _oracle_start(kind, n, np.random.default_rng(seed), int(where * n) - n // 2)
     steps = int(reach * n)
-    center = int(where * n) - n // 2
-    traj = evolve(u, s0, steps, window_center=center, window_halfwidth=hw)
-    columns, final = _full_ring_evolve(u, s0, steps, center, hw)
+    traj = evolve(u, s0, steps)
+    columns, final = _full_ring_evolve(u, s0, steps)
     got = (traj.interface_prob, traj.staggered_prob, traj.mean_x, traj.sigma_x)
     for column, want in zip(got, columns):
         assert column.tobytes() == want.tobytes()
@@ -528,7 +515,7 @@ def test_evolve_steps_only_the_occupied_window(kind, monkeypatch):
     for t, width in enumerate(widths, start=1):
         assert width <= support + 2 * t < n
     monkeypatch.undo()
-    columns, final = _full_ring_evolve(u, s0, steps, 0, 5)
+    columns, final = _full_ring_evolve(u, s0, steps)
     assert traj.interface_prob.tobytes() == columns[0].tobytes()
     assert traj.final.amps.tobytes() == final.tobytes()
 
@@ -541,13 +528,13 @@ def test_evolve_steps_the_whole_ring_when_a_coin_is_not_finite():
     u = build_walk(CoinParams(0.2, 0.1, -0.4, 0), ThetaProfile(thetas))
     s0 = WalkerState.localized(64, 0)
     traj = evolve(u, s0, 10)
-    columns, final = _full_ring_evolve(u, s0, 10, 0, 5)
+    columns, final = _full_ring_evolve(u, s0, 10)
     assert np.all(np.isnan(traj.mean_x[1:]))
     for column, want in zip((traj.interface_prob, traj.staggered_prob, traj.mean_x,
                              traj.sigma_x), columns):
         assert np.array_equal(column, want, equal_nan=True)
     for t in range(11):  # the state after each step
-        want = _full_ring_evolve(u, s0, t, 0, 5)[1]
+        want = _full_ring_evolve(u, s0, t)[1]
         assert np.array_equal(evolve(u, s0, t).final.amps, want, equal_nan=True)
 
 

@@ -4,7 +4,10 @@ src/dtqw, or an entry in READERS that names the file outside it that reads it.
 A name counts as referenced when any module of src/dtqw loads it as a bare
 name, reads it as an attribute, or imports it (the package root's exports
 included).  Names are matched by their last component, so the check cannot
-tell two methods of one name apart; it finds helpers that nothing calls."""
+tell two methods of one name apart, nor a method from a function of its name;
+it finds helpers that nothing calls.  It missed ``WalkerState.norm`` and
+``ThetaProfile.sites`` while only tests called them, because ``np.linalg.norm``
+and ``WalkerState.sites`` share their names."""
 
 import ast
 import re
